@@ -1,9 +1,7 @@
 """Train the AND task with all three gradient engines and show that the
 loss trajectories coincide step for step."""
 
-from dualgrad.trainer import TrainConfig, train
-
-ENGINES = ("ones", "seeded", "backprop")
+from dualgrad.trainer import ENGINES, TrainConfig, train
 
 logs = {}
 for engine in ENGINES:
@@ -17,6 +15,6 @@ for i in (0, 9, 99, 499, 999, 1999):
     print(f"{i + 1:>6}  {row}")
 
 base = logs["ones"].loss_curve()
-for engine in ENGINES[1:]:
+for engine in list(ENGINES)[1:]:
     gap = max(abs(a - b) for a, b in zip(base, logs[engine].loss_curve()))
     print(f"max |loss(ones) - loss({engine})| over 2000 epochs: {gap:.3e}")

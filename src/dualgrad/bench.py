@@ -15,19 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from . import model as _model
-from . import oracle as _oracle
 from .model import Perceptron, Sample
+from .trainer import ENGINES
 
 DEFAULT_WIDTHS = (8, 16, 32, 64, 128, 256)
-ENGINES = ("ones", "seeded", "backprop")
 MIN_REPS = 10
 _WARMUP = 3
-
-_ENGINE_FNS = {
-    "ones": _model.grad_ones,
-    "seeded": _model.grad_seeded,
-    "backprop": _oracle.grad_backprop,
-}
 
 
 @dataclass
@@ -58,7 +51,7 @@ def random_sample(n: int, rng: np.random.Generator) -> Sample:
 
 def run_bench(
     widths=DEFAULT_WIDTHS,
-    engines=ENGINES,
+    engines=tuple(ENGINES),
     reps: int = 30,
     seed: int = 0,
 ) -> list[BenchResult]:
@@ -67,8 +60,8 @@ def run_bench(
     if not widths or any(w < 1 for w in widths):
         raise ValueError(f"widths must be >= 1, got {widths}")
     for engine in engines:
-        if engine not in _ENGINE_FNS:
-            raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINES}")
+        if engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r}, expected one of {tuple(ENGINES)}")
     if reps < MIN_REPS:
         raise ValueError(f"reps must be >= {MIN_REPS}, got {reps}")
 
@@ -78,7 +71,7 @@ def run_bench(
         m = guarded_perceptron(n, rng)
         s = random_sample(n, rng)
         for engine in engines:
-            grad = _ENGINE_FNS[engine]
+            grad = ENGINES[engine]
             _model.reset_pass_count()
             grad(m, s)
             passes = _model.pass_count()

@@ -16,18 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as _bench
-from . import model as _model
 from . import oracle as _oracle
 from . import trainer as _trainer
+from .trainer import ENGINES
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
-
-_GRAD_ENGINES = {
-    "ones": _model.grad_ones,
-    "seeded": _model.grad_seeded,
-    "backprop": _oracle.grad_backprop,
-}
 
 
 def _int_list(text: str) -> list[int]:
@@ -61,7 +55,7 @@ _TRAIN_FLAGS = {
 }
 _BENCH_FLAGS = {
     "widths": (_int_list, list(_bench.DEFAULT_WIDTHS)),
-    "engines": (_str_list, list(_bench.ENGINES)),
+    "engines": (_str_list, list(ENGINES)),
     "reps": (int, 30),
     "out": (str, None),
 }
@@ -101,8 +95,8 @@ def _merge(args: argparse.Namespace, flag_schema: dict) -> dict:
 
 
 def _check_engine(tag: str) -> str:
-    if tag not in _GRAD_ENGINES:
-        raise ValueError(f"unknown engine {tag!r}, expected one of {tuple(_GRAD_ENGINES)}")
+    if tag not in ENGINES:
+        raise ValueError(f"unknown engine {tag!r}, expected one of {tuple(ENGINES)}")
     return tag
 
 
@@ -116,8 +110,8 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
         raise ValueError("--tol must be >= 0")
 
     rng = np.random.default_rng(v["seed"])
-    grad_a = _GRAD_ENGINES[v["engine_a"]]
-    grad_b = _GRAD_ENGINES[v["engine_b"]]
+    grad_a = ENGINES[v["engine_a"]]
+    grad_b = ENGINES[v["engine_b"]]
     max_abs = 0.0
     max_rel = 0.0
     worst_index = ""
@@ -227,7 +221,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -1,5 +1,11 @@
 """Perceptron / MLP models and their forward-mode gradient rules.
 
+Every model is one flat parameter list plus a layout: ``(in, out)`` per
+layer and the layer activations. The order is, per layer, the weight rows
+and then the biases. A ``Perceptron`` is a one-layer ``Mlp`` with a
+scalar output, and a ``Gradient`` is a one-layer ``MlpGradient``; both
+keep their own constructors and ``W``/``b``/``dW``/``db`` views.
+
 Two forward-mode gradients are provided:
 
 * ``grad_ones`` seeds every input x_i with the same eps in a single dual
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from . import functions as fn
 from .dual import Dual
@@ -54,11 +60,28 @@ def pass_count() -> int:
 # --- types -------------------------------------------------------------------
 
 
+def _finite(values: list[float], what: str) -> list[float]:
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} must be finite, got {values}")
+    return values
+
+
 def _check_finite(values, what: str) -> list[float]:
-    out = [float(v) for v in values]
-    if not all(math.isfinite(v) for v in out):
-        raise ValueError(f"{what} must be finite, got {out}")
-    return out
+    return _finite([float(v) for v in values], what)
+
+
+def _check_act(act: str) -> str:
+    if act not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {act!r}, expected one of {ACTIVATIONS}")
+    return act
+
+
+def _check_rows(rows: list[list[float]], biases: list[float], what: str) -> None:
+    if len(rows) < 1 or len(rows) != len(biases):
+        raise ValueError(f"{what} rows and biases must match and be nonempty")
+    widths = {len(row) for row in rows}
+    if len(widths) != 1 or min(widths) < 1:
+        raise ValueError(f"{what} rows must share a nonzero width")
 
 
 @dataclass
@@ -76,38 +99,6 @@ class Sample:
 
 
 @dataclass
-class Perceptron:
-    """Single-layer model act(W . x + b) with scalar output."""
-
-    W: list[float]
-    b: float
-    act: str = "sigmoid"
-
-    def __post_init__(self):
-        self.W = _check_finite(self.W, "weights")
-        if len(self.W) < 1:
-            raise ValueError("perceptron needs at least one weight")
-        self.b = float(self.b)
-        if not math.isfinite(self.b):
-            raise ValueError(f"bias must be finite, got {self.b}")
-        if self.act not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.act!r}, expected one of {ACTIVATIONS}")
-
-    @property
-    def width(self) -> int:
-        return len(self.W)
-
-    def forward(self, x: Sequence[float]) -> float:
-        """Plain float evaluation; no dual arithmetic involved."""
-        if len(x) != len(self.W):
-            raise ValueError(f"expected {len(self.W)} features, got {len(x)}")
-        z = self.b
-        for w, xi in zip(self.W, x):
-            z += w * xi
-        return _act_real(self.act, z)
-
-
-@dataclass
 class Layer:
     """Dense layer: W is out_width x in_width, b has out_width entries."""
 
@@ -118,13 +109,8 @@ class Layer:
     def __post_init__(self):
         self.W = [_check_finite(row, "layer weights") for row in self.W]
         self.b = _check_finite(self.b, "layer biases")
-        if len(self.W) < 1 or len(self.W) != len(self.b):
-            raise ValueError("layer weight rows and biases must match and be nonempty")
-        widths = {len(row) for row in self.W}
-        if len(widths) != 1 or min(widths) < 1:
-            raise ValueError("layer weight rows must share a nonzero width")
-        if self.act not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.act!r}, expected one of {ACTIVATIONS}")
+        _check_rows(self.W, self.b, "layer weight")
+        _check_act(self.act)
 
     @property
     def out_width(self) -> int:
@@ -135,62 +121,104 @@ class Layer:
         return len(self.W[0])
 
 
-@dataclass
+def _split(params: list[float], shapes) -> Iterator[tuple[list[list[float]], list[float]]]:
+    """(weight rows, biases) per layer of a flat parameter list."""
+    k = 0
+    for n_in, n_out in shapes:
+        rows = [params[k + i * n_in:k + (i + 1) * n_in] for i in range(n_out)]
+        k += n_in * n_out
+        yield rows, params[k:k + n_out]
+        k += n_out
+
+
+@dataclass(init=False, slots=True)
 class Mlp:
-    """Stack of dense layers ending in a single scalar output."""
+    """Stack of dense layers ending in a single scalar output.
 
-    layers: list[Layer]
+    ``params`` holds every parameter in layer order, each layer's weight
+    rows then its biases; ``shapes`` holds ``(in, out)`` per layer and
+    ``acts`` the activations. ``layers`` is a view rebuilt from them.
+    """
 
-    def __post_init__(self):
-        if not self.layers:
+    params: list[float]
+    shapes: tuple[tuple[int, int], ...]
+    acts: tuple[str, ...]
+
+    def __init__(self, layers: list[Layer]):
+        if not layers:
             raise ValueError("mlp needs at least one layer")
-        for prev, nxt in zip(self.layers, self.layers[1:]):
+        for prev, nxt in zip(layers, layers[1:]):
             if prev.out_width != nxt.in_width:
                 raise ValueError(
                     f"layer widths do not chain: {prev.out_width} -> {nxt.in_width}"
                 )
-        if self.layers[-1].out_width != 1:
+        if layers[-1].out_width != 1:
             raise ValueError("final layer must have scalar output")
+        self.params = [v for lay in layers for row in (*lay.W, lay.b) for v in row]
+        self.shapes = tuple((lay.in_width, lay.out_width) for lay in layers)
+        self.acts = tuple(lay.act for lay in layers)
+
+    @property
+    def layers(self) -> list[Layer]:
+        return [
+            Layer(rows, biases, act)
+            for (rows, biases), act in zip(_split(self.params, self.shapes), self.acts)
+        ]
 
     @property
     def width(self) -> int:
-        return self.layers[0].in_width
+        return self.shapes[0][0]
 
     def forward(self, x: Sequence[float]) -> float:
+        """Plain float evaluation; no dual arithmetic involved."""
         if len(x) != self.width:
             raise ValueError(f"expected {self.width} features, got {len(x)}")
-        h = list(x)
-        for layer in self.layers:
-            h = [
-                _act_real(layer.act, b + _dot(row, h))
-                for row, b in zip(layer.W, layer.b)
-            ]
+        p = self.params
+        h = x
+        k = 0  # index of the current row's first weight
+        for (n_in, n_out), act in zip(self.shapes, self.acts):
+            b0 = k + n_in * n_out
+            out = []
+            for z in p[b0:b0 + n_out]:
+                for j, hj in enumerate(h, k):
+                    z += p[j] * hj
+                out.append(_act_real(act, z))
+                k += n_in
+            h = out
+            k = b0 + n_out
         return h[0]
 
 
-Model = Union[Perceptron, Mlp]
+class Perceptron(Mlp):
+    """Single-layer model act(W . x + b) with scalar output."""
+
+    __slots__ = ()
+
+    def __init__(self, W: list[float], b: float, act: str = "sigmoid"):
+        W = _check_finite(W, "weights")
+        if len(W) < 1:
+            raise ValueError("perceptron needs at least one weight")
+        b = float(b)
+        if not math.isfinite(b):
+            raise ValueError(f"bias must be finite, got {b}")
+        self.params = W + [b]
+        self.shapes = ((len(W), 1),)
+        self.acts = (_check_act(act),)
+
+    @property
+    def W(self) -> list[float]:
+        return self.params[:-1]
+
+    @property
+    def b(self) -> float:
+        return self.params[-1]
+
+    @property
+    def act(self) -> str:
+        return self.acts[0]
 
 
-@dataclass
-class Gradient:
-    """Loss gradient for a perceptron: dW mirrors W, db mirrors b."""
-
-    dW: list[float]
-    db: float
-
-    def __post_init__(self):
-        self.dW = _check_finite(self.dW, "gradient entries")
-        self.db = float(self.db)
-        if not math.isfinite(self.db):
-            raise ValueError(f"gradient entries must be finite, got db={self.db}")
-
-    def entries(self) -> Iterator[tuple[str, float]]:
-        for i, g in enumerate(self.dW):
-            yield f"w[{i}]", g
-        yield "b", self.db
-
-    def to_dict(self) -> dict:
-        return {"dW": list(self.dW), "db": self.db}
+Model = Mlp  # a Perceptron is a one-layer Mlp
 
 
 @dataclass
@@ -201,39 +229,88 @@ class LayerGradient:
     def __post_init__(self):
         self.dW = [_check_finite(row, "gradient entries") for row in self.dW]
         self.db = _check_finite(self.db, "gradient entries")
+        _check_rows(self.dW, self.db, "gradient")
 
 
-@dataclass
+@dataclass(init=False, slots=True)
 class MlpGradient:
-    """Per-layer loss gradients with the same shapes as the model's layers."""
+    """Per-layer loss gradients, flat in the model's parameter order."""
 
-    layers: list[LayerGradient]
+    params: list[float]
+    shapes: tuple[tuple[int, int], ...]
+
+    def __init__(self, layers: list[LayerGradient]):
+        self.params = [v for lg in layers for row in (*lg.dW, lg.db) for v in row]
+        self.shapes = tuple((len(lg.dW[0]), len(lg.dW)) for lg in layers)
+
+    @property
+    def layers(self) -> list[LayerGradient]:
+        return [LayerGradient(rows, biases) for rows, biases in _split(self.params, self.shapes)]
 
     def entries(self) -> Iterator[tuple[str, float]]:
-        for l, lg in enumerate(self.layers):
-            for i, row in enumerate(lg.dW):
-                for j, g in enumerate(row):
-                    yield f"layer[{l}].w[{i}][{j}]", g
-            for i, g in enumerate(lg.db):
-                yield f"layer[{l}].b[{i}]", g
+        values = iter(self.params)
+        for l, (n_in, n_out) in enumerate(self.shapes):
+            for i in range(n_out):
+                for j in range(n_in):
+                    yield f"layer[{l}].w[{i}][{j}]", next(values)
+            for i in range(n_out):
+                yield f"layer[{l}].b[{i}]", next(values)
 
     def to_dict(self) -> dict:
-        return {
-            "layers": [{"dW": [list(r) for r in lg.dW], "db": list(lg.db)} for lg in self.layers]
-        }
+        return {"layers": [{"dW": lg.dW, "db": lg.db} for lg in self.layers]}
 
 
-AnyGradient = Union[Gradient, MlpGradient]
+class Gradient(MlpGradient):
+    """Loss gradient for a perceptron: dW mirrors W, db mirrors b."""
+
+    __slots__ = ()
+
+    def __init__(self, dW: list[float], db: float):
+        self.params = _check_finite([*dW, db], "gradient entries")
+        self.shapes = ((len(self.params) - 1, 1),)
+
+    @property
+    def dW(self) -> list[float]:
+        return self.params[:-1]
+
+    @property
+    def db(self) -> float:
+        return self.params[-1]
+
+    def entries(self) -> Iterator[tuple[str, float]]:
+        for i, g in enumerate(self.dW):
+            yield f"w[{i}]", g
+        yield "b", self.db
+
+    def to_dict(self) -> dict:
+        return {"dW": self.dW, "db": self.db}
+
+
+AnyGradient = MlpGradient  # a Gradient is a one-layer MlpGradient
+
+
+def _model_like(m: Mlp, params: list[float]) -> Mlp:
+    """A model of m's type and layout over new parameters.
+
+    The layout was validated when m was built, so only finiteness is
+    checked; train's divergence detection relies on that check.
+    """
+    out = object.__new__(type(m))
+    out.params = _finite(params, "parameters")
+    out.shapes = m.shapes
+    out.acts = m.acts
+    return out
+
+
+def _grad_like(m: Mlp, values: list[float]) -> AnyGradient:
+    """A gradient over m's layout, checked for finiteness only."""
+    out = object.__new__(Gradient if isinstance(m, Perceptron) else MlpGradient)
+    out.params = _finite(values, "gradient entries")
+    out.shapes = m.shapes
+    return out
 
 
 # --- evaluation helpers -------------------------------------------------------
-
-
-def _dot(ws: Sequence[float], xs: Sequence[float]) -> float:
-    z = 0.0
-    for w, xi in zip(ws, xs):
-        z += w * xi
-    return z
 
 
 def _act_real(tag: str, z: float) -> float:
@@ -269,8 +346,8 @@ def forward_dual_ones(m: Perceptron, x: Sequence[float]) -> Dual:
     """
     if not isinstance(m, Perceptron):
         raise TypeError("the shared-seed pass is a single-layer rule; use grad_seeded for Mlp")
-    if len(x) != len(m.W):
-        raise ValueError(f"expected {len(m.W)} features, got {len(x)}")
+    if len(x) != m.width:
+        raise ValueError(f"expected {m.width} features, got {len(x)}")
     z = Dual(m.b)
     for w, xi in zip(m.W, x):
         z = z + Dual(xi, 1.0) * w
@@ -295,61 +372,39 @@ def grad_ones(m: Perceptron, s: Sample) -> Gradient:
         )
     yhat_eps = forward_dual_ones(m, s.x)
     g0 = 2.0 * (yhat_eps.re - s.y) * yhat_eps.du / seed_sum
-    return Gradient([g0 * xi for xi in s.x], g0)
+    return _grad_like(m, [g0 * xi for xi in s.x] + [g0])
 
 
 # --- per-parameter seeding ----------------------------------------------------
 
 
-def _perceptron_loss_dual(m: Perceptron, s: Sample, seed_w: int, seed_b: bool) -> Dual:
-    # One dual pass with a single seeded parameter; the loss's dual part
-    # is the partial derivative with respect to that parameter.
-    z = Dual(m.b, 1.0 if seed_b else 0.0)
-    for j, (w, xi) in enumerate(zip(m.W, s.x)):
-        z = z + Dual(w, 1.0 if j == seed_w else 0.0) * xi
-    yhat = _act_dual(m.act, z)
-    count_forward_pass()
-    return (Dual(s.y) - yhat) ** 2
-
-
-def _mlp_loss_dual(m: Mlp, s: Sample, seed: tuple[int, str, int, int]) -> Dual:
-    seed_layer, seed_kind, seed_i, seed_j = seed
+def _loss_dual(m: Mlp, s: Sample, k: int) -> Dual:
+    # One dual pass with only parameter k seeded; the loss's dual part is
+    # the partial derivative with respect to that parameter.
+    p = m.params
     h = [Dual(xi) for xi in s.x]
-    for l, layer in enumerate(m.layers):
+    off = 0  # index of the current row's first weight
+    for (n_in, n_out), act in zip(m.shapes, m.acts):
+        b0 = off + n_in * n_out
         out = []
-        for i, (row, b) in enumerate(zip(layer.W, layer.b)):
-            z = Dual(b, 1.0 if (l == seed_layer and seed_kind == "b" and i == seed_i) else 0.0)
-            for j, (w, hj) in enumerate(zip(row, h)):
-                dw = 1.0 if (l == seed_layer and seed_kind == "w" and i == seed_i and j == seed_j) else 0.0
-                z = z + Dual(w, dw) * hj
-            out.append(_act_dual(layer.act, z))
+        for i in range(b0, b0 + n_out):
+            z = Dual(p[i], 1.0 if i == k else 0.0)
+            for j, hj in enumerate(h, off):
+                z = z + Dual(p[j], 1.0 if j == k else 0.0) * hj
+            out.append(_act_dual(act, z))
+            off += n_in
         h = out
+        off = b0 + n_out
     count_forward_pass()
     return (Dual(s.y) - h[0]) ** 2
 
 
 def grad_seeded(m: Model, s: Sample) -> AnyGradient:
-    """Gradient via one dual pass per scalar parameter (weights, then biases).
+    """Gradient via one dual pass per scalar parameter, in layout order.
 
     Works for any weight configuration and for multilayer models; the cost
     is exactly one forward pass per parameter.
     """
-    if isinstance(m, Perceptron):
-        if len(s.x) != len(m.W):
-            raise ValueError(f"expected {len(m.W)} features, got {len(s.x)}")
-        dW = [_perceptron_loss_dual(m, s, seed_w=i, seed_b=False).du for i in range(len(m.W))]
-        db = _perceptron_loss_dual(m, s, seed_w=-1, seed_b=True).du
-        return Gradient(dW, db)
-    if isinstance(m, Mlp):
-        if len(s.x) != m.width:
-            raise ValueError(f"expected {m.width} features, got {len(s.x)}")
-        layers = []
-        for l, layer in enumerate(m.layers):
-            dW = [
-                [_mlp_loss_dual(m, s, (l, "w", i, j)).du for j in range(layer.in_width)]
-                for i in range(layer.out_width)
-            ]
-            db = [_mlp_loss_dual(m, s, (l, "b", i, -1)).du for i in range(layer.out_width)]
-            layers.append(LayerGradient(dW, db))
-        return MlpGradient(layers)
-    raise TypeError(f"unsupported model type {type(m).__name__}")
+    if len(s.x) != m.width:
+        raise ValueError(f"expected {m.width} features, got {len(s.x)}")
+    return _grad_like(m, [_loss_dual(m, s, k).du for k in range(len(m.params))])

@@ -11,17 +11,7 @@ import math
 from dataclasses import dataclass
 
 from . import model as _model
-from .model import (
-    AnyGradient,
-    Gradient,
-    Layer,
-    LayerGradient,
-    Mlp,
-    MlpGradient,
-    Model,
-    Perceptron,
-    Sample,
-)
+from .model import AnyGradient, Gradient, Model, Perceptron, Sample
 
 # Entries smaller than this are compared by absolute rather than relative error.
 ABS_FALLBACK = 1e-8
@@ -59,26 +49,7 @@ def grad_backprop(m: Perceptron, s: Sample) -> Gradient:
     yhat, dact = _act_value_deriv(m.act, z)
     g0 = 2.0 * (yhat - s.y) * dact
     _model.count_forward_pass()
-    return Gradient([g0 * xi for xi in s.x], g0)
-
-
-def _probe(loss_now, obj, key, h: float) -> float:
-    # key is a list index or an attribute name; restore the original value after.
-    if isinstance(key, int):
-        base = obj[key]
-        obj[key] = base + h
-        lp = loss_now()
-        obj[key] = base - h
-        lm = loss_now()
-        obj[key] = base
-    else:
-        base = getattr(obj, key)
-        setattr(obj, key, base + h)
-        lp = loss_now()
-        setattr(obj, key, base - h)
-        lm = loss_now()
-        setattr(obj, key, base)
-    return (lp - lm) / (2.0 * h)
+    return _model._grad_like(m, [g0 * xi for xi in s.x] + [g0])
 
 
 def grad_finite_diff(m: Model, s: Sample, h: float = DEFAULT_FD_STEP) -> AnyGradient:
@@ -88,12 +59,9 @@ def grad_finite_diff(m: Model, s: Sample, h: float = DEFAULT_FD_STEP) -> AnyGrad
     if len(s.x) != m.width:
         raise ValueError(f"expected {m.width} features, got {len(s.x)}")
 
-    if isinstance(m, Perceptron):
-        probe = Perceptron(list(m.W), m.b, m.act)
-    elif isinstance(m, Mlp):
-        probe = Mlp([Layer([list(r) for r in lay.W], list(lay.b), lay.act) for lay in m.layers])
-    else:
-        raise TypeError(f"unsupported model type {type(m).__name__}")
+    # Perturb a private copy of the parameters in place, one entry at a time.
+    probe = _model._model_like(m, list(m.params))
+    p = probe.params
 
     def loss_now() -> float:
         value = _model.loss(probe.forward(s.x), s.y)
@@ -101,17 +69,15 @@ def grad_finite_diff(m: Model, s: Sample, h: float = DEFAULT_FD_STEP) -> AnyGrad
             raise ValueError("loss became non-finite while probing")
         return value
 
-    if isinstance(probe, Perceptron):
-        dW = [_probe(loss_now, probe.W, i, h) for i in range(len(probe.W))]
-        db = _probe(loss_now, probe, "b", h)
-        return Gradient(dW, db)
-
-    layers = []
-    for lay in probe.layers:
-        dW = [[_probe(loss_now, row, j, h) for j in range(len(row))] for row in lay.W]
-        db = [_probe(loss_now, lay.b, i, h) for i in range(len(lay.b))]
-        layers.append(LayerGradient(dW, db))
-    return MlpGradient(layers)
+    grads = []
+    for k, base in enumerate(m.params):
+        p[k] = base + h
+        lp = loss_now()
+        p[k] = base - h
+        lm = loss_now()
+        p[k] = base
+        grads.append((lp - lm) / (2.0 * h))
+    return _model._grad_like(m, grads)
 
 
 @dataclass

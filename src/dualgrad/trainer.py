@@ -18,27 +18,16 @@ import numpy as np
 
 from . import model as _model
 from . import oracle as _oracle
-from .model import (
-    Gradient,
-    Layer,
-    LayerGradient,
-    Mlp,
-    MlpGradient,
-    Model,
-    Perceptron,
-    Sample,
-    SingularSeed,
-)
+from .model import Layer, Mlp, Model, Perceptron, Sample, SingularSeed
 
-ENGINES = ("ones", "seeded", "backprop")
-BATCH_MODES = ("per_sample", "full_batch")
-BUILTIN_DATASETS = ("and", "or", "nand", "line2d")
-
-_ENGINE_FNS = {
+# The one name -> gradient function registry; bench and cli import it.
+ENGINES = {
     "ones": _model.grad_ones,
     "seeded": _model.grad_seeded,
     "backprop": _oracle.grad_backprop,
 }
+BATCH_MODES = ("per_sample", "full_batch")
+BUILTIN_DATASETS = ("and", "or", "nand", "line2d")
 
 
 @dataclass
@@ -64,7 +53,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}, expected one of {ENGINES}")
+            raise ValueError(f"unknown engine {self.engine!r}, expected one of {tuple(ENGINES)}")
         if self.batch_mode not in BATCH_MODES:
             raise ValueError(f"unknown batch mode {self.batch_mode!r}, expected one of {BATCH_MODES}")
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
@@ -182,9 +171,9 @@ def load_csv_dataset(path: str | Path) -> Dataset:
             raise ValueError(f"{path}:{lineno}: expected {n + 1} columns, got {len(row)}")
         try:
             values = [float(c) for c in row]
+            samples.append(Sample(values[:-1], values[-1]))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-        samples.append(Sample(values[:-1], values[-1]))
     if not samples:
         raise ValueError(f"{path}: no data rows")
     return Dataset(path.stem, n, samples)
@@ -222,61 +211,17 @@ def sgd_step(m: Model, g, lr: float) -> Model:
     """p <- p - lr * dp for every parameter; returns a new model."""
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    if isinstance(m, Perceptron):
-        if not isinstance(g, Gradient) or len(g.dW) != len(m.W):
-            raise ValueError("gradient shape does not match model")
-        return Perceptron(
-            [w - lr * gw for w, gw in zip(m.W, g.dW)], m.b - lr * g.db, m.act
-        )
-    if isinstance(m, Mlp):
-        if not isinstance(g, MlpGradient) or len(g.layers) != len(m.layers):
-            raise ValueError("gradient shape does not match model")
-        layers = []
-        for lay, lg in zip(m.layers, g.layers):
-            if len(lg.dW) != len(lay.W) or len(lg.db) != len(lay.b):
-                raise ValueError("gradient shape does not match model")
-            rows = [
-                [w - lr * gw for w, gw in zip(row, grow)]
-                for row, grow in zip(lay.W, lg.dW)
-            ]
-            bs = [b - lr * gb for b, gb in zip(lay.b, lg.db)]
-            layers.append(Layer(rows, bs, lay.act))
-        return Mlp(layers)
-    raise TypeError(f"unsupported model type {type(m).__name__}")
-
-
-def _grad_sum(acc, g):
-    if acc is None:
-        return g
-    if isinstance(g, Gradient):
-        return Gradient([a + b for a, b in zip(acc.dW, g.dW)], acc.db + g.db)
-    layers = []
-    for la, lg in zip(acc.layers, g.layers):
-        rows = [[a + b for a, b in zip(ra, rg)] for ra, rg in zip(la.dW, lg.dW)]
-        bs = [a + b for a, b in zip(la.db, lg.db)]
-        layers.append(LayerGradient(rows, bs))
-    return MlpGradient(layers)
-
-
-def _grad_scale(g, factor: float):
-    if isinstance(g, Gradient):
-        return Gradient([factor * v for v in g.dW], factor * g.db)
-    layers = []
-    for lg in g.layers:
-        rows = [[factor * v for v in row] for row in lg.dW]
-        layers.append(LayerGradient(rows, [factor * v for v in lg.db]))
-    return MlpGradient(layers)
+    if g.shapes != m.shapes:
+        raise ValueError(f"gradient shape {g.shapes} does not match model {m.shapes}")
+    return _model._model_like(m, [p - lr * d for p, d in zip(m.params, g.params)])
 
 
 def model_to_dict(m: Model) -> dict:
     if isinstance(m, Perceptron):
-        return {"kind": "perceptron", "W": list(m.W), "b": m.b, "act": m.act}
+        return {"kind": "perceptron", "W": m.W, "b": m.b, "act": m.act}
     return {
         "kind": "mlp",
-        "layers": [
-            {"W": [list(r) for r in lay.W], "b": list(lay.b), "act": lay.act}
-            for lay in m.layers
-        ],
+        "layers": [{"W": lay.W, "b": lay.b, "act": lay.act} for lay in m.layers],
     }
 
 
@@ -305,7 +250,7 @@ def train(cfg: TrainConfig, dataset: Dataset | None = None, model: Model | None 
         raise ValueError(
             f"model width {m.width} does not match dataset width {dataset.feature_width}"
         )
-    engine = _ENGINE_FNS[cfg.engine]
+    engine = ENGINES[cfg.engine]
 
     log = TrainLog(config=cfg.to_dict())
     for epoch in range(1, cfg.epochs + 1):
@@ -322,7 +267,7 @@ def train(cfg: TrainConfig, dataset: Dataset | None = None, model: Model | None 
                     except SingularSeed:
                         log.singular_skips += 1
                         continue
-                    grad_norm = max(grad_norm, *(abs(v) for _, v in g.entries()))
+                    grad_norm = max(grad_norm, *map(abs, g.params))
                     m = sgd_step(m, g, cfg.learning_rate)
             else:
                 acc = None
@@ -333,11 +278,12 @@ def train(cfg: TrainConfig, dataset: Dataset | None = None, model: Model | None 
                     except SingularSeed:
                         log.singular_skips += 1
                         continue
-                    acc = _grad_sum(acc, g)
+                    acc = g.params if acc is None else [a + b for a, b in zip(acc, g.params)]
                     contributing += 1
                 if acc is not None:
-                    g = _grad_scale(acc, 1.0 / contributing)
-                    grad_norm = max(grad_norm, *(abs(v) for _, v in g.entries()))
+                    scale = 1.0 / contributing
+                    g = _model._grad_like(m, [scale * v for v in acc])
+                    grad_norm = max(grad_norm, *map(abs, g.params))
                     m = sgd_step(m, g, cfg.learning_rate)
             epoch_loss = mean_loss(m, dataset)
         except (ValueError, OverflowError):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dualgrad import cli
+from dualgrad import bench, cli, oracle, trainer
 
 
 def run(argv):
@@ -73,6 +73,11 @@ def test_train_missing_dataset_file(capsys):
     assert run(["train", "--dataset", "nosuch.csv"]) == 2
 
 
+def test_train_unreadable_dataset_is_usage_error(tmp_path, capsys):
+    assert run(["train", "--dataset", str(tmp_path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_train_zero_epochs_rejected(capsys):
     assert run(["train", "--dataset", "and", "--epochs", "0"]) == 2
 
@@ -110,6 +115,20 @@ def test_bench_malformed_widths():
     with pytest.raises(SystemExit) as exc:
         run(["bench", "--widths", "8,abc"])
     assert exc.value.code == 2
+
+
+# --- the engine registry --------------------------------------------------------------
+
+
+def test_train_bench_and_cli_share_one_engine_registry(monkeypatch, capsys):
+    assert bench.ENGINES is trainer.ENGINES and cli.ENGINES is trainer.ENGINES
+    monkeypatch.setitem(trainer.ENGINES, "backprop2", oracle.grad_backprop)
+    assert run(["gradcheck", "--n", "3", "--trials", "5", "--engine-a", "backprop2",
+                "--engine-b", "backprop", "--tol", "0"]) == 0
+    assert [r.engine for r in bench.run_bench(widths=(3,), engines=("backprop2",), reps=10)] == [
+        "backprop2"
+    ]
+    assert trainer.TrainConfig(engine="backprop2").engine == "backprop2"
 
 
 # --- config files -------------------------------------------------------------------

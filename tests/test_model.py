@@ -2,8 +2,10 @@
 
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from dualgrad import functions as fn
 from dualgrad import model as md
@@ -291,3 +293,35 @@ def test_pass_count_mlp_is_parameter_count():
     md.reset_pass_count()
     md.grad_seeded(mlp, Sample([0.5, -0.5], 1.0))
     assert md.pass_count() == (4 + 2) + (2 + 1)
+
+
+# --- one parameter layout ----------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_perceptron_and_one_layer_mlp_agree_bit_for_bit(data):
+    n = data.draw(st.integers(1, 8))
+    finite = st.floats(-2.0, 2.0)
+    W = data.draw(st.lists(finite, min_size=n, max_size=n))
+    b = data.draw(finite)
+    act = data.draw(st.sampled_from(md.ACTIVATIONS))
+    s = Sample(data.draw(st.lists(finite, min_size=n, max_size=n)), data.draw(finite))
+    perceptron = Perceptron(W, b, act)
+    mlp = Mlp([Layer([W], [b], act)])
+    for rule in (md.grad_seeded, oracle.grad_finite_diff):
+        runs = []
+        for m in (perceptron, mlp):
+            md.reset_pass_count()
+            g = rule(m, s)
+            runs.append(([v.hex() for _, v in g.entries()], md.pass_count()))
+        assert runs[0] == runs[1], rule.__name__
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_internal_builders_reject_nonfinite_values(bad):
+    for m in (Perceptron([0.1, 0.2], 0.0), Mlp([Layer([[0.1, 0.2]], [0.0])])):
+        with pytest.raises(ValueError):
+            md._model_like(m, [0.1, bad, 0.0])
+        with pytest.raises(ValueError):
+            md._grad_like(m, [bad, 0.2, 0.0])

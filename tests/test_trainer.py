@@ -83,6 +83,16 @@ def test_load_csv_rejects_non_numeric(tmp_path):
         trainer.load_csv_dataset(path)
 
 
+def test_load_csv_reports_nonfinite_cell_location(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("x1,x2,y\n1,2,0\nnan,2,1\n")
+    with pytest.raises(ValueError, match=r"nan\.csv:3: sample features must be finite"):
+        trainer.load_csv_dataset(path)
+    path.write_text("x1,y\n1,inf\n")
+    with pytest.raises(ValueError, match=r"nan\.csv:2: sample target must be finite"):
+        trainer.load_csv_dataset(path)
+
+
 def test_resolve_dataset_missing_file():
     with pytest.raises(FileNotFoundError):
         trainer.resolve_dataset("nosuch.csv")
@@ -121,6 +131,22 @@ def test_sgd_step_mlp():
     g = MlpGradient([LayerGradient([[0.5, -0.5]], [1.0])])
     out = trainer.sgd_step(mlp, g, 1.0)
     assert out.layers[0].W == [[0.5, 1.5]] and out.layers[0].b == [-1.0]
+
+
+def test_sgd_step_rejects_mlp_gradient_of_another_input_width():
+    # a 3-2-1 model must not come back 2-2-1 from a gradient with 2-entry rows
+    mlp = Mlp([
+        Layer([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], [0.0, 0.0]),
+        Layer([[0.7, 0.8]], [0.0]),
+    ])
+    g = MlpGradient([
+        LayerGradient([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0]),
+        LayerGradient([[1.0, 1.0]], [1.0]),
+    ])
+    with pytest.raises(ValueError, match="shape"):
+        trainer.sgd_step(mlp, g, 0.5)
+    with pytest.raises(ValueError):
+        LayerGradient([[1.0, 1.0], [1.0]], [1.0, 1.0])  # ragged rows have no layout
 
 
 # --- config validation ---------------------------------------------------------------
