@@ -5,7 +5,7 @@ gradient rules for perceptrons and small MLPs, independent oracles to
 check them against, and a training/benchmark harness.
 """
 
-from .dual import Dual
+from .dual import Dual, NonFinite
 from .model import (
     Gradient,
     Layer,
@@ -30,6 +30,7 @@ __all__ = [
     "Layer",
     "Mlp",
     "MlpGradient",
+    "NonFinite",
     "Perceptron",
     "Sample",
     "SingularSeed",

@@ -65,24 +65,31 @@ def run_bench(
     if reps < MIN_REPS:
         raise ValueError(f"reps must be >= {MIN_REPS}, got {reps}")
 
+    # Draw every input first, then time the reps round-robin over the
+    # points: a CPU speed switch mid-sweep then hits every point alike
+    # instead of skewing the widths timed after it.
     rng = np.random.default_rng(seed)
-    results = []
-    for n in widths:
-        m = guarded_perceptron(n, rng)
-        s = random_sample(n, rng)
-        for engine in engines:
-            grad = ENGINES[engine]
-            _model.reset_pass_count()
+    cases = [(guarded_perceptron(n, rng), random_sample(n, rng)) for n in widths]
+    points = [(engine, m, s) for m, s in cases for engine in engines]
+    passes = []
+    for engine, m, s in points:
+        grad = ENGINES[engine]
+        _model.reset_pass_count()
+        grad(m, s)
+        passes.append(_model.pass_count())
+        for _ in range(_WARMUP):
             grad(m, s)
-            passes = _model.pass_count()
-            for _ in range(_WARMUP):
-                grad(m, s)
-            times = []
-            for _ in range(reps):
-                t0 = time.perf_counter_ns()
-                grad(m, s)
-                times.append(time.perf_counter_ns() - t0)
-            results.append(BenchResult(engine, n, len(m.W), passes, reps, statistics.median(times)))
+    times = [[] for _ in points]
+    for _ in range(reps):
+        for (engine, m, s), ts in zip(points, times):
+            grad = ENGINES[engine]
+            t0 = time.perf_counter_ns()
+            grad(m, s)
+            ts.append(time.perf_counter_ns() - t0)
+    results = [
+        BenchResult(engine, m.width, len(m.W), n_passes, reps, statistics.median(ts))
+        for (engine, m, s), n_passes, ts in zip(points, passes, times)
+    ]
     results.sort(key=lambda r: (r.engine, r.params))
     return results
 
@@ -114,5 +121,26 @@ def format_table(results: list[BenchResult]) -> str:
         lines.append(
             f"{r.engine:<10}{r.width:>7}{r.params:>7}{r.passes:>8}"
             f"{r.median_ns:>14.0f}{r.ns_per_param:>12.1f}"
+        )
+    return "\n".join(lines)
+
+
+def format_fits(results: list[BenchResult]) -> str:
+    """Per engine, line fits of ns/param and total ns against P.
+
+    Empty when the sweep has fewer than two widths: a line through one
+    point says nothing about the trend.
+    """
+    lines = []
+    for engine in dict.fromkeys(r.engine for r in results):
+        rows = [r for r in results if r.engine == engine]
+        ps = [r.params for r in rows]
+        if len(set(ps)) < 2:
+            continue
+        slope_pp, _, r2_pp = linear_fit_r2(ps, [r.ns_per_param for r in rows])
+        slope_total, _, r2_total = linear_fit_r2(ps, [r.median_ns for r in rows])
+        lines.append(
+            f"{engine:>9}: ns/param vs P  slope {slope_pp:10.2f}  R^2 {r2_pp:.4f}   "
+            f"total ns vs P  slope {slope_total:12.1f}  R^2 {r2_total:.4f}"
         )
     return "\n".join(lines)

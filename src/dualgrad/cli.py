@@ -171,6 +171,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         _check_engine(tag)
     results = _bench.run_bench(v["widths"], v["engines"], reps=v["reps"])
     print(_bench.format_table(results))
+    fits = _bench.format_fits(results)
+    if fits:
+        print()
+        print(fits)
     if v["out"] is not None:
         _bench.write_csv(results, v["out"])
         print(f"csv written to {v['out']}")

@@ -14,6 +14,14 @@ import math
 DIV_GUARD = 1e-300
 
 
+class NonFinite(ValueError):
+    """A value that must be finite is not: an inf or nan reached the arithmetic.
+
+    A ``ValueError`` so existing callers keep working; ``train`` catches only
+    this (and ``OverflowError``) to tell a diverging run from a programming error.
+    """
+
+
 class Dual:
     """A dual number re + du*eps. Immutable; all operations return new values."""
 
@@ -23,7 +31,7 @@ class Dual:
         re = float(re)
         du = float(du)
         if not (math.isfinite(re) and math.isfinite(du)):
-            raise ValueError(f"dual number parts must be finite, got {re!r} + {du!r}*eps")
+            raise NonFinite(f"dual number parts must be finite, got {re!r} + {du!r}*eps")
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "du", du)
 

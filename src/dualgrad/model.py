@@ -17,6 +17,13 @@ Two forward-mode gradients are provided:
 * ``grad_seeded`` runs one dual pass per scalar parameter, seeding only
   that parameter. No division, no singularity, and it extends unchanged
   to multilayer networks, at the cost of P passes for P parameters.
+
+Both rules share one pass, ``_forward_pair``, which carries each dual
+value as a ``(re, du)`` pair of plain floats instead of a ``Dual`` object.
+It performs the ring's float operations in the ring's order, so its
+results are bit-identical to the same pass written with ``Dual`` and the
+lifts in ``functions``; ``Dual`` stays the public ring and the spec the
+pass is tested against.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import functions as fn
-from .dual import Dual
+from .dual import Dual, NonFinite
 
 ACTIVATIONS = ("sigmoid", "tanh", "identity")
 
@@ -62,7 +69,7 @@ def pass_count() -> int:
 
 def _finite(values: list[float], what: str) -> list[float]:
     if not all(map(math.isfinite, values)):
-        raise ValueError(f"{what} must be finite, got {values}")
+        raise NonFinite(f"{what} must be finite, got {values}")
     return values
 
 
@@ -321,18 +328,54 @@ def _act_real(tag: str, z: float) -> float:
     return z
 
 
-def _act_dual(tag: str, z: Dual) -> Dual:
-    if tag == "sigmoid":
-        return fn.sigmoid(z)
-    if tag == "tanh":
-        return fn.tanh(z)
-    return z
-
-
 def loss(yhat: float, y: float) -> float:
     """Squared error (y - yhat)**2."""
     d = y - yhat
     return d * d
+
+
+# --- the dual pass ----------------------------------------------------------------
+
+
+def _forward_pair(m: Mlp, h: list[tuple[float, float]], k: int) -> tuple[float, float]:
+    """One dual pass over m's flat layout; returns the output as (re, du).
+
+    ``h`` holds the input pairs and ``k`` the seeded parameter's index, or
+    -1 for none. Products and sums are the ring's float operations in the
+    ring's order, including the ``+ 0.0``, and the activations are the
+    lifts of ``functions``. Raises NonFinite at the first non-finite
+    pre-activation: sums and products never make an inf or nan finite
+    again, so that is where the pass over ``Dual`` values failed too.
+    """
+    p = m.params
+    off = 0  # index of the current row's first weight
+    for l, ((n_in, n_out), act) in enumerate(zip(m.shapes, m.acts)):
+        b0 = off + n_in * n_out
+        out = []
+        for i in range(b0, b0 + n_out):
+            zr = p[i]
+            zd = 1.0 if i == k else 0.0
+            for j, (hr, hd) in enumerate(h, off):
+                w = p[j]
+                zr += w * hr
+                zd += w * hd + (1.0 if j == k else 0.0) * hr + 0.0
+            if not (math.isfinite(zr) and math.isfinite(zd)):
+                raise NonFinite(
+                    f"layer {l} unit {i - b0}: pre-activation {zr!r} + {zd!r}*eps is not finite"
+                )
+            if act == "sigmoid":  # the rule of fn.sigmoid
+                s = fn.sigmoid_real(zr)
+                out.append((s, zd * s * (1.0 - s)))
+            elif act == "tanh":  # the rule of fn.tanh
+                t = math.tanh(zr)
+                out.append((t, zd * (1.0 - t * t)))
+            else:
+                out.append((zr, zd))
+            off += n_in
+        h = out
+        off = b0 + n_out
+    count_forward_pass()
+    return h[0]
 
 
 # --- the ones-seeded rule -----------------------------------------------------
@@ -348,11 +391,7 @@ def forward_dual_ones(m: Perceptron, x: Sequence[float]) -> Dual:
         raise TypeError("the shared-seed pass is a single-layer rule; use grad_seeded for Mlp")
     if len(x) != m.width:
         raise ValueError(f"expected {m.width} features, got {len(x)}")
-    z = Dual(m.b)
-    for w, xi in zip(m.W, x):
-        z = z + Dual(xi, 1.0) * w
-    count_forward_pass()
-    return _act_dual(m.act, z)
+    return Dual(*_forward_pair(m, [(float(xi), 1.0) for xi in x], -1))
 
 
 def grad_ones(m: Perceptron, s: Sample) -> Gradient:
@@ -378,33 +417,17 @@ def grad_ones(m: Perceptron, s: Sample) -> Gradient:
 # --- per-parameter seeding ----------------------------------------------------
 
 
-def _loss_dual(m: Mlp, s: Sample, k: int) -> Dual:
-    # One dual pass with only parameter k seeded; the loss's dual part is
-    # the partial derivative with respect to that parameter.
-    p = m.params
-    h = [Dual(xi) for xi in s.x]
-    off = 0  # index of the current row's first weight
-    for (n_in, n_out), act in zip(m.shapes, m.acts):
-        b0 = off + n_in * n_out
-        out = []
-        for i in range(b0, b0 + n_out):
-            z = Dual(p[i], 1.0 if i == k else 0.0)
-            for j, hj in enumerate(h, off):
-                z = z + Dual(p[j], 1.0 if j == k else 0.0) * hj
-            out.append(_act_dual(act, z))
-            off += n_in
-        h = out
-        off = b0 + n_out
-    count_forward_pass()
-    return (Dual(s.y) - h[0]) ** 2
-
-
 def grad_seeded(m: Model, s: Sample) -> AnyGradient:
     """Gradient via one dual pass per scalar parameter, in layout order.
 
     Works for any weight configuration and for multilayer models; the cost
-    is exactly one forward pass per parameter.
+    is exactly one forward pass per parameter. The loss is taken in the
+    ring, so an overflowing square raises OverflowError as ``Dual`` does.
     """
     if len(s.x) != m.width:
         raise ValueError(f"expected {m.width} features, got {len(s.x)}")
-    return _grad_like(m, [_loss_dual(m, s, k).du for k in range(len(m.params))])
+    h = [(xi, 0.0) for xi in s.x]
+    y = Dual(s.y)
+    return _grad_like(
+        m, [((y - Dual(*_forward_pair(m, h, k))) ** 2).du for k in range(len(m.params))]
+    )

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 from . import model as _model
+from .dual import NonFinite
 from .model import AnyGradient, Gradient, Model, Perceptron, Sample
 
 # Entries smaller than this are compared by absolute rather than relative error.
@@ -66,7 +67,7 @@ def grad_finite_diff(m: Model, s: Sample, h: float = DEFAULT_FD_STEP) -> AnyGrad
     def loss_now() -> float:
         value = _model.loss(probe.forward(s.x), s.y)
         if not math.isfinite(value):
-            raise ValueError("loss became non-finite while probing")
+            raise NonFinite("loss became non-finite while probing")
         return value
 
     grads = []

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import model as _model
 from . import oracle as _oracle
+from .dual import NonFinite
 from .model import Layer, Mlp, Model, Perceptron, Sample, SingularSeed
 
 # The one name -> gradient function registry; bench and cli import it.
@@ -239,8 +240,8 @@ def train(cfg: TrainConfig, dataset: Dataset | None = None, model: Model | None 
     """Run the configured gradient descent and log one record per epoch.
 
     SingularSeed steps (possible with engine='ones') are skipped and
-    counted; a non-finite loss aborts the run with the partial log marked
-    diverged.
+    counted; a non-finite value (NonFinite, OverflowError) aborts the run
+    with the partial log marked diverged. Any other error propagates.
     """
     if dataset is None:
         dataset = resolve_dataset(cfg.dataset)
@@ -286,7 +287,7 @@ def train(cfg: TrainConfig, dataset: Dataset | None = None, model: Model | None 
                     grad_norm = max(grad_norm, *map(abs, g.params))
                     m = sgd_step(m, g, cfg.learning_rate)
             epoch_loss = mean_loss(m, dataset)
-        except (ValueError, OverflowError):
+        except (NonFinite, OverflowError):
             # non-finite values escaped the arithmetic: flag and stop
             log.diverged = True
             break

@@ -156,3 +156,16 @@ def test_config_file_bad_syntax(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("epochs 30\n")
     assert run(["train", "--config", str(cfg)]) == 2
+
+
+def test_bench_prints_cost_fits_only_for_a_sweep(capsys):
+    argv = ["bench", "--engines", "seeded,ones", "--reps", "10"]
+    assert run(argv + ["--widths", "2,4"]) == 0
+    out = capsys.readouterr().out
+    for engine in ("seeded", "ones"):
+        assert f"{engine:>9}: ns/param vs P" in out
+    assert "total ns vs P" in out
+
+    assert run(argv + ["--widths", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "ns/param" in out and "vs P" not in out

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from dualgrad import functions as fn
 from dualgrad import model as md
 from dualgrad import oracle
+from dualgrad.dual import Dual, NonFinite
 from dualgrad.model import Layer, Mlp, Perceptron, Sample
 
 
@@ -325,3 +326,136 @@ def test_internal_builders_reject_nonfinite_values(bad):
             md._model_like(m, [0.1, bad, 0.0])
         with pytest.raises(ValueError):
             md._grad_like(m, [bad, 0.2, 0.0])
+
+
+# --- the float-pair pass against the Dual ring ------------------------------------------
+#
+# The spec: the same passes written with public Dual operations and the lifts
+# of dualgrad.functions. The float-pair pass must match them bit for bit.
+
+
+def _spec_act(tag, z):
+    if tag == "sigmoid":
+        return fn.sigmoid(z)
+    if tag == "tanh":
+        return fn.tanh(z)
+    return z
+
+
+def spec_loss_dual(m, s, k):
+    """The loss with only parameter k seeded, computed over Dual values."""
+    p = m.params
+    h = [Dual(xi) for xi in s.x]
+    off = 0
+    for (n_in, n_out), act in zip(m.shapes, m.acts):
+        b0 = off + n_in * n_out
+        out = []
+        for i in range(b0, b0 + n_out):
+            z = Dual(p[i], 1.0 if i == k else 0.0)
+            for j, hj in enumerate(h, off):
+                z = z + Dual(p[j], 1.0 if j == k else 0.0) * hj
+            out.append(_spec_act(act, z))
+            off += n_in
+        h = out
+        off = b0 + n_out
+    return (Dual(s.y) - h[0]) ** 2
+
+
+def spec_forward_dual_ones(m, x):
+    """The perceptron with every input seeded as x_i + eps, over Dual values."""
+    z = Dual(m.b)
+    for w, xi in zip(m.W, x):
+        z = z + Dual(xi, 1.0) * w
+    return _spec_act(m.act, z)
+
+
+values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0))
+
+
+def draw_mlp(data, max_layers=3):
+    widths = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=max_layers)) + [1]
+    layers = []
+    for n_in, n_out in zip(widths, widths[1:]):
+        rows = [data.draw(st.lists(values, min_size=n_in, max_size=n_in)) for _ in range(n_out)]
+        biases = data.draw(st.lists(values, min_size=n_out, max_size=n_out))
+        layers.append(Layer(rows, biases, data.draw(st.sampled_from(md.ACTIVATIONS))))
+    return Mlp(layers)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_grad_seeded_is_bit_identical_to_the_dual_spec(data):
+    m = draw_mlp(data)
+    s = Sample(data.draw(st.lists(values, min_size=m.width, max_size=m.width)), data.draw(values))
+    want = [spec_loss_dual(m, s, k).du.hex() for k in range(len(m.params))]
+    md.reset_pass_count()
+    got = md.grad_seeded(m, s)
+    assert [v.hex() for v in got.params] == want
+    assert md.pass_count() == len(m.params)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_forward_dual_ones_is_bit_identical_to_the_dual_spec(data):
+    n = data.draw(st.integers(1, 6))
+    W = data.draw(st.lists(values, min_size=n, max_size=n))
+    m = Perceptron(W, data.draw(values), data.draw(st.sampled_from(md.ACTIVATIONS)))
+    x = data.draw(st.lists(values, min_size=n, max_size=n))
+    want = spec_forward_dual_ones(m, x)
+    md.reset_pass_count()
+    got = md.forward_dual_ones(m, x)
+    assert (got.re.hex(), got.du.hex()) == (want.re.hex(), want.du.hex())
+    assert md.pass_count() == 1
+
+
+def test_dual_allocations_per_pass(monkeypatch):
+    made = 0
+    dual_init = Dual.__init__
+
+    def counting_init(self, re, du=0.0):
+        nonlocal made
+        made += 1
+        dual_init(self, re, du)
+
+    monkeypatch.setattr(Dual, "__init__", counting_init)
+    rng = np.random.default_rng(37)
+    xor_net = Mlp([
+        Layer([[float(v) for v in rng.uniform(-1, 1, 2)] for _ in range(4)],
+              [float(v) for v in rng.uniform(-1, 1, 4)]),
+        Layer([[float(v) for v in rng.uniform(-1, 1, 4)]], [float(rng.uniform(-1, 1))]),
+    ])
+    for m, s in ((xor_net, Sample([1.0, 0.0], 1.0)),
+                 (random_perceptron(rng, 128), random_sample(rng, 128))):
+        made = 0
+        md.reset_pass_count()
+        md.grad_seeded(m, s)
+        assert md.pass_count() == len(m.params)
+        assert made <= 4 * len(m.params)
+
+    made = 0
+    md.forward_dual_ones(random_perceptron(rng, 8), [0.5] * 8)
+    assert made == 1
+
+
+# --- typed non-finite failures ------------------------------------------------------------
+
+
+def test_saturated_pre_activation_raises_nonfinite():
+    # sigmoid saturates to a finite 1.0 at z = inf, so only a check on the
+    # pre-activation sum sees that the pass left the finite numbers
+    m = Perceptron([1e308, 1e308], 0.0, "sigmoid")
+    s = Sample([10.0, 10.0], 1.0)
+    with pytest.raises(NonFinite, match="layer 0 unit 0"):
+        md.grad_seeded(m, s)
+    with pytest.raises(NonFinite):
+        md.grad_ones(m, s)
+
+
+def test_nonfinite_is_raised_at_every_finiteness_check():
+    with pytest.raises(NonFinite):
+        Dual(math.inf)
+    with pytest.raises(NonFinite):
+        md._model_like(Perceptron([0.1], 0.0), [math.nan, 0.0])
+    with pytest.raises(NonFinite, match="probing"):
+        oracle.grad_finite_diff(Perceptron([1e308], 0.0, "identity"), Sample([1.0], 0.0))
+    assert issubclass(NonFinite, ValueError)

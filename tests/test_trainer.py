@@ -6,6 +6,7 @@ import math
 import pytest
 
 from dualgrad import trainer
+from dualgrad.dual import NonFinite
 from dualgrad.model import Gradient, Layer, LayerGradient, Mlp, MlpGradient, Perceptron, Sample
 from dualgrad.trainer import Dataset, TrainConfig
 
@@ -228,6 +229,26 @@ def test_divergence_flags_and_stops():
     log = trainer.train(cfg)
     assert log.diverged
     assert len(log.records) < 50
+
+
+@pytest.mark.parametrize("engine", ["seeded", "ones"])
+def test_nonfinite_pass_marks_the_run_diverged(engine):
+    # a saturated sigmoid hides the overflow from the loss; the pass reports it
+    m = Perceptron([1e308, 1e308], 0.0, "sigmoid")
+    ds = Dataset("saturated", 2, [Sample([10.0, 10.0], 1.0)])
+    log = trainer.train(TrainConfig(engine=engine, epochs=5), dataset=ds, model=m)
+    assert log.diverged
+    assert log.records == []
+
+
+def test_plain_value_error_is_not_divergence(monkeypatch):
+    def broken_engine(m, s):
+        raise ValueError("a programming error, not a diverging run")
+
+    monkeypatch.setitem(trainer.ENGINES, "seeded", broken_engine)
+    with pytest.raises(ValueError, match="programming error") as exc:
+        trainer.train(TrainConfig(dataset="and", engine="seeded", epochs=3))
+    assert not isinstance(exc.value, NonFinite)
 
 
 def test_full_batch_takes_mean_gradient_step():
