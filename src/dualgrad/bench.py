@@ -16,7 +16,7 @@ import numpy as np
 
 from . import model as _model
 from .model import Perceptron, Sample
-from .trainer import ENGINES
+from .trainer import ENGINES, engine
 
 DEFAULT_WIDTHS = (8, 16, 32, 64, 128, 256)
 MIN_REPS = 10
@@ -59,9 +59,10 @@ def run_bench(
     widths = [int(w) for w in widths]
     if not widths or any(w < 1 for w in widths):
         raise ValueError(f"widths must be >= 1, got {widths}")
-    for engine in engines:
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}, expected one of {tuple(ENGINES)}")
+    engines = list(engines)
+    grads = [engine(tag) for tag in engines]
+    if not grads:
+        raise ValueError("engines must name at least one engine")
     if reps < MIN_REPS:
         raise ValueError(f"reps must be >= {MIN_REPS}, got {reps}")
 
@@ -70,10 +71,9 @@ def run_bench(
     # instead of skewing the widths timed after it.
     rng = np.random.default_rng(seed)
     cases = [(guarded_perceptron(n, rng), random_sample(n, rng)) for n in widths]
-    points = [(engine, m, s) for m, s in cases for engine in engines]
+    points = [(tag, grad, m, s) for m, s in cases for tag, grad in zip(engines, grads)]
     passes = []
-    for engine, m, s in points:
-        grad = ENGINES[engine]
+    for _, grad, m, s in points:
         _model.reset_pass_count()
         grad(m, s)
         passes.append(_model.pass_count())
@@ -81,14 +81,13 @@ def run_bench(
             grad(m, s)
     times = [[] for _ in points]
     for _ in range(reps):
-        for (engine, m, s), ts in zip(points, times):
-            grad = ENGINES[engine]
+        for (_, grad, m, s), ts in zip(points, times):
             t0 = time.perf_counter_ns()
             grad(m, s)
             ts.append(time.perf_counter_ns() - t0)
     results = [
-        BenchResult(engine, m.width, len(m.W), n_passes, reps, statistics.median(ts))
-        for (engine, m, s), n_passes, ts in zip(points, passes, times)
+        BenchResult(tag, m.width, len(m.W), n_passes, reps, statistics.median(ts))
+        for (tag, _, m, s), n_passes, ts in zip(points, passes, times)
     ]
     results.sort(key=lambda r: (r.engine, r.params))
     return results

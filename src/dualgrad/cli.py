@@ -35,33 +35,41 @@ def _str_list(text: str) -> list[str]:
     return [part for part in text.split(",") if part != ""]
 
 
-# flag name -> (converter, default); also the schema for config files
+_ENGINE_TAGS = "|".join(ENGINES)
+
+# Per subcommand: flag name -> (converter, help, default). Each table
+# builds its argparse parser and is the schema of its config files. A
+# default of None leaves the value unset, so train falls back to
+# TrainConfig's defaults and bench to run_bench's.
 _GRADCHECK_FLAGS = {
-    "n": (int, 2),
-    "trials": (int, 100),
-    "engine-a": (str, "ones"),
-    "engine-b": (str, "backprop"),
-    "tol": (float, 1e-10),
-    "seed": (int, 0),
+    "n": (int, "input width", 2),
+    "trials": (int, "number of random comparisons", 100),
+    "engine-a": (str, f"first engine: {_ENGINE_TAGS}", "ones"),
+    "engine-b": (str, f"second engine: {_ENGINE_TAGS}", "backprop"),
+    "tol": (float, "worst relative error allowed", 1e-10),
+    "seed": (int, "rng seed", 0),
 }
 _TRAIN_FLAGS = {
-    "dataset": (str, "and"),
-    "engine": (str, "backprop"),
-    "lr": (float, 0.5),
-    "epochs": (int, 2000),
-    "batch": (str, "per_sample"),
-    "seed": (int, 0),
-    "out": (str, "train_out"),
+    "dataset": (str, "|".join(_trainer.BUILTIN_DATASETS) + " or a CSV path", None),
+    "engine": (str, _ENGINE_TAGS, None),
+    "lr": (float, "learning rate", None),
+    "epochs": (int, "number of epochs", None),
+    "batch": (str, "|".join(_trainer.BATCH_MODES), None),
+    "seed": (int, "rng seed", None),
+    "out": (str, "output directory for log.json/log.csv", "train_out"),
 }
+# train flags whose TrainConfig field has another name
+_TRAIN_FIELDS = {"lr": "learning_rate", "batch": "batch_mode", "seed": "rng_seed"}
 _BENCH_FLAGS = {
-    "widths": (_int_list, list(_bench.DEFAULT_WIDTHS)),
-    "engines": (_str_list, list(ENGINES)),
-    "reps": (int, 30),
-    "out": (str, None),
+    "widths": (_int_list, "comma-separated input widths", None),
+    "engines": (_str_list, "comma-separated engine tags", None),
+    "reps": (int, f"timing repetitions per point (>= {_bench.MIN_REPS})", None),
+    "out": (str, "CSV output path", None),
 }
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _read_config_file(path: str) -> dict[str, tuple[str, int]]:
+    """key -> (value, line number) from flat key=value lines."""
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -70,48 +78,48 @@ def _read_config_file(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        values[key.strip()] = value.strip()
+        values[key.strip()] = (value.strip(), lineno)
     return values
 
 
-def _merge(args: argparse.Namespace, flag_schema: dict) -> dict:
-    """Apply precedence: explicit flag > config file entry > built-in default."""
-    config: dict[str, str] = {}
+def _merge(args: argparse.Namespace, flags: dict) -> dict:
+    """Apply precedence: explicit flag > config file entry > table default.
+
+    Values that none of the three sets are left out.
+    """
+    config = {}
     if args.config is not None:
         config = _read_config_file(args.config)
-        unknown = set(config) - set(flag_schema)
+        unknown = set(config) - set(flags)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
     merged = {}
-    for name, (convert, default) in flag_schema.items():
+    for name, (convert, _, default) in flags.items():
         attr = name.replace("-", "_")
         value = getattr(args, attr)
         if value is None and name in config:
-            value = convert(config[name])
+            text, lineno = config[name]
+            try:
+                value = convert(text)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"{args.config}:{lineno}: {name}: {exc}") from None
         if value is None:
             value = default
-        merged[attr] = value
+        if value is not None:
+            merged[attr] = value
     return merged
-
-
-def _check_engine(tag: str) -> str:
-    if tag not in ENGINES:
-        raise ValueError(f"unknown engine {tag!r}, expected one of {tuple(ENGINES)}")
-    return tag
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
     v = _merge(args, _GRADCHECK_FLAGS)
-    _check_engine(v["engine_a"])
-    _check_engine(v["engine_b"])
+    grad_a = _trainer.engine(v["engine_a"])
+    grad_b = _trainer.engine(v["engine_b"])
     if v["n"] < 1 or v["trials"] < 1:
         raise ValueError("--n and --trials must be >= 1")
-    if v["tol"] < 0:
+    if not v["tol"] >= 0:  # also rejects nan
         raise ValueError("--tol must be >= 0")
 
     rng = np.random.default_rng(v["seed"])
-    grad_a = ENGINES[v["engine_a"]]
-    grad_b = ENGINES[v["engine_b"]]
     max_abs = 0.0
     max_rel = 0.0
     worst_index = ""
@@ -145,17 +153,10 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     v = _merge(args, _TRAIN_FLAGS)
-    cfg = _trainer.TrainConfig(
-        dataset=v["dataset"],
-        engine=v["engine"],
-        learning_rate=v["lr"],
-        epochs=v["epochs"],
-        batch_mode=v["batch"],
-        rng_seed=v["seed"],
-    )
+    out_dir = Path(v.pop("out"))
+    cfg = _trainer.TrainConfig(**{_TRAIN_FIELDS.get(k, k): value for k, value in v.items()})
     dataset = _trainer.resolve_dataset(cfg.dataset)
     log = _trainer.train(cfg, dataset)
-    out_dir = Path(v["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _trainer.write_log_json(log, out_dir / "log.json")
     _trainer.write_log_csv(log, out_dir / "log.csv")
@@ -167,17 +168,16 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     v = _merge(args, _BENCH_FLAGS)
-    for tag in v["engines"]:
-        _check_engine(tag)
-    results = _bench.run_bench(v["widths"], v["engines"], reps=v["reps"])
+    out = v.pop("out", None)
+    results = _bench.run_bench(**v)
     print(_bench.format_table(results))
     fits = _bench.format_fits(results)
     if fits:
         print()
         print(fits)
-    if v["out"] is not None:
-        _bench.write_csv(results, v["out"])
-        print(f"csv written to {v['out']}")
+    if out is not None:
+        _bench.write_csv(results, out)
+        print(f"csv written to {out}")
     return 0
 
 
@@ -188,34 +188,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gradcheck", help="compare two gradient engines on random models")
-    p.add_argument("--n", type=int, help="input width")
-    p.add_argument("--trials", type=int, help="number of random comparisons")
-    p.add_argument("--engine-a", type=str, help="first engine: ones|seeded|backprop")
-    p.add_argument("--engine-b", type=str, help="second engine: ones|seeded|backprop")
-    p.add_argument("--tol", type=float, help="worst relative error allowed")
-    p.add_argument("--seed", type=int, help="rng seed")
-    p.add_argument("--config", type=str, help="key=value file mirroring the flags")
-    p.set_defaults(func=_cmd_gradcheck)
-
-    p = sub.add_parser("train", help="train a perceptron on a builtin or CSV dataset")
-    p.add_argument("--dataset", type=str, help="and|or|nand|line2d or a CSV path")
-    p.add_argument("--engine", type=str, help="ones|seeded|backprop")
-    p.add_argument("--lr", type=float, help="learning rate")
-    p.add_argument("--epochs", type=int, help="number of epochs")
-    p.add_argument("--batch", type=str, help="per_sample|full_batch")
-    p.add_argument("--seed", type=int, help="rng seed")
-    p.add_argument("--out", type=str, help="output directory for log.json/log.csv")
-    p.add_argument("--config", type=str, help="key=value file mirroring the flags")
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("bench", help="time the gradient engines over a width sweep")
-    p.add_argument("--widths", type=_int_list, help="comma-separated input widths")
-    p.add_argument("--engines", type=_str_list, help="comma-separated engine tags")
-    p.add_argument("--reps", type=int, help="timing repetitions per point (>= 10)")
-    p.add_argument("--out", type=str, help="CSV output path")
-    p.add_argument("--config", type=str, help="key=value file mirroring the flags")
-    p.set_defaults(func=_cmd_bench)
+    for command, flags, func, summary in [
+        ("gradcheck", _GRADCHECK_FLAGS, _cmd_gradcheck,
+         "compare two gradient engines on random models"),
+        ("train", _TRAIN_FLAGS, _cmd_train, "train a perceptron on a builtin or CSV dataset"),
+        ("bench", _BENCH_FLAGS, _cmd_bench, "time the gradient engines over a width sweep"),
+    ]:
+        p = sub.add_parser(command, help=summary)
+        for name, (convert, text, _) in flags.items():
+            p.add_argument(f"--{name}", type=convert, help=text)
+        p.add_argument("--config", type=str, help="key=value file mirroring the flags")
+        p.set_defaults(func=func)
 
     return parser
 

@@ -100,9 +100,7 @@ class Sample:
 
     def __post_init__(self):
         self.x = _check_finite(self.x, "sample features")
-        self.y = float(self.y)
-        if not math.isfinite(self.y):
-            raise ValueError(f"sample target must be finite, got {self.y}")
+        self.y = _check_finite([self.y], "sample target")[0]
 
 
 @dataclass
@@ -205,10 +203,7 @@ class Perceptron(Mlp):
         W = _check_finite(W, "weights")
         if len(W) < 1:
             raise ValueError("perceptron needs at least one weight")
-        b = float(b)
-        if not math.isfinite(b):
-            raise ValueError(f"bias must be finite, got {b}")
-        self.params = W + [b]
+        self.params = W + _check_finite([b], "bias")
         self.shapes = ((len(W), 1),)
         self.acts = (_check_act(act),)
 

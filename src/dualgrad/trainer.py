@@ -31,6 +31,13 @@ BATCH_MODES = ("per_sample", "full_batch")
 BUILTIN_DATASETS = ("and", "or", "nand", "line2d")
 
 
+def engine(name: str):
+    """The gradient function registered as ``name`` in ENGINES."""
+    if name not in ENGINES:
+        raise ValueError(f"unknown engine {name!r}, expected one of {tuple(ENGINES)}")
+    return ENGINES[name]
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters and provenance for one training run.
@@ -53,8 +60,7 @@ class TrainConfig:
     shuffle: bool = False
 
     def __post_init__(self):
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}, expected one of {tuple(ENGINES)}")
+        engine(self.engine)
         if self.batch_mode not in BATCH_MODES:
             raise ValueError(f"unknown batch mode {self.batch_mode!r}, expected one of {BATCH_MODES}")
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
@@ -251,7 +257,7 @@ def train(cfg: TrainConfig, dataset: Dataset | None = None, model: Model | None 
         raise ValueError(
             f"model width {m.width} does not match dataset width {dataset.feature_width}"
         )
-    engine = ENGINES[cfg.engine]
+    grad = engine(cfg.engine)
 
     log = TrainLog(config=cfg.to_dict())
     for epoch in range(1, cfg.epochs + 1):
@@ -260,32 +266,27 @@ def train(cfg: TrainConfig, dataset: Dataset | None = None, model: Model | None 
         order = list(range(len(dataset.samples)))
         if cfg.shuffle:
             rng.shuffle(order)
+        # per-sample SGD is full-batch SGD over batches of one sample
+        batches = [order] if cfg.batch_mode == "full_batch" else [(i,) for i in order]
         try:
-            if cfg.batch_mode == "per_sample":
-                for idx in order:
-                    try:
-                        g = engine(m, dataset.samples[idx])
-                    except SingularSeed:
-                        log.singular_skips += 1
-                        continue
-                    grad_norm = max(grad_norm, *map(abs, g.params))
-                    m = sgd_step(m, g, cfg.learning_rate)
-            else:
+            for batch in batches:
                 acc = None
                 contributing = 0
-                for idx in order:
+                for idx in batch:
                     try:
-                        g = engine(m, dataset.samples[idx])
+                        g = grad(m, dataset.samples[idx])
                     except SingularSeed:
                         log.singular_skips += 1
                         continue
                     acc = g.params if acc is None else [a + b for a, b in zip(acc, g.params)]
                     contributing += 1
-                if acc is not None:
+                if acc is None:
+                    continue
+                if contributing > 1:  # with one, g is its gradient and x1.0 would change no bit
                     scale = 1.0 / contributing
                     g = _model._grad_like(m, [scale * v for v in acc])
-                    grad_norm = max(grad_norm, *map(abs, g.params))
-                    m = sgd_step(m, g, cfg.learning_rate)
+                grad_norm = max(grad_norm, *map(abs, g.params))
+                m = sgd_step(m, g, cfg.learning_rate)
             epoch_loss = mean_loss(m, dataset)
         except (NonFinite, OverflowError):
             # non-finite values escaped the arithmetic: flag and stop

@@ -12,6 +12,8 @@ def test_rejects_low_reps_and_bad_widths():
         bench.run_bench(widths=(0,), reps=10)
     with pytest.raises(ValueError):
         bench.run_bench(widths=(4,), engines=("magic",), reps=10)
+    with pytest.raises(ValueError):
+        bench.run_bench(widths=(4,), engines=(), reps=10)
 
 
 def test_pass_accounting_and_fields():

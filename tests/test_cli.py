@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and file outputs."""
 
 import json
+import re
 
 import pytest
 
@@ -47,6 +48,26 @@ def test_gradcheck_unknown_engine(capsys):
     assert run(["gradcheck", "--engine-a", "magic"]) == 2
 
 
+def test_gradcheck_nan_tolerance_is_usage_error(capsys):
+    assert run(["gradcheck", "--trials", "5", "--tol", "nan"]) == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_unknown_engine_is_one_error_everywhere(capsys):
+    with pytest.raises(ValueError) as exc:
+        trainer.engine("magic")
+    message = str(exc.value)
+    pattern = re.escape(message)
+    assert message.startswith("unknown engine 'magic'")
+    with pytest.raises(ValueError, match=pattern):
+        trainer.TrainConfig(engine="magic")
+    with pytest.raises(ValueError, match=pattern):
+        bench.run_bench(widths=(4,), engines=("magic",), reps=10)
+    for argv in (["gradcheck", "--engine-b", "magic"], ["bench", "--engines", "magic"]):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run(["gradcheck", "--frobnicate", "1"])
@@ -67,6 +88,13 @@ def test_train_writes_logs(tmp_path, capsys):
     assert blob["config"]["engine"] == "ones"
     assert len(blob["records"]) == 50
     assert "final_loss=" in capsys.readouterr().out
+
+
+def test_train_defaults_come_from_train_config(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["train", "--epochs", "3", "--out", str(out)]) == 0
+    blob = json.loads((out / "log.json").read_text())
+    assert blob["config"] == trainer.TrainConfig(epochs=3).to_dict()
 
 
 def test_train_missing_dataset_file(capsys):
@@ -109,6 +137,11 @@ def test_bench_small_sweep(tmp_path, capsys):
 
 def test_bench_low_reps_rejected(capsys):
     assert run(["bench", "--widths", "4", "--reps", "5"]) == 2
+
+
+def test_bench_empty_engine_list_is_usage_error(capsys):
+    assert run(["bench", "--engines", ",", "--widths", "4", "--reps", "10"]) == 2
+    assert "engines" in capsys.readouterr().err
 
 
 def test_bench_malformed_widths():
@@ -169,3 +202,44 @@ def test_bench_prints_cost_fits_only_for_a_sweep(capsys):
     assert run(argv + ["--widths", "4"]) == 0
     out = capsys.readouterr().out
     assert "ns/param" in out and "vs P" not in out
+
+
+@pytest.mark.parametrize("command, values", [
+    ("gradcheck", {"n": "3", "trials": "4", "engine-a": "seeded", "engine-b": "backprop",
+                   "tol": "1e-9", "seed": "2"}),
+    ("train", {"dataset": "or", "engine": "ones", "lr": "0.25", "epochs": "4",
+               "batch": "full_batch", "seed": "3", "out": "OUT/run"}),
+    ("bench", {"widths": "3", "engines": "ones", "reps": "10", "out": "OUT/bench.csv"}),
+])
+def test_every_flag_is_a_config_key(command, values, tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        run([command, "--help"])
+    flags = set(re.findall(r"--([a-z][\w-]*)", capsys.readouterr().out))
+    assert flags - {"help", "config"} == set(values)
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{k}={v.replace('OUT', str(tmp_path))}\n" for k, v in values.items()))
+    assert run([command, "--config", str(cfg)]) == 0
+    if command == "gradcheck":
+        report = json.loads(capsys.readouterr().out)
+        assert (report["n"], report["trials"], report["engine_a"], report["tol"]) == (
+            3, 4, "seeded", 1e-9)
+    elif command == "train":
+        config = json.loads((tmp_path / "run" / "log.json").read_text())["config"]
+        assert config == trainer.TrainConfig(dataset="or", engine="ones", learning_rate=0.25,
+                                             epochs=4, batch_mode="full_batch",
+                                             rng_seed=3).to_dict()
+    else:
+        assert (tmp_path / "bench.csv").read_text().splitlines()[1].startswith("ones,3,3,1,")
+
+
+@pytest.mark.parametrize("command, line", [
+    ("train", "epochs=abc"),
+    ("train", "lr=fast"),
+    ("bench", "widths=8,abc"),
+    ("gradcheck", "tol=tiny"),
+])
+def test_config_file_value_error_names_file_and_line(command, line, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# comment\n\n{line}\n")
+    assert run([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:3: ")

@@ -173,6 +173,25 @@ def test_grad_ones_guard_boundary():
     md.grad_ones(Perceptron([1.0, -1.0 + 2e-6], 0.0), s)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_grad_ones_near_the_guard(data):
+    # weights that sum to within a few guards of zero, on either side of it
+    n = data.draw(st.integers(1, 5), label="width")
+    unit = st.floats(-2.0, 2.0)
+    rest = [data.draw(unit) for _ in range(n - 1)]
+    target = data.draw(st.floats(-4.0, 4.0), label="sum(W) / guard") * md.ONES_SEED_GUARD
+    act = data.draw(st.sampled_from(md.ACTIVATIONS))
+    m = Perceptron(rest + [target - sum(rest)], data.draw(unit), act)
+    s = Sample([data.draw(unit) for _ in range(n)], data.draw(st.floats(0.0, 1.0)))
+    if abs(sum(m.W)) < md.ONES_SEED_GUARD:
+        with pytest.raises(md.SingularSeed):
+            md.grad_ones(m, s)
+    else:
+        report = oracle.compare(md.grad_ones(m, s), oracle.grad_backprop(m, s), 1e-10)
+        assert report.passed, report
+
+
 def test_grad_ones_error_names_remedy():
     with pytest.raises(md.SingularSeed, match="grad_seeded"):
         md.grad_ones(Perceptron([0.5, -0.5], 0.0), Sample([1.0, 0.0], 1.0))
@@ -456,6 +475,11 @@ def test_nonfinite_is_raised_at_every_finiteness_check():
         Dual(math.inf)
     with pytest.raises(NonFinite):
         md._model_like(Perceptron([0.1], 0.0), [math.nan, 0.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(NonFinite, match="bias"):
+            Perceptron([1.0], bad)
+        with pytest.raises(NonFinite, match="sample target"):
+            Sample([1.0], bad)
     with pytest.raises(NonFinite, match="probing"):
         oracle.grad_finite_diff(Perceptron([1e308], 0.0, "identity"), Sample([1.0], 0.0))
     assert issubclass(NonFinite, ValueError)
