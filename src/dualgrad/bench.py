@@ -63,6 +63,9 @@ def run_bench(
     grads = [engine(tag) for tag in engines]
     if not grads:
         raise ValueError("engines must name at least one engine")
+    for what, values in (("widths", widths), ("engines", engines)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{what} must not repeat, got {values}")
     if reps < MIN_REPS:
         raise ValueError(f"reps must be >= {MIN_REPS}, got {reps}")
 

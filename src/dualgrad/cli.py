@@ -68,31 +68,30 @@ _BENCH_FLAGS = {
 }
 
 
-def _read_config_file(path: str) -> dict[str, tuple[str, int]]:
-    """key -> (value, line number) from flat key=value lines."""
+def _read_config_file(path: str, flags: dict) -> dict[str, tuple[str, int]]:
+    """key -> (value, line number) from flat key=value lines naming flags."""
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
+        key = key.strip()
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        values[key.strip()] = (value.strip(), lineno)
+        if key not in flags:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}, expected {list(flags)}")
+        values[key] = (value.strip(), lineno)
     return values
 
 
-def _merge(args: argparse.Namespace, flags: dict) -> dict:
+def _merge(args: argparse.Namespace, flags: dict, check=None) -> dict:
     """Apply precedence: explicit flag > config file entry > table default.
 
-    Values that none of the three sets are left out.
+    Values that none of the three sets are left out. ``check(attr, value)``
+    vets each value taken from the file, so that its error names the line.
     """
-    config = {}
-    if args.config is not None:
-        config = _read_config_file(args.config)
-        unknown = set(config) - set(flags)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    config = {} if args.config is None else _read_config_file(args.config, flags)
     merged = {}
     for name, (convert, _, default) in flags.items():
         attr = name.replace("-", "_")
@@ -101,6 +100,8 @@ def _merge(args: argparse.Namespace, flags: dict) -> dict:
             text, lineno = config[name]
             try:
                 value = convert(text)
+                if check is not None:
+                    check(attr, value)
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{args.config}:{lineno}: {name}: {exc}") from None
         if value is None:
@@ -151,10 +152,17 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0 if all_pass else CHECK_FAILED
 
 
+def _train_config(values: dict) -> _trainer.TrainConfig:
+    """TrainConfig from train flag values; out is not one of its fields."""
+    fields = {_TRAIN_FIELDS.get(k, k): v for k, v in values.items() if k != "out"}
+    return _trainer.TrainConfig(**fields)
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
-    v = _merge(args, _TRAIN_FLAGS)
-    out_dir = Path(v.pop("out"))
-    cfg = _trainer.TrainConfig(**{_TRAIN_FIELDS.get(k, k): value for k, value in v.items()})
+    # TrainConfig vets each file value alone, so its error can name the line
+    v = _merge(args, _TRAIN_FLAGS, lambda attr, value: _train_config({attr: value}))
+    out_dir = Path(v["out"])
+    cfg = _train_config(v)
     dataset = _trainer.resolve_dataset(cfg.dataset)
     log = _trainer.train(cfg, dataset)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -2,9 +2,9 @@
 
 Every model is one flat parameter list plus a layout: ``(in, out)`` per
 layer and the layer activations. The order is, per layer, the weight rows
-and then the biases. A ``Perceptron`` is a one-layer ``Mlp`` with a
-scalar output, and a ``Gradient`` is a one-layer ``MlpGradient``; both
-keep their own constructors and ``W``/``b``/``dW``/``db`` views.
+and then the biases. ``Perceptron`` and ``Gradient`` are one-layer
+``Mlp`` and ``MlpGradient`` built by those constructors, which share one
+layout check, ``_flatten``; they add ``W``/``b``/``dW``/``db`` views.
 
 Two forward-mode gradients are provided:
 
@@ -91,6 +91,23 @@ def _check_rows(rows: list[list[float]], biases: list[float], what: str) -> None
         raise ValueError(f"{what} rows must share a nonzero width")
 
 
+def _flatten(layers) -> tuple[list[float], tuple[tuple[int, int], ...]]:
+    """Flat parameters and ``(in, out)`` shapes of checked (rows, biases) layers.
+
+    The one layout check of models and gradients: the stack is nonempty,
+    its widths chain and its final layer has a scalar output.
+    """
+    if not layers:
+        raise ValueError("a layout needs at least one layer")
+    shapes = tuple((len(rows[0]), len(rows)) for rows, _ in layers)
+    for (_, n_out), (n_in, _) in zip(shapes, shapes[1:]):
+        if n_out != n_in:
+            raise ValueError(f"layer widths do not chain: {n_out} -> {n_in}")
+    if shapes[-1][1] != 1:
+        raise ValueError("final layer must have scalar output")
+    return [v for rows, biases in layers for row in (*rows, biases) for v in row], shapes
+
+
 @dataclass
 class Sample:
     """One training example: feature vector x and scalar target y."""
@@ -117,14 +134,6 @@ class Layer:
         _check_rows(self.W, self.b, "layer weight")
         _check_act(self.act)
 
-    @property
-    def out_width(self) -> int:
-        return len(self.W)
-
-    @property
-    def in_width(self) -> int:
-        return len(self.W[0])
-
 
 def _split(params: list[float], shapes) -> Iterator[tuple[list[list[float]], list[float]]]:
     """(weight rows, biases) per layer of a flat parameter list."""
@@ -150,17 +159,7 @@ class Mlp:
     acts: tuple[str, ...]
 
     def __init__(self, layers: list[Layer]):
-        if not layers:
-            raise ValueError("mlp needs at least one layer")
-        for prev, nxt in zip(layers, layers[1:]):
-            if prev.out_width != nxt.in_width:
-                raise ValueError(
-                    f"layer widths do not chain: {prev.out_width} -> {nxt.in_width}"
-                )
-        if layers[-1].out_width != 1:
-            raise ValueError("final layer must have scalar output")
-        self.params = [v for lay in layers for row in (*lay.W, lay.b) for v in row]
-        self.shapes = tuple((lay.in_width, lay.out_width) for lay in layers)
+        self.params, self.shapes = _flatten([(lay.W, lay.b) for lay in layers])
         self.acts = tuple(lay.act for lay in layers)
 
     @property
@@ -200,12 +199,7 @@ class Perceptron(Mlp):
     __slots__ = ()
 
     def __init__(self, W: list[float], b: float, act: str = "sigmoid"):
-        W = _check_finite(W, "weights")
-        if len(W) < 1:
-            raise ValueError("perceptron needs at least one weight")
-        self.params = W + _check_finite([b], "bias")
-        self.shapes = ((len(W), 1),)
-        self.acts = (_check_act(act),)
+        Mlp.__init__(self, [Layer([W], [b], act)])
 
     @property
     def W(self) -> list[float]:
@@ -242,8 +236,7 @@ class MlpGradient:
     shapes: tuple[tuple[int, int], ...]
 
     def __init__(self, layers: list[LayerGradient]):
-        self.params = [v for lg in layers for row in (*lg.dW, lg.db) for v in row]
-        self.shapes = tuple((len(lg.dW[0]), len(lg.dW)) for lg in layers)
+        self.params, self.shapes = _flatten([(lg.dW, lg.db) for lg in layers])
 
     @property
     def layers(self) -> list[LayerGradient]:
@@ -268,8 +261,7 @@ class Gradient(MlpGradient):
     __slots__ = ()
 
     def __init__(self, dW: list[float], db: float):
-        self.params = _check_finite([*dW, db], "gradient entries")
-        self.shapes = ((len(self.params) - 1, 1),)
+        MlpGradient.__init__(self, [LayerGradient([dW], [db])])
 
     @property
     def dW(self) -> list[float]:

@@ -69,8 +69,7 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not (self.init_range > 0 and math.isfinite(self.init_range)):
             raise ValueError(f"init range must be positive, got {self.init_range}")
-        if self.activation not in _model.ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+        _model._check_act(self.activation)
         self.hidden = tuple(int(w) for w in self.hidden)
         if any(w < 1 for w in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
@@ -123,13 +122,7 @@ class TrainLog:
         return [r.mean_loss for r in self.records]
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "records": [asdict(r) for r in self.records],
-            "final_model": self.final_model,
-            "singular_skips": self.singular_skips,
-            "diverged": self.diverged,
-        }
+        return asdict(self)
 
 
 # --- datasets ------------------------------------------------------------------
@@ -216,7 +209,7 @@ def init_model(cfg: TrainConfig, feature_width: int, rng: np.random.Generator) -
 
 def sgd_step(m: Model, g, lr: float) -> Model:
     """p <- p - lr * dp for every parameter; returns a new model."""
-    if lr <= 0:
+    if not (lr > 0 and math.isfinite(lr)):
         raise ValueError(f"learning rate must be positive, got {lr}")
     if g.shapes != m.shapes:
         raise ValueError(f"gradient shape {g.shapes} does not match model {m.shapes}")

@@ -14,6 +14,10 @@ def test_rejects_low_reps_and_bad_widths():
         bench.run_bench(widths=(4,), engines=("magic",), reps=10)
     with pytest.raises(ValueError):
         bench.run_bench(widths=(4,), engines=(), reps=10)
+    with pytest.raises(ValueError, match="engines must not repeat"):
+        bench.run_bench(widths=(2,), engines=("ones", "ones"), reps=10)
+    with pytest.raises(ValueError, match="widths must not repeat"):
+        bench.run_bench(widths=(4, 4), engines=("ones",), reps=10)
 
 
 def test_pass_accounting_and_fields():

@@ -144,6 +144,12 @@ def test_bench_empty_engine_list_is_usage_error(capsys):
     assert "engines" in capsys.readouterr().err
 
 
+def test_bench_repeated_engines_or_widths_are_usage_errors(capsys):
+    assert run(["bench", "--engines", "ones,ones", "--widths", "2", "--reps", "10"]) == 2
+    assert run(["bench", "--widths", "4,4", "--reps", "10"]) == 2
+    assert "must not repeat" in capsys.readouterr().err
+
+
 def test_bench_malformed_widths():
     with pytest.raises(SystemExit) as exc:
         run(["bench", "--widths", "8,abc"])
@@ -237,6 +243,9 @@ def test_every_flag_is_a_config_key(command, values, tmp_path, capsys):
     ("train", "lr=fast"),
     ("bench", "widths=8,abc"),
     ("gradcheck", "tol=tiny"),
+    ("train", "epochs=0"),
+    ("train", "momentum=0.9"),
+    ("bench", "momentum=0.9"),
 ])
 def test_config_file_value_error_names_file_and_line(command, line, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"

@@ -69,6 +69,18 @@ def test_mlp_rejects_mismatched_layers():
     Mlp([l1, Layer([[0.5, 0.6]], [0.0])])
 
 
+def test_gradients_get_the_layout_checks_of_models():
+    with pytest.raises(ValueError):
+        md.MlpGradient([])  # so compare never indexes into an empty gradient
+    with pytest.raises(ValueError):
+        md.Gradient([], 0.0)  # as Perceptron([], 0.0) is rejected
+    lg = md.LayerGradient([[1.0, 1.0]], [1.0])  # 2 -> 1 does not chain into 2 -> 1
+    with pytest.raises(ValueError, match="chain"):
+        md.MlpGradient([lg, lg])
+    with pytest.raises(ValueError, match="scalar"):
+        md.MlpGradient([md.LayerGradient([[1.0], [1.0]], [1.0, 1.0])])
+
+
 # --- forward --------------------------------------------------------------------
 
 

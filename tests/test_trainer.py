@@ -150,6 +150,15 @@ def test_sgd_step_rejects_mlp_gradient_of_another_input_width():
         LayerGradient([[1.0, 1.0], [1.0]], [1.0, 1.0])  # ragged rows have no layout
 
 
+@pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0, -1.0])
+def test_sgd_step_rejects_bad_learning_rate_as_a_bad_argument(lr):
+    m = Perceptron([0.1, 0.2], 0.0)
+    g = Gradient([1.0, 1.0], 1.0)
+    with pytest.raises(ValueError, match="learning rate") as exc:
+        trainer.sgd_step(m, g, lr)
+    assert not isinstance(exc.value, NonFinite)  # train would read NonFinite as divergence
+
+
 # --- config validation ---------------------------------------------------------------
 
 
