@@ -7,7 +7,12 @@ trends); absolute numbers are machine noise and never gate the suite.
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
+import os
+import platform
 import statistics
+import subprocess
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +24,7 @@ from .model import Perceptron, Sample
 from .trainer import ENGINES, engine
 
 DEFAULT_WIDTHS = (8, 16, 32, 64, 128, 256)
+DEFAULT_REPS = 30
 MIN_REPS = 10
 _WARMUP = 3
 
@@ -31,6 +37,7 @@ class BenchResult:
     passes: int
     reps: int
     median_ns: float
+    iqr_ns: float
 
     @property
     def ns_per_param(self) -> float:
@@ -49,13 +56,8 @@ def random_sample(n: int, rng: np.random.Generator) -> Sample:
     return Sample([float(v) for v in rng.uniform(-2.0, 2.0, size=n)], float(rng.uniform(0.0, 1.0)))
 
 
-def run_bench(
-    widths=DEFAULT_WIDTHS,
-    engines=tuple(ENGINES),
-    reps: int = 30,
-    seed: int = 0,
-) -> list[BenchResult]:
-    """Median gradient latency per (width, engine), sorted by (engine, params)."""
+def check_sweep(widths=DEFAULT_WIDTHS, engines=tuple(ENGINES), reps: int = DEFAULT_REPS):
+    """The checked widths and engines of a sweep and the engines' gradient functions."""
     widths = [int(w) for w in widths]
     if not widths or any(w < 1 for w in widths):
         raise ValueError(f"widths must be >= 1, got {widths}")
@@ -68,6 +70,17 @@ def run_bench(
             raise ValueError(f"{what} must not repeat, got {values}")
     if reps < MIN_REPS:
         raise ValueError(f"reps must be >= {MIN_REPS}, got {reps}")
+    return widths, engines, grads
+
+
+def run_bench(
+    widths=DEFAULT_WIDTHS,
+    engines=tuple(ENGINES),
+    reps: int = DEFAULT_REPS,
+    seed: int = 0,
+) -> list[BenchResult]:
+    """Median gradient latency per (width, engine), sorted by (engine, params)."""
+    widths, engines, grads = check_sweep(widths, engines, reps)
 
     # Draw every input first, then time the reps round-robin over the
     # points: a CPU speed switch mid-sweep then hits every point alike
@@ -88,10 +101,12 @@ def run_bench(
             t0 = time.perf_counter_ns()
             grad(m, s)
             ts.append(time.perf_counter_ns() - t0)
-    results = [
-        BenchResult(tag, m.width, len(m.W), n_passes, reps, statistics.median(ts))
-        for (tag, _, m, s), n_passes, ts in zip(points, passes, times)
-    ]
+    results = []
+    for (tag, _, m, _), n_passes, ts in zip(points, passes, times):
+        q1, _, q3 = statistics.quantiles(ts, n=4)
+        results.append(
+            BenchResult(tag, m.width, len(m.W), n_passes, reps, statistics.median(ts), q3 - q1)
+        )
     results.sort(key=lambda r: (r.engine, r.params))
     return results
 
@@ -114,6 +129,37 @@ def write_csv(results: list[BenchResult], path: str | Path) -> None:
         writer.writerow(["engine", "width", "P", "passes", "median_ns"])
         for r in results:
             writer.writerow([r.engine, r.width, r.params, r.passes, repr(r.median_ns)])
+
+
+def environment() -> dict:
+    """The run's interpreter, numpy, core count and source, named as perfbench names them."""
+    here = Path(__file__).parent
+    try:
+        done = subprocess.run(["git", "-C", str(here), "rev-parse", "HEAD"],
+                              capture_output=True, text=True, timeout=30)
+        git_sha = done.stdout.strip() or None
+    except (OSError, subprocess.TimeoutExpired):
+        git_sha = None
+    src = hashlib.sha256()
+    for path in sorted(here.glob("*.py")):
+        src.update(path.name.encode() + b"\0" + path.read_bytes())
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "nproc": os.cpu_count(),
+        "git_sha": git_sha,
+        "src_sha256": src.hexdigest(),
+    }
+
+
+def write_json(results: list[BenchResult], path: str | Path) -> None:
+    points = [
+        {"engine": r.engine, "width": r.width, "P": r.params, "passes": r.passes,
+         "reps": r.reps, "median_ns": r.median_ns, "iqr_ns": r.iqr_ns}
+        for r in results
+    ]
+    doc = {"env": environment(), "points": points}
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def format_table(results: list[BenchResult]) -> str:

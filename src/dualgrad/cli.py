@@ -65,7 +65,11 @@ _BENCH_FLAGS = {
     "engines": (_str_list, "comma-separated engine tags", None),
     "reps": (int, f"timing repetitions per point (>= {_bench.MIN_REPS})", None),
     "out": (str, "CSV output path", None),
+    "json": (str, "JSON output path: every point with its median and IQR, plus the environment",
+             None),
 }
+# bench flags that name output files rather than run_bench arguments
+_BENCH_OUTPUTS = ("out", "json")
 
 
 def _read_config_file(path: str, flags: dict) -> dict[str, tuple[str, int]]:
@@ -102,7 +106,7 @@ def _merge(args: argparse.Namespace, flags: dict, check=None) -> dict:
                 value = convert(text)
                 if check is not None:
                     check(attr, value)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
+            except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{args.config}:{lineno}: {name}: {exc}") from None
         if value is None:
             value = default
@@ -111,14 +115,21 @@ def _merge(args: argparse.Namespace, flags: dict, check=None) -> dict:
     return merged
 
 
+def _check_gradcheck_value(attr: str, value) -> None:
+    if attr in ("engine_a", "engine_b"):
+        _trainer.engine(value)
+    elif attr in ("n", "trials") and value < 1:
+        raise ValueError(f"--{attr} must be >= 1, got {value}")
+    elif attr == "tol" and not value >= 0:  # also rejects nan
+        raise ValueError(f"--tol must be >= 0, got {value}")
+
+
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    v = _merge(args, _GRADCHECK_FLAGS)
+    v = _merge(args, _GRADCHECK_FLAGS, _check_gradcheck_value)
+    for attr, value in v.items():  # flag values skip _merge's check
+        _check_gradcheck_value(attr, value)
     grad_a = _trainer.engine(v["engine_a"])
     grad_b = _trainer.engine(v["engine_b"])
-    if v["n"] < 1 or v["trials"] < 1:
-        raise ValueError("--n and --trials must be >= 1")
-    if not v["tol"] >= 0:  # also rejects nan
-        raise ValueError("--tol must be >= 0")
 
     rng = np.random.default_rng(v["seed"])
     max_abs = 0.0
@@ -158,9 +169,15 @@ def _train_config(values: dict) -> _trainer.TrainConfig:
     return _trainer.TrainConfig(**fields)
 
 
+def _check_train_value(attr: str, value) -> None:
+    """Vet one train value alone, so that a config file error can name its line."""
+    _train_config({attr: value})
+    if attr == "dataset":
+        _trainer.check_dataset_ref(value)
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
-    # TrainConfig vets each file value alone, so its error can name the line
-    v = _merge(args, _TRAIN_FLAGS, lambda attr, value: _train_config({attr: value}))
+    v = _merge(args, _TRAIN_FLAGS, _check_train_value)
     out_dir = Path(v["out"])
     cfg = _train_config(v)
     dataset = _trainer.resolve_dataset(cfg.dataset)
@@ -174,18 +191,25 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return CHECK_FAILED if log.diverged else 0
 
 
+def _sweep(values: dict) -> dict:
+    """The run_bench arguments among bench flag values."""
+    return {k: v for k, v in values.items() if k not in _BENCH_OUTPUTS}
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
-    v = _merge(args, _BENCH_FLAGS)
-    out = v.pop("out", None)
-    results = _bench.run_bench(**v)
+    v = _merge(args, _BENCH_FLAGS, lambda attr, value: _bench.check_sweep(**_sweep({attr: value})))
+    results = _bench.run_bench(**_sweep(v))
     print(_bench.format_table(results))
     fits = _bench.format_fits(results)
     if fits:
         print()
         print(fits)
-    if out is not None:
-        _bench.write_csv(results, out)
-        print(f"csv written to {out}")
+    if "out" in v:
+        _bench.write_csv(results, v["out"])
+        print(f"csv written to {v['out']}")
+    if "json" in v:
+        _bench.write_json(results, v["json"])
+        print(f"json written to {v['json']}")
     return 0
 
 

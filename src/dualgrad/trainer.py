@@ -64,11 +64,11 @@ class TrainConfig:
         if self.batch_mode not in BATCH_MODES:
             raise ValueError(f"unknown batch mode {self.batch_mode!r}, expected one of {BATCH_MODES}")
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
+            raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not (self.init_range > 0 and math.isfinite(self.init_range)):
-            raise ValueError(f"init range must be positive, got {self.init_range}")
+            raise ValueError(f"init range must be positive and finite, got {self.init_range}")
         _model._check_act(self.activation)
         self.hidden = tuple(int(w) for w in self.hidden)
         if any(w < 1 for w in self.hidden):
@@ -179,13 +179,15 @@ def load_csv_dataset(path: str | Path) -> Dataset:
     return Dataset(path.stem, n, samples)
 
 
-def resolve_dataset(ref: str) -> Dataset:
-    if ref in BUILTIN_DATASETS:
-        return builtin_dataset(ref)
-    path = Path(ref)
-    if not path.exists():
+def check_dataset_ref(ref: str) -> None:
+    """Raise FileNotFoundError unless ref is a builtin name or an existing path."""
+    if ref not in BUILTIN_DATASETS and not Path(ref).exists():
         raise FileNotFoundError(f"dataset {ref!r} is neither builtin nor an existing file")
-    return load_csv_dataset(path)
+
+
+def resolve_dataset(ref: str) -> Dataset:
+    check_dataset_ref(ref)
+    return builtin_dataset(ref) if ref in BUILTIN_DATASETS else load_csv_dataset(ref)
 
 
 # --- model init and updates ------------------------------------------------------
@@ -210,7 +212,7 @@ def init_model(cfg: TrainConfig, feature_width: int, rng: np.random.Generator) -
 def sgd_step(m: Model, g, lr: float) -> Model:
     """p <- p - lr * dp for every parameter; returns a new model."""
     if not (lr > 0 and math.isfinite(lr)):
-        raise ValueError(f"learning rate must be positive, got {lr}")
+        raise ValueError(f"learning rate must be positive and finite, got {lr}")
     if g.shapes != m.shapes:
         raise ValueError(f"gradient shape {g.shapes} does not match model {m.shapes}")
     return _model._model_like(m, [p - lr * d for p, d in zip(m.params, g.params)])

@@ -215,7 +215,8 @@ def test_bench_prints_cost_fits_only_for_a_sweep(capsys):
                    "tol": "1e-9", "seed": "2"}),
     ("train", {"dataset": "or", "engine": "ones", "lr": "0.25", "epochs": "4",
                "batch": "full_batch", "seed": "3", "out": "OUT/run"}),
-    ("bench", {"widths": "3", "engines": "ones", "reps": "10", "out": "OUT/bench.csv"}),
+    ("bench", {"widths": "3", "engines": "ones", "reps": "10", "out": "OUT/bench.csv",
+               "json": "OUT/bench.json"}),
 ])
 def test_every_flag_is_a_config_key(command, values, tmp_path, capsys):
     with pytest.raises(SystemExit):
@@ -236,6 +237,8 @@ def test_every_flag_is_a_config_key(command, values, tmp_path, capsys):
                                              rng_seed=3).to_dict()
     else:
         assert (tmp_path / "bench.csv").read_text().splitlines()[1].startswith("ones,3,3,1,")
+        points = json.loads((tmp_path / "bench.json").read_text())["points"]
+        assert [(p["engine"], p["width"], p["passes"]) for p in points] == [("ones", 3, 1)]
 
 
 @pytest.mark.parametrize("command, line", [
@@ -252,3 +255,36 @@ def test_config_file_value_error_names_file_and_line(command, line, tmp_path, ca
     cfg.write_text(f"# comment\n\n{line}\n")
     assert run([command, "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {cfg}:3: ")
+
+
+@pytest.mark.parametrize("command, line", [
+    ("train", "dataset=nosuch.csv"),
+    ("bench", "reps=5"),
+    ("bench", "engines=ones,ones"),
+    ("gradcheck", "engine-a=magic"),
+    ("gradcheck", "n=0"),
+    ("gradcheck", "tol=nan"),
+])
+def test_config_file_check_error_names_file_line_and_key(command, line, tmp_path, capsys):
+    # values that parse but fail a later check are reported at their line too
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# comment\n{line}\n")
+    assert run([command, "--config", str(cfg)]) == 2
+    key = line.partition("=")[0]
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:2: {key}: ")
+
+
+def test_bench_json_has_env_and_one_record_per_point(tmp_path, capsys):
+    path = tmp_path / "bench.json"
+    assert run(["bench", "--widths", "2,5", "--engines", "seeded,ones", "--reps", "10",
+                "--json", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    assert set(doc) == {"env", "points"}
+    assert set(doc["env"]) == {"python", "numpy", "nproc", "git_sha", "src_sha256"}
+    assert len(doc["env"]["src_sha256"]) == 64
+    for point in doc["points"]:
+        assert set(point) == {"engine", "width", "P", "passes", "reps", "median_ns", "iqr_ns"}
+    assert [(p["engine"], p["width"], p["P"], p["passes"], p["reps"]) for p in doc["points"]] == [
+        ("ones", 2, 2, 1, 10), ("ones", 5, 5, 1, 10),
+        ("seeded", 2, 2, 3, 10), ("seeded", 5, 5, 6, 10),
+    ]

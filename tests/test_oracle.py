@@ -8,6 +8,7 @@ import pytest
 
 from dualgrad import model as md
 from dualgrad import oracle
+from dualgrad.dual import NonFinite
 from dualgrad.model import Gradient, Layer, Mlp, Perceptron, Sample
 
 
@@ -77,6 +78,14 @@ def test_finite_diff_rejects_bad_step():
     m = Perceptron([1.0], 0.0)
     with pytest.raises(ValueError):
         oracle.grad_finite_diff(m, Sample([1.0], 0.0), h=0.0)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -1e-6])
+def test_finite_diff_rejects_a_nonfinite_step_as_a_bad_argument(h):
+    m = Perceptron([1.0], 0.0)
+    with pytest.raises(ValueError, match="step must be positive and finite") as exc:
+        oracle.grad_finite_diff(m, Sample([1.0], 0.0), h=h)
+    assert not isinstance(exc.value, NonFinite)  # train would read NonFinite as divergence
 
 
 def test_finite_diff_leaves_model_untouched():

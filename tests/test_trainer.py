@@ -159,6 +159,17 @@ def test_sgd_step_rejects_bad_learning_rate_as_a_bad_argument(lr):
     assert not isinstance(exc.value, NonFinite)  # train would read NonFinite as divergence
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
+def test_step_sizes_name_the_condition_they_fail(bad):
+    m = Perceptron([0.1, 0.2], 0.0)
+    with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+        trainer.sgd_step(m, Gradient([1.0, 1.0], 1.0), bad)
+    with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+        TrainConfig(learning_rate=bad)
+    with pytest.raises(ValueError, match="init range must be positive and finite"):
+        TrainConfig(init_range=bad)
+
+
 # --- config validation ---------------------------------------------------------------
 
 
