@@ -18,12 +18,15 @@ Two forward-mode gradients are provided:
   that parameter. No division, no singularity, and it extends unchanged
   to multilayer networks, at the cost of P passes for P parameters.
 
-Both rules share one pass, ``_forward_pair``, which carries each dual
-value as a ``(re, du)`` pair of plain floats instead of a ``Dual`` object.
-It performs the ring's float operations in the ring's order, so its
-results are bit-identical to the same pass written with ``Dual`` and the
-lifts in ``functions``; ``Dual`` stays the public ring and the spec the
-pass is tested against.
+Neither rule builds a ``Dual`` per scalar: they carry each dual value as
+its real and dual parts in plain floats. ``ones`` is one fused pass,
+``_forward_pair``, over ``(re, du)`` pairs. The P passes of ``seeded``
+share one real sweep, ``_real_sweep``, since no seed changes a real part;
+each pass, ``_tangent_pass``, then computes only the dual parts. Both
+perform the ring's float operations in the ring's order, so their results
+are bit-identical to the same passes written with ``Dual`` and the lifts
+in ``functions``; ``Dual`` stays the public ring and the spec the passes
+are tested against.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ ACTIVATIONS = ("sigmoid", "tanh", "identity")
 
 # |sum(W)| below this makes the ones-seeded division ill-conditioned.
 ONES_SEED_GUARD = 1e-6
+
+_isfinite = math.isfinite
 
 
 class SingularSeed(ArithmeticError):
@@ -321,18 +326,20 @@ def loss(yhat: float, y: float) -> float:
     return d * d
 
 
-# --- the dual pass ----------------------------------------------------------------
+# --- the fused dual pass ------------------------------------------------------------
 
 
-def _forward_pair(m: Mlp, h: list[tuple[float, float]], k: int) -> tuple[float, float]:
+def _forward_pair(m: Mlp, h: list[tuple[float, float]]) -> tuple[float, float]:
     """One dual pass over m's flat layout; returns the output as (re, du).
 
-    ``h`` holds the input pairs and ``k`` the seeded parameter's index, or
-    -1 for none. Products and sums are the ring's float operations in the
-    ring's order, including the ``+ 0.0``, and the activations are the
-    lifts of ``functions``. Raises NonFinite at the first non-finite
-    pre-activation: sums and products never make an inf or nan finite
-    again, so that is where the pass over ``Dual`` values failed too.
+    ``h`` holds the input pairs; no parameter is seeded. Products and sums
+    are the ring's float operations in the ring's order, and the
+    activations are the lifts of ``functions``. The ring's ``+ 0.0`` and
+    ``0.0 * hr`` seed terms are left out: they only turn a -0.0 term into
+    +0.0, and ``zd`` is never -0.0, so adding either changes no bit.
+    Raises NonFinite at the first non-finite pre-activation: sums and
+    products never make an inf or nan finite again, so that is where the
+    pass over ``Dual`` values failed too.
     """
     p = m.params
     off = 0  # index of the current row's first weight
@@ -341,11 +348,11 @@ def _forward_pair(m: Mlp, h: list[tuple[float, float]], k: int) -> tuple[float, 
         out = []
         for i in range(b0, b0 + n_out):
             zr = p[i]
-            zd = 1.0 if i == k else 0.0
+            zd = 0.0
             for j, (hr, hd) in enumerate(h, off):
                 w = p[j]
                 zr += w * hr
-                zd += w * hd + (1.0 if j == k else 0.0) * hr + 0.0
+                zd += w * hd
             if not (math.isfinite(zr) and math.isfinite(zd)):
                 raise NonFinite(
                     f"layer {l} unit {i - b0}: pre-activation {zr!r} + {zd!r}*eps is not finite"
@@ -378,7 +385,7 @@ def forward_dual_ones(m: Perceptron, x: Sequence[float]) -> Dual:
         raise TypeError("the shared-seed pass is a single-layer rule; use grad_seeded for Mlp")
     if len(x) != m.width:
         raise ValueError(f"expected {m.width} features, got {len(x)}")
-    return Dual(*_forward_pair(m, [(float(xi), 1.0) for xi in x], -1))
+    return Dual(*_forward_pair(m, [(float(xi), 1.0) for xi in x]))
 
 
 def grad_ones(m: Perceptron, s: Sample) -> Gradient:
@@ -404,17 +411,95 @@ def grad_ones(m: Perceptron, s: Sample) -> Gradient:
 # --- per-parameter seeding ----------------------------------------------------
 
 
+def _real_sweep(m: Mlp, x: Sequence[float]) -> tuple[list[tuple], float]:
+    """The real half of every seeded pass over m, and the output's real part.
+
+    No seed changes a real part, so it is computed once per gradient. Per
+    layer it keeps the input reals and, per unit, the weight row, the
+    pre-activation ``zr``, the index of the unit's bias and of its row's
+    first weight, and two factors whose product with the unit's tangent is
+    the activation's rule: ``s`` and ``1 - s`` for sigmoid, ``1 - t*t``
+    and 1.0 for tanh, 1.0 and 1.0 for identity. A product with 1.0 is
+    exact, so the three rules share one expression. Nothing is checked
+    here; the first tangent pass reports a non-finite ``zr`` at its unit.
+    """
+    p = m.params
+    hr = list(x)
+    sweep = []
+    off = 0  # index of the current row's first weight
+    for (n_in, n_out), act in zip(m.shapes, m.acts):
+        b0 = off + n_in * n_out
+        units, out = [], []
+        for i in range(b0, b0 + n_out):
+            row = p[off:off + n_in]
+            zr = p[i]
+            for w, r in zip(row, hr):
+                zr += w * r
+            if act == "sigmoid":  # the rule of fn.sigmoid
+                a = fn.sigmoid_real(zr)
+                factors = (a, 1.0 - a)
+            elif act == "tanh":  # the rule of fn.tanh
+                a = math.tanh(zr)
+                factors = (1.0 - a * a, 1.0)
+            else:
+                a = zr
+                factors = (1.0, 1.0)
+            units.append((row, zr, i, off, *factors))
+            out.append(a)
+            off += n_in
+        sweep.append((hr, units))
+        hr = out
+        off = b0 + n_out
+    return sweep, hr[0]
+
+
+def _tangent_pass(sweep: list[tuple], k: int) -> float:
+    """The output's dual part with parameter k seeded: one pass over the sweep.
+
+    Every weight of every layer is walked, so each pass costs O(P). The
+    products and sums are those of the dual pass in the ring's order, so
+    the result is bit-identical to the pass over ``Dual`` values. The
+    seeded weight's input real is added after its row's sum: the seeded
+    layer's input tangents are all zero, so that sum is +0.0 there, and
+    the ring's ``+ 0.0`` and ``0.0 * hr`` terms change no bit because
+    ``zd`` is never -0.0. Raises NonFinite at the first unit whose
+    ``zr`` or ``zd`` is not finite, with the message of the fused pass.
+    """
+    hd = [0.0] * len(sweep[0][0])  # the inputs carry no tangent
+    for l, (hr, units) in enumerate(sweep):
+        n_in = len(hr)
+        out = []
+        for row, zr, i, start, f, g in units:
+            zd = 1.0 if i == k else 0.0
+            for w, d in zip(row, hd):
+                zd += w * d
+            if 0 <= k - start < n_in:
+                zd += hr[k - start]
+            if not (_isfinite(zr) and _isfinite(zd)):
+                raise NonFinite(
+                    f"layer {l} unit {len(out)}: pre-activation {zr!r} + {zd!r}*eps is not finite"
+                )
+            out.append(zd * f * g)
+        hd = out
+    count_forward_pass()
+    return hd[0]
+
+
 def grad_seeded(m: Model, s: Sample) -> AnyGradient:
     """Gradient via one dual pass per scalar parameter, in layout order.
 
     Works for any weight configuration and for multilayer models; the cost
-    is exactly one forward pass per parameter. The loss is taken in the
-    ring, so an overflowing square raises OverflowError as ``Dual`` does.
+    is exactly one forward pass per parameter. The passes share one real
+    sweep and each adds only its tangents. The loss (y - yhat)**2 is
+    differentiated as the ring's power rule does it, 2*d*(0 - yhat.du)
+    with d = y - yhat.re, and its real part d**2 is evaluated once, so an
+    overflowing square raises OverflowError as ``Dual`` does.
     """
     if len(s.x) != m.width:
         raise ValueError(f"expected {m.width} features, got {len(s.x)}")
-    h = [(xi, 0.0) for xi in s.x]
-    y = Dual(s.y)
-    return _grad_like(
-        m, [((y - Dual(*_forward_pair(m, h, k))) ** 2).du for k in range(len(m.params))]
-    )
+    sweep, yr = _real_sweep(m, s.x)
+    d = s.y - yr
+    yds = [_tangent_pass(sweep, 0)]
+    d ** 2  # after the first pass, which reports a non-finite pre-activation first
+    yds += [_tangent_pass(sweep, k) for k in range(1, len(m.params))]
+    return _grad_like(m, [2 * d * (0.0 - yd) for yd in yds])

@@ -468,6 +468,54 @@ def test_dual_allocations_per_pass(monkeypatch):
     assert made == 1
 
 
+# --- one real sweep per seeded gradient -------------------------------------------------
+
+
+def test_seeded_computes_each_activation_once_per_gradient(monkeypatch):
+    # the P passes share one real sweep: each unit's sigmoid is evaluated
+    # once per gradient, not once per pass
+    calls = 0
+    sigmoid_real = fn.sigmoid_real
+
+    def counting(z):
+        nonlocal calls
+        calls += 1
+        return sigmoid_real(z)
+
+    monkeypatch.setattr(fn, "sigmoid_real", counting)
+    rng = np.random.default_rng(38)
+    xor_net = Mlp([
+        Layer([[float(v) for v in rng.uniform(-1, 1, 2)] for _ in range(4)],
+              [float(v) for v in rng.uniform(-1, 1, 4)]),
+        Layer([[float(v) for v in rng.uniform(-1, 1, 4)]], [float(rng.uniform(-1, 1))]),
+    ])
+    for m, s, units in ((xor_net, Sample([1.0, 0.0], 1.0), 5),
+                        (random_perceptron(rng, 128), random_sample(rng, 128), 1)):
+        calls = 0
+        md.reset_pass_count()
+        md.grad_seeded(m, s)
+        assert (calls, md.pass_count()) == (units, len(m.params))
+
+
+def test_seeded_reports_a_late_nonfinite_tangent_at_its_pass_and_unit():
+    # pass 1 seeds the input 1e308, whose tangent overflows in layer 1
+    m = Mlp([Layer([[1.0, 1e-300]], [0.0], "identity"), Layer([[10.0]], [0.0], "tanh")])
+    md.reset_pass_count()
+    with pytest.raises(NonFinite) as exc:
+        md.grad_seeded(m, Sample([1.0, 1e308], 0.0))
+    assert str(exc.value) == "layer 1 unit 0: pre-activation 1000000010.0 + inf*eps is not finite"
+    assert md.pass_count() == 1
+
+
+def test_seeded_loss_overflow_is_typed():
+    # d = -1e200: the ring's square d**2 overflows
+    with pytest.raises(OverflowError):
+        md.grad_seeded(Perceptron([1.0], 0.0, "identity"), Sample([1e200], 0.0))
+    # d = -1e150: the square is finite, but 2*d*du overflows for the weight
+    with pytest.raises(NonFinite):
+        md.grad_seeded(Perceptron([1e-10], 0.0, "identity"), Sample([1e160], 0.0))
+
+
 # --- typed non-finite failures ------------------------------------------------------------
 
 

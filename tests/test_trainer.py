@@ -261,6 +261,16 @@ def test_nonfinite_pass_marks_the_run_diverged(engine):
     assert log.records == []
 
 
+@pytest.mark.parametrize("w, x", [(1.0, 1e200), (1e-10, 1e160)])
+def test_seeded_loss_overflow_marks_the_run_diverged(w, x):
+    # an overflowing square (OverflowError) and an overflowing gradient
+    # entry (NonFinite) both end the run as diverged
+    cfg = TrainConfig(engine="seeded", activation="identity", epochs=3)
+    dataset = Dataset("big", 1, [Sample([x], 0.0)])
+    log = trainer.train(cfg, dataset, Perceptron([w], 0.0, "identity"))
+    assert log.diverged and log.records == []
+
+
 def test_plain_value_error_is_not_divergence(monkeypatch):
     def broken_engine(m, s):
         raise ValueError("a programming error, not a diverging run")
