@@ -89,26 +89,28 @@ def _read_config_file(path: str, flags: dict) -> dict[str, tuple[str, int]]:
     return values
 
 
-def _merge(args: argparse.Namespace, flags: dict, check=None) -> dict:
+def _merge(args: argparse.Namespace, flags: dict, check) -> dict:
     """Apply precedence: explicit flag > config file entry > table default.
 
     Values that none of the three sets are left out. ``check(attr, value)``
-    vets each value taken from the file, so that its error names the line.
+    vets each value taken from a flag or the file; the error of a file
+    value names its line.
     """
     config = {} if args.config is None else _read_config_file(args.config, flags)
     merged = {}
     for name, (convert, _, default) in flags.items():
         attr = name.replace("-", "_")
         value = getattr(args, attr)
-        if value is None and name in config:
+        if value is not None:
+            check(attr, value)
+        elif name in config:
             text, lineno = config[name]
             try:
                 value = convert(text)
-                if check is not None:
-                    check(attr, value)
+                check(attr, value)
             except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{args.config}:{lineno}: {name}: {exc}") from None
-        if value is None:
+        else:
             value = default
         if value is not None:
             merged[attr] = value
@@ -126,8 +128,6 @@ def _check_gradcheck_value(attr: str, value) -> None:
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
     v = _merge(args, _GRADCHECK_FLAGS, _check_gradcheck_value)
-    for attr, value in v.items():  # flag values skip _merge's check
-        _check_gradcheck_value(attr, value)
     grad_a = _trainer.engine(v["engine_a"])
     grad_b = _trainer.engine(v["engine_b"])
 
