@@ -43,8 +43,6 @@ ACTIVATIONS = ("sigmoid", "tanh", "identity")
 # |sum(W)| below this makes the ones-seeded division ill-conditioned.
 ONES_SEED_GUARD = 1e-6
 
-_isfinite = math.isfinite
-
 
 class SingularSeed(ArithmeticError):
     """The ones-seeded rule is undefined because |sum(W)| is below the guard."""
@@ -475,7 +473,7 @@ def _tangent_pass(sweep: list[tuple], k: int) -> float:
                 zd += w * d
             if 0 <= k - start < n_in:
                 zd += hr[k - start]
-            if not (_isfinite(zr) and _isfinite(zd)):
+            if not (math.isfinite(zr) and math.isfinite(zd)):
                 raise NonFinite(
                     f"layer {l} unit {len(out)}: pre-activation {zr!r} + {zd!r}*eps is not finite"
                 )
@@ -500,6 +498,7 @@ def grad_seeded(m: Model, s: Sample) -> AnyGradient:
     sweep, yr = _real_sweep(m, s.x)
     d = s.y - yr
     yds = [_tangent_pass(sweep, 0)]
-    d ** 2  # after the first pass, which reports a non-finite pre-activation first
+    d ** 2  # the ring's square: OverflowError if it overflows, checked once the first
+    # pass has reported any non-finite pre-activation, as the pass over Dual values does
     yds += [_tangent_pass(sweep, k) for k in range(1, len(m.params))]
     return _grad_like(m, [2 * d * (0.0 - yd) for yd in yds])
