@@ -7,12 +7,9 @@ trends); absolute numbers are machine noise and never gate the suite.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import os
-import platform
 import statistics
-import subprocess
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -133,13 +130,22 @@ def write_csv(results: list[BenchResult], path: str | Path) -> None:
 
 def environment() -> dict:
     """The run's interpreter, numpy, core count and source, named as perfbench names them."""
+    # Imported here: only --json needs them, and hashlib alone adds about
+    # 4 MB of resident memory to every process that imports this module.
+    import hashlib
+    import platform
+    import subprocess
+
     here = Path(__file__).parent
-    try:
-        done = subprocess.run(["git", "-C", str(here), "rev-parse", "HEAD"],
-                              capture_output=True, text=True, timeout=30)
-        git_sha = done.stdout.strip() or None
-    except (OSError, subprocess.TimeoutExpired):
-        git_sha = None
+    root = here.parents[1]  # the checkout, when run from src/ of a git clone
+    git_sha = None
+    if (root / ".git").exists():
+        try:
+            done = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
+                                  capture_output=True, text=True, timeout=30)
+            git_sha = done.stdout.strip() or None
+        except (OSError, subprocess.TimeoutExpired):
+            pass
     src = hashlib.sha256()
     for path in sorted(here.glob("*.py")):
         src.update(path.name.encode() + b"\0" + path.read_bytes())

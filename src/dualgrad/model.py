@@ -333,11 +333,11 @@ def _forward_pair(m: Mlp, h: list[tuple[float, float]]) -> tuple[float, float]:
     ``h`` holds the input pairs; no parameter is seeded. Products and sums
     are the ring's float operations in the ring's order, and the
     activations are the lifts of ``functions``. The ring's ``+ 0.0`` and
-    ``0.0 * hr`` seed terms are left out: they only turn a -0.0 term into
-    +0.0, and ``zd`` is never -0.0, so adding either changes no bit.
-    Raises NonFinite at the first non-finite pre-activation: sums and
-    products never make an inf or nan finite again, so that is where the
-    pass over ``Dual`` values failed too.
+    ``0.0 * hr`` terms are left out: they only turn a -0.0 term into +0.0,
+    which changes no bit of a ``zd`` that is never -0.0. Raises NonFinite
+    at the first non-finite pre-activation: sums and products never make
+    an inf or nan finite again, so the pass over ``Dual`` values fails
+    there too.
     """
     p = m.params
     off = 0  # index of the current row's first weight
@@ -413,13 +413,12 @@ def _real_sweep(m: Mlp, x: Sequence[float]) -> tuple[list[tuple], float]:
     """The real half of every seeded pass over m, and the output's real part.
 
     No seed changes a real part, so it is computed once per gradient. Per
-    layer it keeps the input reals and, per unit, the weight row, the
-    pre-activation ``zr``, the index of the unit's bias and of its row's
-    first weight, and two factors whose product with the unit's tangent is
-    the activation's rule: ``s`` and ``1 - s`` for sigmoid, ``1 - t*t``
-    and 1.0 for tanh, 1.0 and 1.0 for identity. A product with 1.0 is
-    exact, so the three rules share one expression. Nothing is checked
-    here; the first tangent pass reports a non-finite ``zr`` at its unit.
+    layer: the input reals and, per unit, the weight row, the
+    pre-activation ``zr``, the indices of its bias and first weight, and
+    the two factors of its activation's rule: ``s`` and ``1 - s`` for
+    sigmoid, ``1 - t*t`` and 1.0 for tanh, 1.0 twice for identity (a
+    product with 1.0 is exact). Nothing is checked here; the first
+    tangent pass reports a non-finite ``zr`` at its unit.
     """
     p = m.params
     hr = list(x)
@@ -454,14 +453,12 @@ def _real_sweep(m: Mlp, x: Sequence[float]) -> tuple[list[tuple], float]:
 def _tangent_pass(sweep: list[tuple], k: int) -> float:
     """The output's dual part with parameter k seeded: one pass over the sweep.
 
-    Every weight of every layer is walked, so each pass costs O(P). The
-    products and sums are those of the dual pass in the ring's order, so
-    the result is bit-identical to the pass over ``Dual`` values. The
-    seeded weight's input real is added after its row's sum: the seeded
-    layer's input tangents are all zero, so that sum is +0.0 there, and
-    the ring's ``+ 0.0`` and ``0.0 * hr`` terms change no bit because
-    ``zd`` is never -0.0. Raises NonFinite at the first unit whose
-    ``zr`` or ``zd`` is not finite, with the message of the fused pass.
+    Every weight of every layer is walked, so each pass costs O(P). Its
+    products and sums are those of ``_forward_pair`` in the same order.
+    The seeded weight's input real is added after its row's sum, which is
+    +0.0 there because the seeded layer's input tangents are all zero.
+    Raises NonFinite at the first unit whose ``zr`` or ``zd`` is not
+    finite, with the message of the fused pass.
     """
     hd = [0.0] * len(sweep[0][0])  # the inputs carry no tangent
     for l, (hr, units) in enumerate(sweep):
@@ -488,17 +485,15 @@ def grad_seeded(m: Model, s: Sample) -> AnyGradient:
 
     Works for any weight configuration and for multilayer models; the cost
     is exactly one forward pass per parameter. The passes share one real
-    sweep and each adds only its tangents. The loss (y - yhat)**2 is
-    differentiated as the ring's power rule does it, 2*d*(0 - yhat.du)
-    with d = y - yhat.re, and its real part d**2 is evaluated once, so an
-    overflowing square raises OverflowError as ``Dual`` does.
+    sweep. The loss (y - yhat)**2 takes the ring's power rule,
+    2*d*(0 - yhat.du) with d = y - yhat.re, and an overflowing d**2
+    raises OverflowError as ``Dual`` does.
     """
     if len(s.x) != m.width:
         raise ValueError(f"expected {m.width} features, got {len(s.x)}")
     sweep, yr = _real_sweep(m, s.x)
     d = s.y - yr
     yds = [_tangent_pass(sweep, 0)]
-    d ** 2  # the ring's square: OverflowError if it overflows, checked once the first
-    # pass has reported any non-finite pre-activation, as the pass over Dual values does
+    d ** 2  # after the first pass, which reports a non-finite pre-activation first
     yds += [_tangent_pass(sweep, k) for k in range(1, len(m.params))]
     return _grad_like(m, [2 * d * (0.0 - yd) for yd in yds])

@@ -498,7 +498,7 @@ def test_seeded_computes_each_activation_once_per_gradient(monkeypatch):
 
 
 def test_seeded_reports_a_late_nonfinite_tangent_at_its_pass_and_unit():
-    # pass 1 seeds the input 1e308, whose tangent overflows in layer 1
+    # pass 1 seeds the weight whose input is 1e308; its tangent overflows in layer 1
     m = Mlp([Layer([[1.0, 1e-300]], [0.0], "identity"), Layer([[10.0]], [0.0], "tanh")])
     md.reset_pass_count()
     with pytest.raises(NonFinite) as exc:

@@ -81,7 +81,7 @@ def test_finite_diff_rejects_bad_step():
 
 
 @pytest.mark.parametrize("h", [math.nan, math.inf, -1e-6])
-def test_finite_diff_rejects_a_nonfinite_step_as_a_bad_argument(h):
+def test_finite_diff_step_must_be_positive_and_finite(h):
     m = Perceptron([1.0], 0.0)
     with pytest.raises(ValueError, match="step must be positive and finite") as exc:
         oracle.grad_finite_diff(m, Sample([1.0], 0.0), h=h)
