@@ -124,6 +124,8 @@ def _check_gradcheck_value(attr: str, value) -> None:
         raise ValueError(f"--{attr} must be >= 1, got {value}")
     elif attr == "tol" and not value >= 0:  # also rejects nan
         raise ValueError(f"--tol must be >= 0, got {value}")
+    elif attr == "seed" and value < 0:
+        raise ValueError(f"--seed must be >= 0, got {value}")
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:

@@ -18,15 +18,17 @@ Two forward-mode gradients are provided:
   that parameter. No division, no singularity, and it extends unchanged
   to multilayer networks, at the cost of P passes for P parameters.
 
-Neither rule builds a ``Dual`` per scalar: they carry each dual value as
-its real and dual parts in plain floats. ``ones`` is one fused pass,
-``_forward_pair``, over ``(re, du)`` pairs. The P passes of ``seeded``
-share one real sweep, ``_real_sweep``, since no seed changes a real part;
-each pass, ``_tangent_pass``, then computes only the dual parts. Both
-perform the ring's float operations in the ring's order, so their results
-are bit-identical to the same passes written with ``Dual`` and the lifts
-in ``functions``; ``Dual`` stays the public ring and the spec the passes
-are tested against.
+Both rules run the same dual pass and differ only in the tangent they
+seed. No seed changes a real part, so one real sweep, ``_real_sweep``,
+computes every real part once per gradient; a tangent pass,
+``_tangent_pass``, then computes the dual parts from the input tangents
+and the seeded parameter. ``ones`` runs one tangent pass with every input
+tangent 1.0 and no parameter seeded; ``seeded`` runs one per parameter
+with zero input tangents. Neither builds a ``Dual``: each dual value is
+held as its real and dual parts in plain floats, and the float operations
+are the ring's, in the ring's order, so the results are bit-identical to
+the same passes written with ``Dual`` and the lifts in ``functions``.
+``Dual`` stays the public ring and the spec the passes are tested against.
 """
 
 from __future__ import annotations
@@ -324,104 +326,24 @@ def loss(yhat: float, y: float) -> float:
     return d * d
 
 
-# --- the fused dual pass ------------------------------------------------------------
-
-
-def _forward_pair(m: Mlp, h: list[tuple[float, float]]) -> tuple[float, float]:
-    """One dual pass over m's flat layout; returns the output as (re, du).
-
-    ``h`` holds the input pairs; no parameter is seeded. Products and sums
-    are the ring's float operations in the ring's order, and the
-    activations are the lifts of ``functions``. The ring's ``+ 0.0`` and
-    ``0.0 * hr`` terms are left out: they only turn a -0.0 term into +0.0,
-    which changes no bit of a ``zd`` that is never -0.0. Raises NonFinite
-    at the first non-finite pre-activation: sums and products never make
-    an inf or nan finite again, so the pass over ``Dual`` values fails
-    there too.
-    """
-    p = m.params
-    off = 0  # index of the current row's first weight
-    for l, ((n_in, n_out), act) in enumerate(zip(m.shapes, m.acts)):
-        b0 = off + n_in * n_out
-        out = []
-        for i in range(b0, b0 + n_out):
-            zr = p[i]
-            zd = 0.0
-            for j, (hr, hd) in enumerate(h, off):
-                w = p[j]
-                zr += w * hr
-                zd += w * hd
-            if not (math.isfinite(zr) and math.isfinite(zd)):
-                raise NonFinite(
-                    f"layer {l} unit {i - b0}: pre-activation {zr!r} + {zd!r}*eps is not finite"
-                )
-            if act == "sigmoid":  # the rule of fn.sigmoid
-                s = fn.sigmoid_real(zr)
-                out.append((s, zd * s * (1.0 - s)))
-            elif act == "tanh":  # the rule of fn.tanh
-                t = math.tanh(zr)
-                out.append((t, zd * (1.0 - t * t)))
-            else:
-                out.append((zr, zd))
-            off += n_in
-        h = out
-        off = b0 + n_out
-    count_forward_pass()
-    return h[0]
-
-
-# --- the ones-seeded rule -----------------------------------------------------
-
-
-def forward_dual_ones(m: Perceptron, x: Sequence[float]) -> Dual:
-    """Evaluate the perceptron with every input seeded as x_i + eps.
-
-    The result's dual part equals sum(W) * act'(W.x + b): all input
-    perturbations share one eps, so their first-order effects add up.
-    """
-    if not isinstance(m, Perceptron):
-        raise TypeError("the shared-seed pass is a single-layer rule; use grad_seeded for Mlp")
-    if len(x) != m.width:
-        raise ValueError(f"expected {m.width} features, got {len(x)}")
-    return Dual(*_forward_pair(m, [(float(xi), 1.0) for xi in x]))
-
-
-def grad_ones(m: Perceptron, s: Sample) -> Gradient:
-    """Gradient of (y - yhat)**2 from a single input-seeded dual pass.
-
-    dW_i = 2*(R(yhat_eps) - y) * E(yhat_eps) / sum(W) * x_i, and db is the
-    same scalar factor without the x_i product. Requires |sum(W)| >=
-    ONES_SEED_GUARD; raises SingularSeed otherwise.
-    """
-    if not isinstance(m, Perceptron):
-        raise TypeError("the shared-seed rule is single-layer; use grad_seeded for Mlp")
-    seed_sum = sum(m.W)
-    if abs(seed_sum) < ONES_SEED_GUARD:
-        raise SingularSeed(
-            f"|sum(W)| = {abs(seed_sum):.3e} is below {ONES_SEED_GUARD:g}; the shared-seed "
-            "division is undefined here, use grad_seeded instead"
-        )
-    yhat_eps = forward_dual_ones(m, s.x)
-    g0 = 2.0 * (yhat_eps.re - s.y) * yhat_eps.du / seed_sum
-    return _grad_like(m, [g0 * xi for xi in s.x] + [g0])
-
-
-# --- per-parameter seeding ----------------------------------------------------
+# --- the dual pass: one real sweep, then tangent passes -------------------------
 
 
 def _real_sweep(m: Mlp, x: Sequence[float]) -> tuple[list[tuple], float]:
-    """The real half of every seeded pass over m, and the output's real part.
+    """The real half of every dual pass over m, and the output's real part.
 
     No seed changes a real part, so it is computed once per gradient. Per
     layer: the input reals and, per unit, the weight row, the
     pre-activation ``zr``, the indices of its bias and first weight, and
     the two factors of its activation's rule: ``s`` and ``1 - s`` for
     sigmoid, ``1 - t*t`` and 1.0 for tanh, 1.0 twice for identity (a
-    product with 1.0 is exact). Nothing is checked here; the first
-    tangent pass reports a non-finite ``zr`` at its unit.
+    product with 1.0 is exact). Only the width of x is checked here; the
+    first tangent pass reports a non-finite ``zr`` at its unit.
     """
+    if len(x) != m.width:
+        raise ValueError(f"expected {m.width} features, got {len(x)}")
     p = m.params
-    hr = list(x)
+    hr = x
     sweep = []
     off = 0  # index of the current row's first weight
     for (n_in, n_out), act in zip(m.shapes, m.acts):
@@ -434,14 +356,14 @@ def _real_sweep(m: Mlp, x: Sequence[float]) -> tuple[list[tuple], float]:
                 zr += w * r
             if act == "sigmoid":  # the rule of fn.sigmoid
                 a = fn.sigmoid_real(zr)
-                factors = (a, 1.0 - a)
+                f, g = a, 1.0 - a
             elif act == "tanh":  # the rule of fn.tanh
                 a = math.tanh(zr)
-                factors = (1.0 - a * a, 1.0)
+                f, g = 1.0 - a * a, 1.0
             else:
                 a = zr
-                factors = (1.0, 1.0)
-            units.append((row, zr, i, off, *factors))
+                f = g = 1.0
+            units.append((row, zr, i, off, f, g))
             out.append(a)
             off += n_in
         sweep.append((hr, units))
@@ -450,17 +372,21 @@ def _real_sweep(m: Mlp, x: Sequence[float]) -> tuple[list[tuple], float]:
     return sweep, hr[0]
 
 
-def _tangent_pass(sweep: list[tuple], k: int) -> float:
-    """The output's dual part with parameter k seeded: one pass over the sweep.
+def _tangent_pass(sweep: list[tuple], hd: list[float], k: int) -> float:
+    """The output's dual part from input tangents hd with parameter k seeded.
 
-    Every weight of every layer is walked, so each pass costs O(P). Its
-    products and sums are those of ``_forward_pair`` in the same order.
-    The seeded weight's input real is added after its row's sum, which is
-    +0.0 there because the seeded layer's input tangents are all zero.
-    Raises NonFinite at the first unit whose ``zr`` or ``zd`` is not
-    finite, with the message of the fused pass.
+    A k outside the parameter indices seeds no parameter. Every weight of
+    every layer is walked, so each pass costs O(P). The products and sums
+    are those of the pass over ``Dual`` values in the same order. The ring
+    adds ``+ 0.0`` to a product's dual part and the unseeded weights'
+    ``0.0 * hr``; both are left out, as they only turn a -0.0 into +0.0,
+    which changes no bit of a ``zd`` that is never -0.0. The seeded
+    weight's input real is added after its row's sum, which is +0.0 there
+    because nothing before a seeded parameter carries a tangent. Raises
+    NonFinite at the first unit whose ``zr`` or ``zd`` is not finite: sums
+    and products never make an inf or nan finite again, so the pass over
+    ``Dual`` values fails there too.
     """
-    hd = [0.0] * len(sweep[0][0])  # the inputs carry no tangent
     for l, (hr, units) in enumerate(sweep):
         n_in = len(hr)
         out = []
@@ -480,20 +406,60 @@ def _tangent_pass(sweep: list[tuple], k: int) -> float:
     return hd[0]
 
 
+# --- the ones-seeded rule -----------------------------------------------------
+
+
+def _single_layer(m: Mlp) -> Perceptron:
+    if not isinstance(m, Perceptron):
+        raise TypeError("the shared-seed rule is single-layer; use grad_seeded for Mlp")
+    return m
+
+
+def forward_dual_ones(m: Perceptron, x: Sequence[float]) -> Dual:
+    """Evaluate the perceptron with every input seeded as x_i + eps.
+
+    The result's dual part equals sum(W) * act'(W.x + b): all input
+    perturbations share one eps, so their first-order effects add up.
+    """
+    sweep, yr = _real_sweep(_single_layer(m), [float(xi) for xi in x])
+    return Dual(yr, _tangent_pass(sweep, [1.0] * len(x), -1))
+
+
+def grad_ones(m: Perceptron, s: Sample) -> Gradient:
+    """Gradient of (y - yhat)**2 from a single input-seeded dual pass.
+
+    dW_i = 2*(R(yhat_eps) - y) * E(yhat_eps) / sum(W) * x_i, and db is the
+    same scalar factor without the x_i product. Requires |sum(W)| >=
+    ONES_SEED_GUARD; raises SingularSeed otherwise.
+    """
+    seed_sum = sum(_single_layer(m).W)
+    if abs(seed_sum) < ONES_SEED_GUARD:
+        raise SingularSeed(
+            f"|sum(W)| = {abs(seed_sum):.3e} is below {ONES_SEED_GUARD:g}; the shared-seed "
+            "division is undefined here, use grad_seeded instead"
+        )
+    sweep, yr = _real_sweep(m, s.x)
+    yd = _tangent_pass(sweep, [1.0] * len(s.x), -1)
+    g0 = 2.0 * (yr - s.y) * yd / seed_sum
+    return _grad_like(m, [g0 * xi for xi in s.x] + [g0])
+
+
+# --- per-parameter seeding ----------------------------------------------------
+
+
 def grad_seeded(m: Model, s: Sample) -> AnyGradient:
     """Gradient via one dual pass per scalar parameter, in layout order.
 
     Works for any weight configuration and for multilayer models; the cost
     is exactly one forward pass per parameter. The passes share one real
-    sweep. The loss (y - yhat)**2 takes the ring's power rule,
-    2*d*(0 - yhat.du) with d = y - yhat.re, and an overflowing d**2
-    raises OverflowError as ``Dual`` does.
+    sweep and one list of zero input tangents. The loss (y - yhat)**2
+    takes the ring's power rule, 2*d*(0 - yhat.du) with d = y - yhat.re,
+    and an overflowing d**2 raises OverflowError as ``Dual`` does.
     """
-    if len(s.x) != m.width:
-        raise ValueError(f"expected {m.width} features, got {len(s.x)}")
     sweep, yr = _real_sweep(m, s.x)
+    zeros = [0.0] * m.width
     d = s.y - yr
-    yds = [_tangent_pass(sweep, 0)]
+    yds = [_tangent_pass(sweep, zeros, 0)]
     d ** 2  # after the first pass, which reports a non-finite pre-activation first
-    yds += [_tangent_pass(sweep, k) for k in range(1, len(m.params))]
+    yds += [_tangent_pass(sweep, zeros, k) for k in range(1, len(m.params))]
     return _grad_like(m, [2 * d * (0.0 - yd) for yd in yds])

@@ -67,6 +67,8 @@ class TrainConfig:
             raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng seed must be >= 0, got {self.rng_seed}")
         if not (self.init_range > 0 and math.isfinite(self.init_range)):
             raise ValueError(f"init range must be positive and finite, got {self.init_range}")
         _model._check_act(self.activation)

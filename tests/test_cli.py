@@ -264,6 +264,8 @@ def test_config_file_value_error_names_file_and_line(command, line, tmp_path, ca
     ("gradcheck", "engine-a=magic"),
     ("gradcheck", "n=0"),
     ("gradcheck", "tol=nan"),
+    ("train", "seed=-1"),
+    ("gradcheck", "seed=-1"),
 ])
 def test_config_file_check_error_names_file_line_and_key(command, line, tmp_path, capsys):
     # values that parse but fail a later check are reported at their line too

@@ -438,6 +438,16 @@ def test_forward_dual_ones_is_bit_identical_to_the_dual_spec(data):
     assert (got.re.hex(), got.du.hex()) == (want.re.hex(), want.du.hex())
     assert md.pass_count() == 1
 
+    # grad_ones divides the same pass's output by sum(W)
+    seed_sum = sum(m.W)
+    if abs(seed_sum) >= md.ONES_SEED_GUARD:
+        s = Sample(x, data.draw(values))
+        g0 = 2.0 * (want.re - s.y) * want.du / seed_sum
+        md.reset_pass_count()
+        grad = md.grad_ones(m, s)
+        assert [v.hex() for v in grad.params] == [v.hex() for v in [g0 * xi for xi in x] + [g0]]
+        assert md.pass_count() == 1
+
 
 def test_dual_allocations_per_pass(monkeypatch):
     made = 0
@@ -466,6 +476,10 @@ def test_dual_allocations_per_pass(monkeypatch):
     made = 0
     md.forward_dual_ones(random_perceptron(rng, 8), [0.5] * 8)
     assert made == 1
+
+    made = 0
+    md.grad_ones(random_perceptron(rng, 8, guarded=True), random_sample(rng, 8))
+    assert made == 0
 
 
 # --- one real sweep per seeded gradient -------------------------------------------------
@@ -526,7 +540,7 @@ def test_saturated_pre_activation_raises_nonfinite():
     s = Sample([10.0, 10.0], 1.0)
     with pytest.raises(NonFinite, match="layer 0 unit 0"):
         md.grad_seeded(m, s)
-    with pytest.raises(NonFinite):
+    with pytest.raises(NonFinite, match="layer 0 unit 0"):
         md.grad_ones(m, s)
 
 
