@@ -2,8 +2,8 @@
 
 Exit codes are stable for scripting: 0 success, 1 a failed check or
 diverged training run, 2 usage or config errors. Each subcommand accepts
---config FILE with flat key=value lines mirroring its flags; explicit
-flags win over file values.
+--config FILE with flat key=value lines mirroring its flags, each key at
+most once; explicit flags win over file values.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ _BENCH_OUTPUTS = ("out", "json")
 
 
 def _read_config_file(path: str, flags: dict) -> dict[str, tuple[str, int]]:
-    """key -> (value, line number) from flat key=value lines naming flags."""
+    """key -> (value, line number) from flat key=value lines naming flags once each."""
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -85,6 +85,10 @@ def _read_config_file(path: str, flags: dict) -> dict[str, tuple[str, int]]:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         if key not in flags:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}, expected {list(flags)}")
+        if key in values:
+            raise ValueError(
+                f"{path}:{lineno}: repeated config key {key!r} (first on line {values[key][1]})"
+            )
         values[key] = (value.strip(), lineno)
     return values
 

@@ -17,8 +17,10 @@ DIV_GUARD = 1e-300
 class NonFinite(ValueError):
     """A value that must be finite is not: an inf or nan reached the arithmetic.
 
-    A ``ValueError`` so existing callers keep working; ``train`` catches only
-    this (and ``OverflowError``) to tell a diverging run from a programming error.
+    The one way a diverging value is reported: every ring op, including an
+    overflowing power, raises it. A ``ValueError`` so existing callers keep
+    working; ``train`` catches only this to tell a diverging run from a
+    programming error.
     """
 
 
@@ -106,7 +108,10 @@ class Dual:
         return Dual(-self.re, -self.du)
 
     def __pow__(self, n, mod=None) -> "Dual":
-        """Integer power by the closed form a**n + n*a**(n-1)*b*eps, with 0**0 == 1."""
+        """Integer power by the closed form a**n + n*a**(n-1)*b*eps, with 0**0 == 1.
+
+        A part that overflows raises NonFinite, as in every other ring op.
+        """
         if mod is not None:
             raise TypeError("modular exponentiation is not defined for dual numbers")
         if not isinstance(n, int):
@@ -115,7 +120,11 @@ class Dual:
             raise ValueError(f"exponent must be nonnegative, got {n}")
         if n == 0:
             return Dual(1.0, 0.0)
-        return Dual(self.re ** n, n * self.re ** (n - 1) * self.du)
+        try:
+            re = self.re ** n
+        except ArithmeticError:  # how float ** int reports an overflow that * would make inf
+            raise NonFinite(f"{self!r} ** {n} overflows") from None
+        return Dual(re, n * self.re ** (n - 1) * self.du)
 
 
 def _div(x: Dual, y: Dual) -> Dual:

@@ -453,13 +453,12 @@ def grad_seeded(m: Model, s: Sample) -> AnyGradient:
     Works for any weight configuration and for multilayer models; the cost
     is exactly one forward pass per parameter. The passes share one real
     sweep and one list of zero input tangents. The loss (y - yhat)**2
-    takes the ring's power rule, 2*d*(0 - yhat.du) with d = y - yhat.re,
-    and an overflowing d**2 raises OverflowError as ``Dual`` does.
+    takes the ring's power rule, 2*d*(0 - yhat.du) with d = y - yhat.re.
+    Like ``grad_ones`` and ``grad_backprop`` it never evaluates the loss,
+    so only an overflowing gradient entry raises NonFinite, not d**2.
     """
     sweep, yr = _real_sweep(m, s.x)
     zeros = [0.0] * m.width
     d = s.y - yr
-    yds = [_tangent_pass(sweep, zeros, 0)]
-    d ** 2  # after the first pass, which reports a non-finite pre-activation first
-    yds += [_tangent_pass(sweep, zeros, k) for k in range(1, len(m.params))]
+    yds = [_tangent_pass(sweep, zeros, k) for k in range(len(m.params))]
     return _grad_like(m, [2 * d * (0.0 - yd) for yd in yds])

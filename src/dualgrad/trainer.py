@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -31,6 +32,14 @@ BATCH_MODES = ("per_sample", "full_batch")
 BUILTIN_DATASETS = ("and", "or", "nand", "line2d")
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; operator.index accepts ints and numpy ints, not floats or strings."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def engine(name: str):
     """The gradient function registered as ``name`` in ENGINES."""
     if name not in ENGINES:
@@ -43,9 +52,10 @@ class TrainConfig:
     """Hyperparameters and provenance for one training run.
 
     ``dataset`` is a builtin name or a CSV path. ``hidden`` lists hidden
-    layer widths; empty means a single-layer perceptron. All randomness
-    (weight init, optional shuffling) flows from ``rng_seed`` through one
-    numpy PCG64 generator.
+    layer widths; empty means a single-layer perceptron. ``epochs``,
+    ``rng_seed`` and the widths must be integers; numpy ints become ints.
+    All randomness (weight init, optional shuffling) flows from
+    ``rng_seed`` through one numpy PCG64 generator.
     """
 
     dataset: str = "and"
@@ -65,14 +75,16 @@ class TrainConfig:
             raise ValueError(f"unknown batch mode {self.batch_mode!r}, expected one of {BATCH_MODES}")
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
+        self.epochs = _integer(self.epochs, "epochs")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        self.rng_seed = _integer(self.rng_seed, "rng seed")
         if self.rng_seed < 0:
             raise ValueError(f"rng seed must be >= 0, got {self.rng_seed}")
         if not (self.init_range > 0 and math.isfinite(self.init_range)):
             raise ValueError(f"init range must be positive and finite, got {self.init_range}")
         _model._check_act(self.activation)
-        self.hidden = tuple(int(w) for w in self.hidden)
+        self.hidden = tuple(_integer(w, "hidden width") for w in self.hidden)
         if any(w < 1 for w in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
         if self.hidden and self.engine != "seeded":
@@ -243,8 +255,10 @@ def train(cfg: TrainConfig, dataset: Dataset | None = None, model: Model | None 
     """Run the configured gradient descent and log one record per epoch.
 
     SingularSeed steps (possible with engine='ones') are skipped and
-    counted; a non-finite value (NonFinite, OverflowError) aborts the run
-    with the partial log marked diverged. Any other error propagates.
+    counted. NonFinite is the one divergence signal: a non-finite gradient
+    entry, parameter, pass value or epoch loss ends the run with the log
+    marked diverged, and the diverging epoch is not recorded, so no record
+    holds an inf or nan. Any other error propagates.
     """
     if dataset is None:
         dataset = resolve_dataset(cfg.dataset)
@@ -285,15 +299,13 @@ def train(cfg: TrainConfig, dataset: Dataset | None = None, model: Model | None 
                 grad_norm = max(grad_norm, *map(abs, g.params))
                 m = sgd_step(m, g, cfg.learning_rate)
             epoch_loss = mean_loss(m, dataset)
-        except (NonFinite, OverflowError):
-            # non-finite values escaped the arithmetic: flag and stop
+            if not math.isfinite(epoch_loss):
+                raise NonFinite(f"epoch {epoch}: mean loss {epoch_loss!r} is not finite")
+        except NonFinite:
             log.diverged = True
             break
         wall_ms = (time.perf_counter() - t0) * 1e3
         log.records.append(EpochRecord(epoch, epoch_loss, grad_norm, wall_ms))
-        if not math.isfinite(epoch_loss):
-            log.diverged = True
-            break
     log.final_model = model_to_dict(m)
     return log
 

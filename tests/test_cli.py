@@ -249,12 +249,20 @@ def test_every_flag_is_a_config_key(command, values, tmp_path, capsys):
     ("train", "epochs=0"),
     ("train", "momentum=0.9"),
     ("bench", "momentum=0.9"),
+    ("train", "epochs=5\nepochs=7"),
+    ("gradcheck", "seed=1\n# again\nseed = 1"),
+    ("bench", "reps=10\nreps=20"),
 ])
 def test_config_file_value_error_names_file_and_line(command, line, tmp_path, capsys):
+    # the error names the last line of `line`, which starts on line 3
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"# comment\n\n{line}\n")
     assert run([command, "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {cfg}:3: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:{3 + line.count(chr(10))}: ")
+    if "\n" in line:  # a repeated key
+        key = line.partition("=")[0]
+        assert err.endswith(f": repeated config key {key!r} (first on line 3)\n")
 
 
 @pytest.mark.parametrize("command, line", [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from dualgrad.dual import Dual
+from dualgrad.dual import Dual, NonFinite
 
 parts = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 duals = st.builds(Dual, parts, parts)
@@ -249,6 +249,29 @@ def test_pow_matches_repeated_mul(x, n):
     for _ in range(n):
         by_mul = by_mul * x
     assert dual_relerr(x ** n, by_mul) <= 1e-12
+
+
+def test_pow_overflow_is_nonfinite_like_mul():
+    with pytest.raises(NonFinite):
+        Dual(1e200) * Dual(1e200)
+    with pytest.raises(NonFinite, match="overflows"):
+        Dual(1e200) ** 2
+    with pytest.raises(NonFinite):
+        Dual(-1e103, 1.0) ** 3
+    with pytest.raises(NonFinite):  # a finite real part with an overflowing dual part
+        Dual(2.0, 1e308) ** 2
+
+
+@pytest.mark.parametrize("x, du, n", [
+    (1.3407807929942596e154, 1.0, 2),  # just below sqrt of the largest float
+    (-5.6438030941222897e102, 1e-300, 3),
+    (1e-200, 7.0, 2),  # the real part underflows to 0.0
+    (-3.7, 0.25, 5),
+    (-0.0, 1.0, 1),
+])
+def test_finite_pow_keeps_every_bit(x, du, n):
+    got = Dual(x, du) ** n
+    assert (got.re.hex(), got.du.hex()) == ((x ** n).hex(), (n * x ** (n - 1) * du).hex())
 
 
 def test_pow_rejects_negative_and_fractional():

@@ -522,11 +522,16 @@ def test_seeded_reports_a_late_nonfinite_tangent_at_its_pass_and_unit():
 
 
 def test_seeded_loss_overflow_is_typed():
-    # d = -1e200: the ring's square d**2 overflows
-    with pytest.raises(OverflowError):
+    # d = -1e200: the square d**2 overflows, but no engine evaluates it and
+    # every gradient entry is finite, so the three engines agree
+    m, s = Perceptron([1.0], 1e200, "identity"), Sample([1e-300], 0.0)
+    grads = [grad(m, s).params for grad in (md.grad_ones, md.grad_seeded, oracle.grad_backprop)]
+    assert grads == [[2e-100, 2e200]] * 3
+    # d = -1e200: 2*d*du overflows for the weight
+    with pytest.raises(NonFinite, match="gradient entries"):
         md.grad_seeded(Perceptron([1.0], 0.0, "identity"), Sample([1e200], 0.0))
     # d = -1e150: the square is finite, but 2*d*du overflows for the weight
-    with pytest.raises(NonFinite):
+    with pytest.raises(NonFinite, match="gradient entries"):
         md.grad_seeded(Perceptron([1e-10], 0.0, "identity"), Sample([1e160], 0.0))
 
 

@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 
 from dualgrad import trainer
@@ -188,6 +190,24 @@ def test_config_rejects_bad_values():
         TrainConfig(hidden=(2,), engine="ones")  # multilayer needs per-parameter seeding
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("epochs", 2.5, "epochs must be an integer, got 2.5"),  # not a bare TypeError from range()
+    ("rng_seed", 1.5, "rng seed must be an integer, got 1.5"),  # nor one from numpy
+    ("hidden", "12", "hidden width must be an integer, got '1'"),  # not the widths (1, 2)
+])
+def test_config_rejects_non_integral_counts(field, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrainConfig(engine="seeded", **{field: value})
+
+
+def test_config_accepts_numpy_integers_as_ints():
+    cfg = TrainConfig(epochs=np.int64(3), rng_seed=np.uint8(4), hidden=(np.int32(2),),
+                      engine="seeded")
+    assert (cfg.epochs, cfg.rng_seed, cfg.hidden) == (3, 4, (2,))
+    assert type(cfg.epochs) is int and type(cfg.rng_seed) is int and type(cfg.hidden[0]) is int
+    assert json.loads(json.dumps(cfg.to_dict()))["epochs"] == 3
+
+
 def test_single_epoch_yields_single_record():
     log = trainer.train(TrainConfig(dataset="and", epochs=1))
     assert len(log.records) == 1
@@ -263,12 +283,31 @@ def test_nonfinite_pass_marks_the_run_diverged(engine):
 
 @pytest.mark.parametrize("w, x", [(1.0, 1e200), (1e-10, 1e160)])
 def test_seeded_loss_overflow_marks_the_run_diverged(w, x):
-    # an overflowing square (OverflowError) and an overflowing gradient
-    # entry (NonFinite) both end the run as diverged
+    # the weight's gradient entry 2*d*x overflows and raises NonFinite,
+    # whether the square d**2 overflows too (d = -1e200) or not (d = -1e150)
     cfg = TrainConfig(engine="seeded", activation="identity", epochs=3)
     dataset = Dataset("big", 1, [Sample([x], 0.0)])
     log = trainer.train(cfg, dataset, Perceptron([w], 0.0, "identity"))
     assert log.diverged and log.records == []
+
+
+def _reject_constant(name):
+    raise ValueError(f"log.json holds the non-JSON constant {name}")
+
+
+def test_a_nonfinite_epoch_loss_is_divergence_and_not_recorded(tmp_path):
+    # the first step leaves finite parameters whose mean loss overflows;
+    # every engine ends the run there, with the same strict-JSON log
+    csv_path = tmp_path / "big.csv"
+    csv_path.write_text("x1,x2,y\n0.5,0.5,1e200\n1.0,0.0,0.0\n")
+    docs = {}
+    for engine in trainer.ENGINES:
+        log = trainer.train(TrainConfig(dataset=str(csv_path), engine=engine, epochs=3))
+        assert log.diverged and log.records == []
+        trainer.write_log_json(log, tmp_path / "log.json")
+        doc = json.loads((tmp_path / "log.json").read_text(), parse_constant=_reject_constant)
+        docs[engine] = {k: v for k, v in doc.items() if k != "config"}
+    assert docs["ones"] == docs["seeded"] == docs["backprop"]
 
 
 def test_plain_value_error_is_not_divergence(monkeypatch):
