@@ -19,20 +19,27 @@ Two forward-mode gradients are provided:
   to multilayer networks, at the cost of P passes for P parameters.
 
 Both rules run the same dual pass and differ only in the tangent they
-seed. No seed changes a real part, so one real sweep, ``_real_sweep``,
-computes every real part once per gradient; a tangent pass,
-``_tangent_pass``, then computes the dual parts from the input tangents
-and the seeded parameter. ``ones`` runs one tangent pass with every input
-tangent 1.0 and no parameter seeded; ``seeded`` runs one per parameter
-with zero input tangents. Neither builds a ``Dual``: each dual value is
-held as its real and dual parts in plain floats, and the float operations
-are the ring's, in the ring's order, so the results are bit-identical to
-the same passes written with ``Dual`` and the lifts in ``functions``.
-``Dual`` stays the public ring and the spec the passes are tested against.
+seed. No seed changes a real part, so one real sweep computes every real
+part once per gradient; a tangent pass then computes the dual parts from
+the input tangents and the seeded parameter. ``ones`` runs one tangent
+pass with every input tangent 1.0 and no parameter seeded; ``seeded`` runs
+one per parameter with zero input tangents.
+
+The pass is generated once per layout: ``_kernel(shapes, acts)`` writes
+the source of one straight-line function for that layout, with the
+parameters unpacked into locals and one statement per weight, compiles it
+and keeps it in an ``lru_cache`` of ``KERNEL_CACHE_SIZE`` layouts, so the
+many gradients of a training run share one compile. No ``Dual`` is built:
+each dual value is held as its real and dual parts in plain floats, and
+the float operations are the ring's, in the ring's order, so the results
+are bit-identical to the same passes written with ``Dual`` and the lifts
+in ``functions``. ``Dual`` stays the public ring and the spec the passes
+are tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -55,9 +62,9 @@ class SingularSeed(ArithmeticError):
 _pass_count = 0
 
 
-def count_forward_pass() -> None:
+def count_forward_pass(n: int = 1) -> None:
     global _pass_count
-    _pass_count += 1
+    _pass_count += n
 
 
 def reset_pass_count() -> None:
@@ -326,84 +333,141 @@ def loss(yhat: float, y: float) -> float:
     return d * d
 
 
-# --- the dual pass: one real sweep, then tangent passes -------------------------
+# --- the dual pass: one compiled kernel per layout -------------------------------
+
+# How many layouts keep their compiled kernel at once.
+KERNEL_CACHE_SIZE = 64
+
+# Per activation tag, the source of a unit's real activation a{u} and its
+# rule's factors from its pre-activation r{u}, and of its tangent from its
+# dual part z{u}. The rules are those of fn.sigmoid and fn.tanh: sigmoid's
+# factors are s and 1 - s; tanh's are 1 - t*t and 1.0, identity's 1.0
+# twice, and a product with 1.0 is exact, so it is left out.
+_ACT_SOURCE = {
+    "sigmoid": (("a{u} = fn.sigmoid_real(r{u})", "g{u} = 1.0 - a{u}"), "z{u} * a{u} * g{u}"),
+    "tanh": (("a{u} = math.tanh(r{u})", "f{u} = 1.0 - a{u} * a{u}"), "z{u} * f{u}"),
+    "identity": (("a{u} = r{u}",), "z{u}"),
+}
 
 
-def _real_sweep(m: Mlp, x: Sequence[float]) -> tuple[list[tuple], float]:
-    """The real half of every dual pass over m, and the output's real part.
+def _unit_failure(passes: int, layer: int, units) -> NonFinite:
+    """The error of a pass that left the finite numbers in ``layer``.
 
-    No seed changes a real part, so it is computed once per gradient. Per
-    layer: the input reals and, per unit, the weight row, the
-    pre-activation ``zr``, the indices of its bias and first weight, and
-    the two factors of its activation's rule: ``s`` and ``1 - s`` for
-    sigmoid, ``1 - t*t`` and 1.0 for tanh, 1.0 twice for identity (a
-    product with 1.0 is exact). Only the width of x is checked here; the
-    first tangent pass reports a non-finite ``zr`` at its unit.
+    ``passes`` whole passes ran before it and are counted. ``units`` holds
+    each unit's pre-activation real and dual part; the first unit with a
+    non-finite one is named, as the unit-by-unit checks would name it.
     """
+    count_forward_pass(passes)
+    for u, (zr, zd) in enumerate(units):
+        if not (math.isfinite(zr) and math.isfinite(zd)):
+            return NonFinite(
+                f"layer {layer} unit {u}: pre-activation {zr!r} + {zd!r}*eps is not finite"
+            )
+    raise AssertionError("a layer check failed on finite units")
+
+
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _kernel(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
+    """The dual pass over one layout as one compiled straight-line function.
+
+    ``kernel(params, x, ones)`` unpacks the parameters and inputs into
+    locals and runs the real sweep once: per unit, the bias, then
+    ``zr += w * r`` per input, then the activation. No seed changes a real
+    part, so the sweep is shared by every tangent pass. With ``ones`` it
+    runs one tangent pass with every input tangent 1.0 and no parameter
+    seeded; otherwise one pass per parameter, in layout order, with zero
+    input tangents and that parameter seeded. It returns the output's real
+    part and the list of its dual parts, one per pass, and counts the passes.
+
+    A tangent pass walks every weight of every layer, so each pass costs
+    O(P). Per unit it takes the ring's float operations in the ring's
+    order: 0.0 for the bias, ``zd += w * d`` per input, then the seed, then
+    ``zd * f * g``. The ring also adds ``+ 0.0`` to a product's dual part
+    and the unseeded weights' ``0.0 * r``; both are left out, as they only
+    turn a -0.0 into +0.0, which changes no bit of a sum that starts at
+    +0.0 and so is never -0.0. The seed, 1.0 for a bias and the input real
+    for a weight, is added after the row sum, which is +0.0 at the seeded
+    unit because nothing before a seeded parameter carries a tangent; every
+    other unit adds 0.0, which changes no bit either. So the results are
+    bit-identical to the same pass over ``Dual`` values.
+
+    After each layer, one check sees whether a unit's ``zr`` or ``zd`` is
+    not finite (``v * 0.0`` is 0.0 exactly for finite v and nan
+    otherwise), and ``_unit_failure`` then raises NonFinite at the first
+    such unit: sums and products never make an inf or nan finite again, so
+    the pass over ``Dual`` values fails there too.
+
+    The source is built only from integers and the fixed fragments of
+    ``_ACT_SOURCE``; activations are looked up at run time as
+    ``fn.sigmoid_real`` and ``math.tanh``.
+    """
+    n = shapes[0][0]
+    hr = [f"x{j}" for j in range(n)]  # the layer's input reals
+    hd = [f"d{j}" for j in range(n)]  # and their tangents
+    input_tangents = " = ".join(hd)
+    sweep, passes, units, values = [], [], [], []
+    k = u0 = 0  # the layer's first weight and first unit
+    for l, ((n_in, n_out), act) in enumerate(zip(shapes, acts)):
+        real, tangent = _ACT_SOURCE[act]
+        b0 = k + n_in * n_out
+        layer = range(u0, u0 + n_out)
+        sums = []
+        for i, u in enumerate(layer):
+            row = range(k + i * n_in, k + (i + 1) * n_in)
+            sweep.append(f"r{u} = w{b0 + i}")
+            sweep += [f"r{u} += w{j} * {h}" for j, h in zip(row, hr)]
+            sweep += [line.format(u=u) for line in real]
+            sums.append(f"z{u} = 0.0")
+            sums += [f"z{u} += w{j} * {d}" for j, d in zip(row, hd)]
+            sums.append(f"z{u} += sd[{u}]")
+            units += [u] * n_in
+            values += hr
+        units += layer
+        values += ["1.0"] * n_out
+        sweep.append(f"rb{l} = " + " + ".join(f"r{u} * 0.0" for u in layer))
+        passes += sums
+        passes.append(f"if {' + '.join(f'z{u} * 0.0' for u in layer)} + rb{l} != 0.0:")
+        passes.append(
+            f"    raise _unit_failure(len(yds), {l}, ("
+            + "".join(f"(r{u}, z{u}), " for u in layer) + "))"
+        )
+        passes += [f"t{u} = " + tangent.format(u=u) for u in layer]
+        hr = [f"a{u}" for u in layer]
+        hd = [f"t{u}" for u in layer]
+        k = b0 + n_out
+        u0 += n_out
+    lines = [
+        "def kernel(p, x, ones):",
+        f"    {''.join(f'w{j}, ' for j in range(k))}= p",
+        f"    {''.join(f'x{j}, ' for j in range(n))}= x",
+        *(f"    {line}" for line in sweep),
+        "    if ones:",  # one pass; its seed adds 0.0 to unit 0
+        f"        {input_tangents} = 1.0",
+        "        seeds = ((0, 0.0),)",
+        "    else:",
+        f"        {input_tangents} = 0.0",
+        f"        seeds = zip({tuple(units)}, ({''.join(f'{v}, ' for v in values)}))",
+        f"    sd = [0.0] * {u0}",
+        "    yds = []",
+        "    for u, v in seeds:",
+        "        sd[u] = v",
+        *(f"        {line}" for line in passes),
+        f"        yds.append({hd[0]})",
+        "        sd[u] = 0.0",
+        "    count_forward_pass(len(yds))",
+        f"    return {hr[0]}, yds",
+    ]
+    namespace = {"fn": fn, "math": math, "count_forward_pass": count_forward_pass,
+                 "_unit_failure": _unit_failure}
+    exec(compile("\n".join(lines), "<dualgrad kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _dual_pass(m: Mlp, x: Sequence[float], ones: bool) -> tuple[float, list[float]]:
+    """The output's real part and its dual part per tangent pass, from m's kernel."""
     if len(x) != m.width:
         raise ValueError(f"expected {m.width} features, got {len(x)}")
-    p = m.params
-    hr = x
-    sweep = []
-    off = 0  # index of the current row's first weight
-    for (n_in, n_out), act in zip(m.shapes, m.acts):
-        b0 = off + n_in * n_out
-        units, out = [], []
-        for i in range(b0, b0 + n_out):
-            row = p[off:off + n_in]
-            zr = p[i]
-            for w, r in zip(row, hr):
-                zr += w * r
-            if act == "sigmoid":  # the rule of fn.sigmoid
-                a = fn.sigmoid_real(zr)
-                f, g = a, 1.0 - a
-            elif act == "tanh":  # the rule of fn.tanh
-                a = math.tanh(zr)
-                f, g = 1.0 - a * a, 1.0
-            else:
-                a = zr
-                f = g = 1.0
-            units.append((row, zr, i, off, f, g))
-            out.append(a)
-            off += n_in
-        sweep.append((hr, units))
-        hr = out
-        off = b0 + n_out
-    return sweep, hr[0]
-
-
-def _tangent_pass(sweep: list[tuple], hd: list[float], k: int) -> float:
-    """The output's dual part from input tangents hd with parameter k seeded.
-
-    A k outside the parameter indices seeds no parameter. Every weight of
-    every layer is walked, so each pass costs O(P). The products and sums
-    are those of the pass over ``Dual`` values in the same order. The ring
-    adds ``+ 0.0`` to a product's dual part and the unseeded weights'
-    ``0.0 * hr``; both are left out, as they only turn a -0.0 into +0.0,
-    which changes no bit of a ``zd`` that is never -0.0. The seeded
-    weight's input real is added after its row's sum, which is +0.0 there
-    because nothing before a seeded parameter carries a tangent. Raises
-    NonFinite at the first unit whose ``zr`` or ``zd`` is not finite: sums
-    and products never make an inf or nan finite again, so the pass over
-    ``Dual`` values fails there too.
-    """
-    for l, (hr, units) in enumerate(sweep):
-        n_in = len(hr)
-        out = []
-        for row, zr, i, start, f, g in units:
-            zd = 1.0 if i == k else 0.0
-            for w, d in zip(row, hd):
-                zd += w * d
-            if 0 <= k - start < n_in:
-                zd += hr[k - start]
-            if not (math.isfinite(zr) and math.isfinite(zd)):
-                raise NonFinite(
-                    f"layer {l} unit {len(out)}: pre-activation {zr!r} + {zd!r}*eps is not finite"
-                )
-            out.append(zd * f * g)
-        hd = out
-    count_forward_pass()
-    return hd[0]
+    return _kernel(m.shapes, m.acts)(m.params, x, ones)
 
 
 # --- the ones-seeded rule -----------------------------------------------------
@@ -421,8 +485,8 @@ def forward_dual_ones(m: Perceptron, x: Sequence[float]) -> Dual:
     The result's dual part equals sum(W) * act'(W.x + b): all input
     perturbations share one eps, so their first-order effects add up.
     """
-    sweep, yr = _real_sweep(_single_layer(m), [float(xi) for xi in x])
-    return Dual(yr, _tangent_pass(sweep, [1.0] * len(x), -1))
+    yr, (yd,) = _dual_pass(_single_layer(m), [float(xi) for xi in x], True)
+    return Dual(yr, yd)
 
 
 def grad_ones(m: Perceptron, s: Sample) -> Gradient:
@@ -438,8 +502,7 @@ def grad_ones(m: Perceptron, s: Sample) -> Gradient:
             f"|sum(W)| = {abs(seed_sum):.3e} is below {ONES_SEED_GUARD:g}; the shared-seed "
             "division is undefined here, use grad_seeded instead"
         )
-    sweep, yr = _real_sweep(m, s.x)
-    yd = _tangent_pass(sweep, [1.0] * len(s.x), -1)
+    yr, (yd,) = _dual_pass(m, s.x, True)
     g0 = 2.0 * (yr - s.y) * yd / seed_sum
     return _grad_like(m, [g0 * xi for xi in s.x] + [g0])
 
@@ -457,8 +520,6 @@ def grad_seeded(m: Model, s: Sample) -> AnyGradient:
     Like ``grad_ones`` and ``grad_backprop`` it never evaluates the loss,
     so only an overflowing gradient entry raises NonFinite, not d**2.
     """
-    sweep, yr = _real_sweep(m, s.x)
-    zeros = [0.0] * m.width
+    yr, yds = _dual_pass(m, s.x, False)
     d = s.y - yr
-    yds = [_tangent_pass(sweep, zeros, k) for k in range(len(m.params))]
     return _grad_like(m, [2 * d * (0.0 - yd) for yd in yds])

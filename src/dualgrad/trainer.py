@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import operator
 import time
 from dataclasses import asdict, dataclass, field
@@ -40,6 +41,13 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _real(value, what: str) -> float:
+    """value as a float; accepts ints, floats and numpy reals, not bools or strings."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 def engine(name: str):
     """The gradient function registered as ``name`` in ENGINES."""
     if name not in ENGINES:
@@ -53,7 +61,9 @@ class TrainConfig:
 
     ``dataset`` is a builtin name or a CSV path. ``hidden`` lists hidden
     layer widths; empty means a single-layer perceptron. ``epochs``,
-    ``rng_seed`` and the widths must be integers; numpy ints become ints.
+    ``rng_seed`` and the widths must be integers and become ints;
+    ``learning_rate`` and ``init_range`` must be real numbers and become
+    floats; ``shuffle`` must be a bool; the other fields must be strings.
     All randomness (weight init, optional shuffling) flows from
     ``rng_seed`` through one numpy PCG64 generator.
     """
@@ -70,9 +80,14 @@ class TrainConfig:
     shuffle: bool = False
 
     def __post_init__(self):
+        for what, value in (("dataset", self.dataset), ("engine", self.engine),
+                            ("batch mode", self.batch_mode), ("activation", self.activation)):
+            if not isinstance(value, str):
+                raise ValueError(f"{what} must be a string, got {value!r}")
         engine(self.engine)
         if self.batch_mode not in BATCH_MODES:
             raise ValueError(f"unknown batch mode {self.batch_mode!r}, expected one of {BATCH_MODES}")
+        self.learning_rate = _real(self.learning_rate, "learning rate")
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
         self.epochs = _integer(self.epochs, "epochs")
@@ -81,14 +96,22 @@ class TrainConfig:
         self.rng_seed = _integer(self.rng_seed, "rng seed")
         if self.rng_seed < 0:
             raise ValueError(f"rng seed must be >= 0, got {self.rng_seed}")
+        self.init_range = _real(self.init_range, "init range")
         if not (self.init_range > 0 and math.isfinite(self.init_range)):
             raise ValueError(f"init range must be positive and finite, got {self.init_range}")
         _model._check_act(self.activation)
-        self.hidden = tuple(_integer(w, "hidden width") for w in self.hidden)
+        try:
+            widths = iter(self.hidden)
+        except TypeError:
+            raise ValueError(f"hidden must be a sequence of widths, got {self.hidden!r}") from None
+        self.hidden = tuple(_integer(w, "hidden width") for w in widths)
         if any(w < 1 for w in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
         if self.hidden and self.engine != "seeded":
             raise ValueError("multilayer models train with engine='seeded' only")
+        if not isinstance(self.shuffle, (bool, np.bool_)):
+            raise ValueError(f"shuffle must be a bool, got {self.shuffle!r}")
+        self.shuffle = bool(self.shuffle)
 
     def to_dict(self) -> dict:
         d = asdict(self)

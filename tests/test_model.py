@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 from dualgrad import functions as fn
 from dualgrad import model as md
-from dualgrad import oracle
+from dualgrad import oracle, trainer
 from dualgrad.dual import Dual, NonFinite
 from dualgrad.model import Layer, Mlp, Perceptron, Sample
 
@@ -413,11 +413,7 @@ def draw_mlp(data, max_layers=3):
     return Mlp(layers)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_grad_seeded_is_bit_identical_to_the_dual_spec(data):
-    m = draw_mlp(data)
-    s = Sample(data.draw(st.lists(values, min_size=m.width, max_size=m.width)), data.draw(values))
+def assert_seeded_matches_the_dual_spec(m, s):
     want = [spec_loss_dual(m, s, k).du.hex() for k in range(len(m.params))]
     md.reset_pass_count()
     got = md.grad_seeded(m, s)
@@ -425,13 +421,7 @@ def test_grad_seeded_is_bit_identical_to_the_dual_spec(data):
     assert md.pass_count() == len(m.params)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_forward_dual_ones_is_bit_identical_to_the_dual_spec(data):
-    n = data.draw(st.integers(1, 6))
-    W = data.draw(st.lists(values, min_size=n, max_size=n))
-    m = Perceptron(W, data.draw(values), data.draw(st.sampled_from(md.ACTIVATIONS)))
-    x = data.draw(st.lists(values, min_size=n, max_size=n))
+def assert_ones_matches_the_dual_spec(m, x, y):
     want = spec_forward_dual_ones(m, x)
     md.reset_pass_count()
     got = md.forward_dual_ones(m, x)
@@ -441,12 +431,93 @@ def test_forward_dual_ones_is_bit_identical_to_the_dual_spec(data):
     # grad_ones divides the same pass's output by sum(W)
     seed_sum = sum(m.W)
     if abs(seed_sum) >= md.ONES_SEED_GUARD:
-        s = Sample(x, data.draw(values))
+        s = Sample(x, y)
         g0 = 2.0 * (want.re - s.y) * want.du / seed_sum
         md.reset_pass_count()
         grad = md.grad_ones(m, s)
         assert [v.hex() for v in grad.params] == [v.hex() for v in [g0 * xi for xi in x] + [g0]]
         assert md.pass_count() == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_grad_seeded_is_bit_identical_to_the_dual_spec(data):
+    m = draw_mlp(data)
+    s = Sample(data.draw(st.lists(values, min_size=m.width, max_size=m.width)), data.draw(values))
+    assert_seeded_matches_the_dual_spec(m, s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_forward_dual_ones_is_bit_identical_to_the_dual_spec(data):
+    n = data.draw(st.integers(1, 6))
+    W = data.draw(st.lists(values, min_size=n, max_size=n))
+    m = Perceptron(W, data.draw(values), data.draw(st.sampled_from(md.ACTIVATIONS)))
+    x = data.draw(st.lists(values, min_size=n, max_size=n))
+    assert_ones_matches_the_dual_spec(m, x, data.draw(values))
+
+
+# Long generated kernels: a 128-wide perceptron per activation, and a
+# three-layer net with mixed activations.
+
+
+def long_values(rng, k, scale):
+    """k draws from [-scale, scale] with a +0.0 and a -0.0 among them."""
+    v = [float(x) for x in rng.uniform(-scale, scale, k)]
+    v[k // 2] = 0.0
+    v[-1] = -0.0
+    return v
+
+
+def wide_perceptron(act):
+    rng = np.random.default_rng(40)
+    return Perceptron(long_values(rng, 128, 0.2), 0.25, act), long_values(rng, 128, 1.0)
+
+
+def three_layer_net():
+    rng = np.random.default_rng(41)
+    widths, acts = (6, 5, 4, 1), ("tanh", "sigmoid", "identity")
+    return Mlp([
+        Layer([long_values(rng, n_in, 1.0) for _ in range(n_out)], long_values(rng, n_out, 1.0), act)
+        for n_in, n_out, act in zip(widths, widths[1:], acts)
+    ]), long_values(rng, 6, 2.0)
+
+
+@pytest.mark.parametrize("net", [*(f"wide-{act}" for act in md.ACTIVATIONS), "three-layer"])
+def test_long_kernels_are_bit_identical_to_the_dual_spec(net):
+    m, x = three_layer_net() if net == "three-layer" else wide_perceptron(net[len("wide-"):])
+    assert_seeded_matches_the_dual_spec(m, Sample(x, 0.5))
+    if isinstance(m, Perceptron):
+        assert_ones_matches_the_dual_spec(m, x, 0.5)
+
+
+def test_one_kernel_is_compiled_per_layout():
+    rng = np.random.default_rng(42)
+    m = Mlp([
+        Layer([[float(v) for v in rng.uniform(-1, 1, 2)] for _ in range(4)],
+              [float(v) for v in rng.uniform(-1, 1, 4)]),
+        Layer([[float(v) for v in rng.uniform(-1, 1, 4)]], [float(rng.uniform(-1, 1))]),
+    ])
+    s = Sample([1.0, 0.0], 1.0)
+    md._kernel.cache_clear()
+    g = md.grad_seeded(m, s)
+    assert md._kernel.cache_info()[:2] == (0, 1)  # (hits, misses)
+    # a second gradient, and one on the successor of an SGD step, compile nothing
+    md.grad_seeded(m, s)
+    md.grad_seeded(trainer.sgd_step(m, g, 0.5), s)
+    assert md._kernel.cache_info()[:2] == (2, 1)
+    # the same shapes with other activations get their own kernel
+    other = Mlp([Layer(lay.W, lay.b, "tanh") for lay in m.layers])
+    md.grad_seeded(other, s)
+    assert md._kernel.cache_info()[:2] == (2, 2)
+    assert md._kernel(m.shapes, m.acts) is not md._kernel(other.shapes, other.acts)
+    # the single-pass rule and per-parameter seeding share a perceptron's kernel
+    p = random_perceptron(rng, 5, guarded=True)
+    md.grad_ones(p, random_sample(rng, 5))
+    md.grad_seeded(p, random_sample(rng, 5))
+    md.forward_dual_ones(p, [0.5] * 5)
+    assert md._kernel.cache_info()[:2] == (6, 3)
+    assert md._kernel.cache_info().maxsize == md.KERNEL_CACHE_SIZE
 
 
 def test_dual_allocations_per_pass(monkeypatch):

@@ -200,6 +200,25 @@ def test_config_rejects_non_integral_counts(field, value, message):
         TrainConfig(engine="seeded", **{field: value})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("shuffle", "no", "shuffle must be a bool, got 'no'"),  # not truthy, so shuffling
+    ("shuffle", 1, "shuffle must be a bool, got 1"),
+    ("learning_rate", "0.5", "learning rate must be a real number, got '0.5'"),  # not a bare
+    ("learning_rate", None, "learning rate must be a real number, got None"),  # TypeError from >
+    ("init_range", "0.5", "init range must be a real number, got '0.5'"),
+    ("init_range", None, "init range must be a real number, got None"),
+    ("learning_rate", True, "learning rate must be a real number, got True"),
+    ("hidden", 12, "hidden must be a sequence of widths, got 12"),  # not 'int' is not iterable
+    ("dataset", 5, "dataset must be a string, got 5"),
+    ("engine", ["seeded"], "engine must be a string, got ['seeded']"),
+    ("batch_mode", None, "batch mode must be a string, got None"),
+    ("activation", 0, "activation must be a string, got 0"),
+])
+def test_config_checks_every_fields_type(field, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrainConfig(**{"engine": "seeded", field: value})
+
+
 def test_config_accepts_numpy_integers_as_ints():
     cfg = TrainConfig(epochs=np.int64(3), rng_seed=np.uint8(4), hidden=(np.int32(2),),
                       engine="seeded")
