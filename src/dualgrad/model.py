@@ -338,11 +338,11 @@ def loss(yhat: float, y: float) -> float:
 # How many layouts keep their compiled kernel at once.
 KERNEL_CACHE_SIZE = 64
 
-# Per activation tag, the source of a unit's real activation a{u} and its
-# rule's factors from its pre-activation r{u}, and of its tangent from its
-# dual part z{u}. The rules are those of fn.sigmoid and fn.tanh: sigmoid's
-# factors are s and 1 - s; tanh's are 1 - t*t and 1.0, identity's 1.0
-# twice, and a product with 1.0 is exact, so it is left out.
+# Per activation tag: the lines that compute a unit's activation a{u} and
+# the factors of its derivative rule from its pre-activation r{u}, and the
+# expression of its tangent from its dual part z{u}. The rules are those of
+# fn.sigmoid (factors s and 1 - s) and fn.tanh (1 - t*t and 1.0); identity's
+# factors are 1.0 twice. A product with 1.0 is exact, so it is left out.
 _ACT_SOURCE = {
     "sigmoid": (("a{u} = fn.sigmoid_real(r{u})", "g{u} = 1.0 - a{u}"), "z{u} * a{u} * g{u}"),
     "tanh": (("a{u} = math.tanh(r{u})", "f{u} = 1.0 - a{u} * a{u}"), "z{u} * f{u}"),
@@ -354,8 +354,9 @@ def _unit_failure(passes: int, layer: int, units) -> NonFinite:
     """The error of a pass that left the finite numbers in ``layer``.
 
     ``passes`` whole passes ran before it and are counted. ``units`` holds
-    each unit's pre-activation real and dual part; the first unit with a
-    non-finite one is named, as the unit-by-unit checks would name it.
+    each unit's pre-activation real and dual part, at least one of them
+    not finite; the first such unit is named, as checking unit by unit in
+    order would name it.
     """
     count_forward_pass(passes)
     for u, (zr, zd) in enumerate(units):
@@ -363,7 +364,6 @@ def _unit_failure(passes: int, layer: int, units) -> NonFinite:
             return NonFinite(
                 f"layer {layer} unit {u}: pre-activation {zr!r} + {zd!r}*eps is not finite"
             )
-    raise AssertionError("a layer check failed on finite units")
 
 
 @functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)

@@ -109,9 +109,8 @@ class TrainConfig:
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
         if self.hidden and self.engine != "seeded":
             raise ValueError("multilayer models train with engine='seeded' only")
-        if not isinstance(self.shuffle, (bool, np.bool_)):
+        if not isinstance(self.shuffle, bool):
             raise ValueError(f"shuffle must be a bool, got {self.shuffle!r}")
-        self.shuffle = bool(self.shuffle)
 
     def to_dict(self) -> dict:
         d = asdict(self)
