@@ -79,31 +79,34 @@ def run_bench(
     """Median gradient latency per (width, engine), sorted by (engine, params)."""
     widths, engines, grads = check_sweep(widths, engines, reps)
 
-    # Draw every input first, then time the reps round-robin over the
-    # points: a CPU speed switch mid-sweep then hits every point alike
-    # instead of skewing the widths timed after it.
+    # Draw every input first, then time one engine at a time, its reps
+    # round-robin over the widths so that a CPU speed switch mid-sweep hits
+    # every width alike. Each timed call directly follows an untimed call
+    # of its own point: timed right after another engine or width, a point
+    # read up to 1.7x slower.
     rng = np.random.default_rng(seed)
     cases = [(guarded_perceptron(n, rng), random_sample(n, rng)) for n in widths]
-    points = [(tag, grad, m, s) for m, s in cases for tag, grad in zip(engines, grads)]
-    passes = []
-    for _, grad, m, s in points:
-        _model.reset_pass_count()
-        grad(m, s)
-        passes.append(_model.pass_count())
-        for _ in range(_WARMUP):
-            grad(m, s)
-    times = [[] for _ in points]
-    for _ in range(reps):
-        for (_, grad, m, s), ts in zip(points, times):
-            t0 = time.perf_counter_ns()
-            grad(m, s)
-            ts.append(time.perf_counter_ns() - t0)
     results = []
-    for (tag, _, m, _), n_passes, ts in zip(points, passes, times):
-        q1, _, q3 = statistics.quantiles(ts, n=4)
-        results.append(
-            BenchResult(tag, m.width, len(m.W), n_passes, reps, statistics.median(ts), q3 - q1)
-        )
+    for tag, grad in zip(engines, grads):
+        passes = []
+        for m, s in cases:
+            _model.reset_pass_count()
+            grad(m, s)
+            passes.append(_model.pass_count())
+            for _ in range(_WARMUP):
+                grad(m, s)
+        times = [[] for _ in cases]
+        for _ in range(reps):
+            for (m, s), ts in zip(cases, times):
+                grad(m, s)
+                t0 = time.perf_counter_ns()
+                grad(m, s)
+                ts.append(time.perf_counter_ns() - t0)
+        for (m, _), n_passes, ts in zip(cases, passes, times):
+            q1, _, q3 = statistics.quantiles(ts, n=4)
+            results.append(
+                BenchResult(tag, m.width, len(m.W), n_passes, reps, statistics.median(ts), q3 - q1)
+            )
     results.sort(key=lambda r: (r.engine, r.params))
     return results
 

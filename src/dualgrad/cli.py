@@ -187,8 +187,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     out_dir = Path(v["out"])
     cfg = _train_config(v)
     dataset = _trainer.resolve_dataset(cfg.dataset)
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before training
     log = _trainer.train(cfg, dataset)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _trainer.write_log_json(log, out_dir / "log.json")
     _trainer.write_log_csv(log, out_dir / "log.csv")
     print(f"dataset={dataset.name} engine={cfg.engine} epochs={len(log.records)}")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from dualgrad import bench
+from dualgrad import bench, trainer
 
 
 def test_rejects_low_reps_and_bad_widths():
@@ -37,6 +37,32 @@ def test_results_sorted_by_engine_then_params():
     results = bench.run_bench(widths=(8, 4), reps=10, seed=2)
     keys = [(r.engine, r.params) for r in results]
     assert keys == sorted(keys)
+
+
+def test_each_engine_is_timed_in_its_own_round_robin(monkeypatch):
+    # no call of one engine directly follows another engine's call, except
+    # the first, untimed call of each engine's block
+    calls = []
+
+    def recording(tag):
+        grad = trainer.engine(tag)
+
+        def call(m, s):
+            calls.append((tag, m.width))
+            return grad(m, s)
+
+        return call
+
+    monkeypatch.setattr(bench, "engine", recording)
+    bench.run_bench(widths=(4, 8), reps=10, seed=4)
+    blocks = [tag for k, (tag, _) in enumerate(calls) if k == 0 or calls[k - 1][0] != tag]
+    assert blocks == list(trainer.ENGINES)
+    untimed = (1 + bench._WARMUP) * 2  # the pass count and warm-up calls per width
+    per_engine = untimed + 2 * 10 * 2
+    assert len(calls) == per_engine * len(blocks)
+    # each rep goes round-robin over the widths, and each timed call
+    # directly follows an untimed call of the same point
+    assert [w for _, w in calls[untimed:per_engine]] == [4, 4, 8, 8] * 10
 
 
 def test_linear_fit_recovers_exact_line():

@@ -110,6 +110,16 @@ def test_train_zero_epochs_rejected(capsys):
     assert run(["train", "--dataset", "and", "--epochs", "0"]) == 2
 
 
+def test_train_rejects_an_unusable_out_before_training(tmp_path, monkeypatch, capsys):
+    trained = []
+    monkeypatch.setattr(trainer, "train", lambda *args: trained.append(args))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run(["train", "--dataset", "and", "--epochs", "3", "--out", str(taken)]) == 2
+    assert "exists" in capsys.readouterr().err
+    assert trained == []
+
+
 def test_train_csv_dataset(tmp_path, capsys):
     data = tmp_path / "half.csv"
     rows = ["x1,x2,y"] + [f"{x1},{x2},{1 if x1 + x2 > 0 else 0}"

@@ -373,10 +373,10 @@ def _spec_act(tag, z):
     return z
 
 
-def spec_loss_dual(m, s, k):
-    """The loss with only parameter k seeded, computed over Dual values."""
+def spec_forward(m, x, k=-1, dx=0.0):
+    """The output over Dual values, with parameter k seeded and inputs x_i + dx*eps."""
     p = m.params
-    h = [Dual(xi) for xi in s.x]
+    h = [Dual(xi, dx) for xi in x]
     off = 0
     for (n_in, n_out), act in zip(m.shapes, m.acts):
         b0 = off + n_in * n_out
@@ -389,7 +389,12 @@ def spec_loss_dual(m, s, k):
             off += n_in
         h = out
         off = b0 + n_out
-    return (Dual(s.y) - h[0]) ** 2
+    return h[0]
+
+
+def spec_loss_dual(m, s, k):
+    """The loss with only parameter k seeded, computed over Dual values."""
+    return (Dual(s.y) - spec_forward(m, s.x, k)) ** 2
 
 
 def spec_forward_dual_ones(m, x):
@@ -414,6 +419,11 @@ def draw_mlp(data, max_layers=3):
 
 
 def assert_seeded_matches_the_dual_spec(m, s):
+    # plain evaluation is the same kernel's real sweep, and counts no pass
+    md.reset_pass_count()
+    assert m.forward(s.x).hex() == spec_forward(m, s.x).re.hex()
+    assert md.pass_count() == 0
+
     want = [spec_loss_dual(m, s, k).du.hex() for k in range(len(m.params))]
     md.reset_pass_count()
     got = md.grad_seeded(m, s)
@@ -491,6 +501,26 @@ def test_long_kernels_are_bit_identical_to_the_dual_spec(net):
         assert_ones_matches_the_dual_spec(m, x, 0.5)
 
 
+def test_a_3000_wide_layer_compiles_and_matches_the_dual_spec():
+    # each finiteness check of the wide layer sums 3,001 terms, more than
+    # CPython before 3.13 compiles as one chain of +; a single tangent pass
+    # keeps the test fast at P = 12,001
+    rng = np.random.default_rng(43)
+    m = Mlp([
+        Layer([[float(v) for v in rng.uniform(-1, 1, 2)] for _ in range(3000)],
+              long_values(rng, 3000, 1.0), "tanh"),
+        Layer([long_values(rng, 3000, 0.05)], [0.25], "identity"),
+    ])
+    x = [0.7, -1.3]
+    md.reset_pass_count()
+    assert m.forward(x).hex() == spec_forward(m, x).re.hex()
+    assert md.pass_count() == 0
+    want = spec_forward(m, x, dx=1.0)
+    yr, (yd,) = md._kernel(m.shapes, m.acts)(m.params, x, True)
+    assert (yr.hex(), yd.hex()) == (want.re.hex(), want.du.hex())
+    assert md.pass_count() == 1
+
+
 def test_one_kernel_is_compiled_per_layout():
     rng = np.random.default_rng(42)
     m = Mlp([
@@ -517,6 +547,10 @@ def test_one_kernel_is_compiled_per_layout():
     md.grad_seeded(p, random_sample(rng, 5))
     md.forward_dual_ones(p, [0.5] * 5)
     assert md._kernel.cache_info()[:2] == (6, 3)
+    # plain evaluation runs the kernel the rules compiled for its layout
+    m.forward(s.x)
+    p.forward([0.5] * 5)
+    assert md._kernel.cache_info()[:2] == (8, 3)
     assert md._kernel.cache_info().maxsize == md.KERNEL_CACHE_SIZE
 
 
