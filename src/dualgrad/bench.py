@@ -18,7 +18,7 @@ import numpy as np
 
 from . import model as _model
 from .model import Perceptron, Sample
-from .trainer import ENGINES, engine
+from .trainer import ENGINES, _integer, engine
 
 DEFAULT_WIDTHS = (8, 16, 32, 64, 128, 256)
 DEFAULT_REPS = 30
@@ -54,8 +54,8 @@ def random_sample(n: int, rng: np.random.Generator) -> Sample:
 
 
 def check_sweep(widths=DEFAULT_WIDTHS, engines=tuple(ENGINES), reps: int = DEFAULT_REPS):
-    """The checked widths and engines of a sweep and the engines' gradient functions."""
-    widths = [int(w) for w in widths]
+    """The checked widths, engines and reps of a sweep and the engines' batch functions."""
+    widths = [_integer(w, "width") for w in widths]
     if not widths or any(w < 1 for w in widths):
         raise ValueError(f"widths must be >= 1, got {widths}")
     engines = list(engines)
@@ -65,9 +65,10 @@ def check_sweep(widths=DEFAULT_WIDTHS, engines=tuple(ENGINES), reps: int = DEFAU
     for what, values in (("widths", widths), ("engines", engines)):
         if len(set(values)) < len(values):
             raise ValueError(f"{what} must not repeat, got {values}")
+    reps = _integer(reps, "reps")
     if reps < MIN_REPS:
         raise ValueError(f"reps must be >= {MIN_REPS}, got {reps}")
-    return widths, engines, grads
+    return widths, engines, grads, reps
 
 
 def run_bench(
@@ -77,30 +78,30 @@ def run_bench(
     seed: int = 0,
 ) -> list[BenchResult]:
     """Median gradient latency per (width, engine), sorted by (engine, params)."""
-    widths, engines, grads = check_sweep(widths, engines, reps)
+    widths, engines, grads, reps = check_sweep(widths, engines, reps)
 
     # Draw every input first, then time one engine at a time, its reps
     # round-robin over the widths so that a CPU speed switch mid-sweep hits
     # every width alike. Each timed call directly follows an untimed call
     # of its own point: timed right after another engine or width, a point
-    # read up to 1.7x slower.
+    # read up to 1.7x slower. Each call is a batch of one sample.
     rng = np.random.default_rng(seed)
-    cases = [(guarded_perceptron(n, rng), random_sample(n, rng)) for n in widths]
+    cases = [(guarded_perceptron(n, rng), [random_sample(n, rng)]) for n in widths]
     results = []
     for tag, grad in zip(engines, grads):
         passes = []
-        for m, s in cases:
+        for m, batch in cases:
             _model.reset_pass_count()
-            grad(m, s)
+            grad(m, batch)
             passes.append(_model.pass_count())
             for _ in range(_WARMUP):
-                grad(m, s)
+                grad(m, batch)
         times = [[] for _ in cases]
         for _ in range(reps):
-            for (m, s), ts in zip(cases, times):
-                grad(m, s)
+            for (m, batch), ts in zip(cases, times):
+                grad(m, batch)
                 t0 = time.perf_counter_ns()
-                grad(m, s)
+                grad(m, batch)
                 ts.append(time.perf_counter_ns() - t0)
         for (m, _), n_passes, ts in zip(cases, passes, times):
             q1, _, q3 = statistics.quantiles(ts, n=4)

@@ -146,7 +146,7 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     for trial in range(v["trials"]):
         m = _bench.guarded_perceptron(v["n"], rng)
         s = _bench.random_sample(v["n"], rng)
-        report = _oracle.compare(grad_a(m, s), grad_b(m, s), v["tol"])
+        report = _oracle.compare(grad_a(m, [s])[0], grad_b(m, [s])[0], v["tol"])
         max_abs = max(max_abs, report.max_abs_err)
         if report.max_rel_err >= max_rel:
             max_rel = report.max_rel_err

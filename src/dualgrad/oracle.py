@@ -2,7 +2,9 @@
 
 ``grad_backprop`` is the closed-form chain-rule gradient, ``grad_finite_diff``
 is a central-difference probe of the actual loss. Together they give two
-independent answers to check the forward-mode engines against.
+independent answers to check the forward-mode engines against. The closed
+form is written once, as ``grad_backprop_batch``, the trainer's
+``backprop`` engine; ``grad_backprop`` is its batch of one.
 """
 
 from __future__ import annotations
@@ -38,19 +40,49 @@ def _act_value_deriv(tag: str, z: float) -> tuple[float, float]:
     raise ValueError(f"unknown activation {tag!r}")
 
 
-def grad_backprop(m: Perceptron, s: Sample) -> Gradient:
-    """Analytic gradient of (y - yhat)**2: dW = 2*(yhat - y)*act'(z)*x, db likewise."""
+def grad_backprop_batch(m: Perceptron, samples) -> tuple[Gradient | None, int]:
+    """Mean analytic gradient over a batch, and 0 singular skips.
+
+    Per sample, dW = 2*(yhat - y)*act'(z)*x and db likewise. The entries
+    are summed in sample order and scaled by 1/len(samples) when the batch
+    holds more than one sample; an empty batch gives None. The gradient
+    is checked for finiteness once: a non-finite entry keeps every later
+    sum non-finite (inf - inf is nan, and nan absorbs every add), and so
+    does the positive scale, so this raises NonFinite exactly when
+    checking each sample's gradient and then their mean would.
+    """
     if not isinstance(m, Perceptron):
         raise TypeError("the closed-form gradient is single-layer; use grad_seeded for Mlp")
-    if len(s.x) != len(m.W):
-        raise ValueError(f"expected {len(m.W)} features, got {len(s.x)}")
-    z = m.b
-    for w, xi in zip(m.W, s.x):
-        z += w * xi
-    yhat, dact = _act_value_deriv(m.act, z)
-    g0 = 2.0 * (yhat - s.y) * dact
-    _model.count_forward_pass()
-    return _model._grad_like(m, [g0 * xi for xi in s.x] + [g0])
+    *W, b = m.params
+    act = m.act
+    dW = db = None
+    for s in samples:
+        x = s.x
+        if len(x) != len(W):
+            raise ValueError(f"expected {len(W)} features, got {len(x)}")
+        z = b
+        for w, xi in zip(W, x):
+            z += w * xi
+        yhat, dact = _act_value_deriv(act, z)
+        g0 = 2.0 * (yhat - s.y) * dact
+        if dW is None:
+            dW, db = [g0 * xi for xi in x], g0
+        else:
+            dW = [a + g0 * xi for a, xi in zip(dW, x)]
+            db += g0
+    if dW is None:
+        return None, 0
+    _model.count_forward_pass(len(samples))
+    dW.append(db)
+    if len(samples) > 1:  # scaling a single gradient by 1.0 would change no bit
+        scale = 1.0 / len(samples)
+        dW = [scale * v for v in dW]
+    return _model._grad_like(m, dW), 0
+
+
+def grad_backprop(m: Perceptron, s: Sample) -> Gradient:
+    """Analytic gradient of (y - yhat)**2: the batch of one sample."""
+    return grad_backprop_batch(m, [s])[0]
 
 
 def grad_finite_diff(m: Model, s: Sample, h: float = DEFAULT_FD_STEP) -> AnyGradient:

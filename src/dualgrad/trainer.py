@@ -3,6 +3,13 @@
 The three engines compute the same mathematical gradient, so a run is
 fully determined by the config: same seed and sample order give the same
 trajectory whichever engine is selected (wall-clock timings aside).
+
+Every engine takes a batch, ``ENGINES[name](m, samples) -> (mean gradient
+or None, singular skips)``, so ``train`` makes one engine call per epoch
+in ``full_batch`` mode and one per sample in ``per_sample`` mode. ``ones``
+and ``seeded`` are per-sample rules wrapped by ``summed``; ``backprop`` is
+the oracle's own batch loop. Both sum in sample order, so the logs agree.
+The epoch loss is one call of the layout's compiled loss loop.
 """
 
 from __future__ import annotations
@@ -23,12 +30,6 @@ from . import oracle as _oracle
 from .dual import NonFinite
 from .model import Layer, Mlp, Model, Perceptron, Sample, SingularSeed
 
-# The one name -> gradient function registry; bench and cli import it.
-ENGINES = {
-    "ones": _model.grad_ones,
-    "seeded": _model.grad_seeded,
-    "backprop": _oracle.grad_backprop,
-}
 BATCH_MODES = ("per_sample", "full_batch")
 BUILTIN_DATASETS = ("and", "or", "nand", "line2d")
 
@@ -48,8 +49,46 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+def summed(grad):
+    """The batch engine of a per-sample gradient rule.
+
+    ``summed(grad)(m, samples)`` sums the gradients of the samples in
+    sample order and scales the sum by 1/contributing when more than one
+    sample contributes. A sample whose rule raises SingularSeed is a skip
+    and contributes nothing; a batch of skips gives None.
+    """
+
+    def batch(m: Model, samples: list[Sample]):
+        acc = None
+        contributing = skips = 0
+        for s in samples:
+            try:
+                g = grad(m, s)
+            except SingularSeed:
+                skips += 1
+                continue
+            acc = g.params if acc is None else [a + b for a, b in zip(acc, g.params)]
+            contributing += 1
+        if acc is None:
+            return None, skips
+        if contributing > 1:  # with one, g is its gradient and x1.0 would change no bit
+            scale = 1.0 / contributing
+            g = _model._grad_like(m, [scale * v for v in acc])
+        return g, skips
+
+    return batch
+
+
+# The one name -> batch engine registry; bench and cli import it.
+ENGINES = {
+    "ones": summed(_model.grad_ones),
+    "seeded": summed(_model.grad_seeded),
+    "backprop": _oracle.grad_backprop_batch,
+}
+
+
 def engine(name: str):
-    """The gradient function registered as ``name`` in ENGINES."""
+    """The batch engine registered as ``name`` in ENGINES."""
     if name not in ENGINES:
         raise ValueError(f"unknown engine {name!r}, expected one of {tuple(ENGINES)}")
     return ENGINES[name]
@@ -267,10 +306,14 @@ def model_to_dict(m: Model) -> dict:
 
 
 def mean_loss(m: Model, dataset: Dataset) -> float:
-    total = 0.0
-    for s in dataset.samples:
-        total += _model.loss(m.forward(s.x), s.y)
-    return total / len(dataset.samples)
+    """The mean of ``loss(m.forward(s.x), s.y)`` over the dataset, bit for bit.
+
+    One call of the loop the layout's kernel compiled (``loss_sum``), which
+    sums the losses in sample order; it counts no pass.
+    """
+    if m.width != dataset.feature_width:
+        raise ValueError(f"expected {m.width} features, got {dataset.feature_width}")
+    return _model._kernel(m.shapes, m.acts).loss_sum(m.params, dataset.samples) / len(dataset.samples)
 
 
 def train(cfg: TrainConfig, dataset: Dataset | None = None, model: Model | None = None) -> TrainLog:
@@ -299,25 +342,15 @@ def train(cfg: TrainConfig, dataset: Dataset | None = None, model: Model | None 
         order = list(range(len(dataset.samples)))
         if cfg.shuffle:
             rng.shuffle(order)
+        ordered = [dataset.samples[i] for i in order]
         # per-sample SGD is full-batch SGD over batches of one sample
-        batches = [order] if cfg.batch_mode == "full_batch" else [(i,) for i in order]
+        batches = [ordered] if cfg.batch_mode == "full_batch" else [[s] for s in ordered]
         try:
             for batch in batches:
-                acc = None
-                contributing = 0
-                for idx in batch:
-                    try:
-                        g = grad(m, dataset.samples[idx])
-                    except SingularSeed:
-                        log.singular_skips += 1
-                        continue
-                    acc = g.params if acc is None else [a + b for a, b in zip(acc, g.params)]
-                    contributing += 1
-                if acc is None:
+                g, skips = grad(m, batch)
+                log.singular_skips += skips
+                if g is None:
                     continue
-                if contributing > 1:  # with one, g is its gradient and x1.0 would change no bit
-                    scale = 1.0 / contributing
-                    g = _model._grad_like(m, [scale * v for v in acc])
                 grad_norm = max(grad_norm, *map(abs, g.params))
                 m = sgd_step(m, g, cfg.learning_rate)
             epoch_loss = mean_loss(m, dataset)

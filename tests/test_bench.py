@@ -1,5 +1,7 @@
 """Structure of the benchmark harness (never absolute timings)."""
 
+import re
+
 import pytest
 
 from dualgrad import bench, trainer
@@ -18,6 +20,15 @@ def test_rejects_low_reps_and_bad_widths():
         bench.run_bench(widths=(2,), engines=("ones", "ones"), reps=10)
     with pytest.raises(ValueError, match="widths must not repeat"):
         bench.run_bench(widths=(4, 4), engines=("ones",), reps=10)
+
+
+@pytest.mark.parametrize("sweep, message", [
+    ({"widths": (2.5,)}, "width must be an integer, got 2.5"),  # not silently width 2
+    ({"reps": 10.5}, "reps must be an integer, got 10.5"),  # not a TypeError from range()
+])
+def test_rejects_non_integer_widths_and_reps(sweep, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bench.run_bench(**{"widths": (4,), "engines": ("ones",), **sweep})
 
 
 def test_pass_accounting_and_fields():

@@ -587,6 +587,56 @@ def test_dual_allocations_per_pass(monkeypatch):
     assert made == 0
 
 
+# --- the compiled loss loop -------------------------------------------------------------
+
+
+def extreme_values(rng, k):
+    """k entries mixing ±0.0, small reals and magnitudes up to ±1e300."""
+    pool = [0.0, -0.0, 1e300, -1e300, 1e150, -1e200]
+    return [float(rng.choice(pool)) if rng.random() < 0.3 else float(rng.uniform(-3, 3))
+            for _ in range(k)]
+
+
+def extreme_net(rng):
+    widths = [int(w) for w in rng.integers(1, 5, int(rng.integers(1, 4)))] + [1]
+    return Mlp([
+        Layer([extreme_values(rng, n_in) for _ in range(n_out)], extreme_values(rng, n_out),
+              str(rng.choice(md.ACTIVATIONS)))
+        for n_in, n_out in zip(widths, widths[1:])
+    ])
+
+
+def test_mean_loss_is_the_sample_order_mean_of_forward_losses_bit_for_bit():
+    rng = np.random.default_rng(50)
+    kinds = set()
+    for _ in range(400):
+        m = extreme_net(rng)
+        samples = [Sample(extreme_values(rng, m.width), extreme_values(rng, 1)[0])
+                   for _ in range(int(rng.integers(1, 7)))]
+        total = 0.0
+        for s in samples:
+            total += md.loss(m.forward(s.x), s.y)
+        want = total / len(samples)
+        md.reset_pass_count()
+        got = trainer.mean_loss(m, trainer.Dataset("r", m.width, samples))
+        assert md.pass_count() == 0
+        assert got.hex() == want.hex()  # inf, -inf and nan compare by kind
+        kinds.add("nan" if math.isnan(got) else "inf" if math.isinf(got) else "finite")
+    assert kinds == {"finite", "inf", "nan"}
+
+
+def test_mean_loss_runs_the_kernel_a_gradient_compiled():
+    m = Mlp([Layer([[0.5, -0.25], [1.0, 0.75]], [0.1, -0.1], "tanh"),
+             Layer([[0.3, -0.6]], [0.2], "sigmoid")])
+    ds = trainer.Dataset("d", 2, [Sample([1.0, 0.0], 1.0), Sample([0.5, 2.0], 0.0)])
+    md._kernel.cache_clear()
+    md.grad_seeded(m, ds.samples[0])
+    trainer.mean_loss(m, ds)
+    assert md._kernel.cache_info()[:2] == (1, 1)  # (hits, misses)
+    with pytest.raises(ValueError, match="expected 2 features, got 3"):
+        trainer.mean_loss(m, trainer.Dataset("wide", 3, [Sample([1.0, 0.0, 2.0], 1.0)]))
+
+
 # --- one real sweep per seeded gradient -------------------------------------------------
 
 

@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from dualgrad import trainer
+from dualgrad import model as md
+from dualgrad import oracle, trainer
 from dualgrad.dual import NonFinite
 from dualgrad.model import Gradient, Layer, LayerGradient, Mlp, MlpGradient, Perceptron, Sample
 from dualgrad.trainer import Dataset, TrainConfig
@@ -340,8 +341,6 @@ def test_plain_value_error_is_not_divergence(monkeypatch):
 
 
 def test_full_batch_takes_mean_gradient_step():
-    from dualgrad import oracle
-
     ds = trainer.builtin_dataset("and")
     cfg = TrainConfig(dataset="and", engine="backprop", epochs=1,
                       batch_mode="full_batch", rng_seed=5)
@@ -368,6 +367,104 @@ def test_mlp_training_runs():
     assert len(log.records) == 50
     assert log.final_model["kind"] == "mlp"
     assert math.isfinite(log.final_loss)
+
+
+# --- the batch engine registry ----------------------------------------------------------
+
+PER_SAMPLE = {"ones": md.grad_ones, "seeded": md.grad_seeded, "backprop": oracle.grad_backprop}
+
+
+def guarded_perceptron(rng, n):
+    while True:
+        W = [float(v) for v in rng.uniform(-2, 2, n)]
+        if abs(sum(W)) >= 1e-3:
+            act = str(rng.choice(md.ACTIVATIONS))
+            return Perceptron(W, float(rng.uniform(-2, 2)), act)
+
+
+def random_batch(rng, n, size):
+    return [Sample([float(v) for v in rng.uniform(-3, 3, n)], float(rng.uniform(0, 1)))
+            for _ in range(size)]
+
+
+def sample_order_mean(grads):
+    """The mean of per-sample gradient entries as train summed them before batch engines."""
+    acc = grads[0]
+    for g in grads[1:]:
+        acc = [a + b for a, b in zip(acc, g)]
+    if len(grads) > 1:
+        scale = 1.0 / len(grads)
+        acc = [scale * v for v in acc]
+    return acc
+
+
+def test_every_engine_has_one_per_sample_rule():
+    assert set(trainer.ENGINES) == set(PER_SAMPLE)
+
+
+@pytest.mark.parametrize("name", list(PER_SAMPLE))
+def test_a_batch_is_the_sample_order_mean_of_its_gradients_bit_for_bit(name):
+    rng = np.random.default_rng(60)
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        m = guarded_perceptron(rng, n)
+        batch = random_batch(rng, n, int(rng.integers(1, 9)))
+        g, skips = trainer.ENGINES[name](m, batch)
+        want = sample_order_mean([PER_SAMPLE[name](m, s).params for s in batch])
+        assert skips == 0 and type(g) is Gradient and g.shapes == m.shapes
+        assert [v.hex() for v in g.params] == [v.hex() for v in want]
+
+
+def test_a_singular_sample_is_skipped_and_not_counted():
+    rng = np.random.default_rng(61)
+    m = guarded_perceptron(rng, 3)
+    batch = random_batch(rng, 3, 3)
+    singular = Perceptron([0.5, -0.5, 0.0], 0.1)  # sum(W) = 0
+
+    def rule(m_, s):  # the middle sample meets the guard
+        return md.grad_ones(singular if s is batch[1] else m_, s)
+
+    g, skips = trainer.summed(rule)(m, batch)
+    want = sample_order_mean([md.grad_ones(m, s).params for s in (batch[0], batch[2])])
+    assert skips == 1
+    assert [v.hex() for v in g.params] == [v.hex() for v in want]
+    # one contributing sample gives its own gradient, unscaled
+    g, skips = trainer.summed(rule)(m, batch[:2])
+    assert skips == 1 and g == md.grad_ones(m, batch[0])
+    # a batch of singular samples gives no gradient
+    assert trainer.ENGINES["ones"](singular, batch) == (None, 3)
+
+
+def test_a_batch_holding_an_overflowing_entry_raises_nonfinite_under_backprop():
+    m = Perceptron([1.0], 0.0, "identity")
+    # the middle sample's weight entry is 2e200 * 1e200; later adds keep it inf
+    batch = [Sample([1.0], 0.0), Sample([1e200], 0.0), Sample([-1.0], 0.5)]
+    with pytest.raises(NonFinite, match="gradient entries"):
+        trainer.ENGINES["backprop"](m, batch)
+    with pytest.raises(NonFinite, match="gradient entries"):
+        oracle.grad_backprop(m, batch[1])
+    assert trainer.ENGINES["backprop"](m, [batch[0], batch[2]])[0] is not None
+
+
+@pytest.mark.parametrize("n, size", [(1, 1), (3, 5), (7, 8)])
+def test_batch_pass_counts(n, size):
+    rng = np.random.default_rng(62)
+    m = guarded_perceptron(rng, n)
+    batch = random_batch(rng, n, size)
+    for name, passes in (("ones", size), ("backprop", size), ("seeded", size * (n + 1))):
+        md.reset_pass_count()
+        trainer.ENGINES[name](m, batch)
+        assert md.pass_count() == passes, name
+
+
+def test_backprop_batch_keeps_the_per_sample_errors():
+    m = Perceptron([1.0, 2.0], 0.0)
+    with pytest.raises(ValueError, match="expected 2 features, got 3"):
+        trainer.ENGINES["backprop"](m, [Sample([1.0, 2.0], 0.0), Sample([1.0, 2.0, 3.0], 0.0)])
+    mlp = Mlp([Layer([[1.0], [2.0]], [0.0, 0.0]), Layer([[1.0, 1.0]], [0.0])])
+    with pytest.raises(TypeError, match="single-layer"):
+        trainer.ENGINES["backprop"](mlp, [Sample([1.0], 0.0)])
+    assert trainer.ENGINES["backprop"](m, []) == (None, 0)
 
 
 # --- log export ------------------------------------------------------------------------
