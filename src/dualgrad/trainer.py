@@ -313,7 +313,8 @@ def mean_loss(m: Model, dataset: Dataset) -> float:
     """
     if m.width != dataset.feature_width:
         raise ValueError(f"expected {m.width} features, got {dataset.feature_width}")
-    return _model._kernel(m.shapes, m.acts).loss_sum(m.params, dataset.samples) / len(dataset.samples)
+    loss_sum = _model._kernel(m.shapes, m.acts).loss_sum
+    return loss_sum(m.params, dataset.samples) / len(dataset.samples)
 
 
 def train(cfg: TrainConfig, dataset: Dataset | None = None, model: Model | None = None) -> TrainLog:
