@@ -6,7 +6,6 @@ trends); absolute numbers are machine noise and never gate the suite.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import statistics
@@ -121,14 +120,6 @@ def linear_fit_r2(xs, ys) -> tuple[float, float, float]:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), r2
-
-
-def write_csv(results: list[BenchResult], path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["engine", "width", "P", "passes", "median_ns"])
-        for r in results:
-            writer.writerow([r.engine, r.width, r.params, r.passes, repr(r.median_ns)])
 
 
 def environment() -> dict:

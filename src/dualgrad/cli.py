@@ -32,7 +32,8 @@ def _int_list(text: str) -> list[int]:
 
 
 def _str_list(text: str) -> list[str]:
-    return [part for part in text.split(",") if part != ""]
+    parts = (part.strip() for part in text.split(","))
+    return [part for part in parts if part != ""]
 
 
 _ENGINE_TAGS = "|".join(ENGINES)
@@ -64,18 +65,15 @@ _BENCH_FLAGS = {
     "widths": (_int_list, "comma-separated input widths", None),
     "engines": (_str_list, "comma-separated engine tags", None),
     "reps": (int, f"timing repetitions per point (>= {_bench.MIN_REPS})", None),
-    "out": (str, "CSV output path", None),
     "json": (str, "JSON output path: every point with its median and IQR, plus the environment",
              None),
 }
-# bench flags that name output files rather than run_bench arguments
-_BENCH_OUTPUTS = ("out", "json")
 
 
 def _read_config_file(path: str, flags: dict) -> dict[str, tuple[str, int]]:
     """key -> (value, line number) from flat key=value lines naming flags once each."""
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_trainer.read_utf8(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -197,25 +195,30 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return CHECK_FAILED if log.diverged else 0
 
 
-def _sweep(values: dict) -> dict:
-    """The run_bench arguments among bench flag values."""
-    return {k: v for k, v in values.items() if k not in _BENCH_OUTPUTS}
+def _check_bench_value(attr: str, value) -> None:
+    """Vet one bench value alone; the JSON path is checked without creating anything."""
+    if attr == "json":
+        path = Path(value)
+        if path.is_dir():
+            raise ValueError(f"--json {value!r} is a directory")
+        if not path.parent.is_dir():
+            raise ValueError(f"--json {value!r}: {str(path.parent)!r} is not a directory")
+    else:
+        _bench.check_sweep(**{attr: value})
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    v = _merge(args, _BENCH_FLAGS, lambda attr, value: _bench.check_sweep(**_sweep({attr: value})))
-    results = _bench.run_bench(**_sweep(v))
+    v = _merge(args, _BENCH_FLAGS, _check_bench_value)  # an unusable --json fails before timing
+    json_path = v.pop("json", None)
+    results = _bench.run_bench(**v)
     print(_bench.format_table(results))
     fits = _bench.format_fits(results)
     if fits:
         print()
         print(fits)
-    if "out" in v:
-        _bench.write_csv(results, v["out"])
-        print(f"csv written to {v['out']}")
-    if "json" in v:
-        _bench.write_json(results, v["json"])
-        print(f"json written to {v['json']}")
+    if json_path is not None:
+        _bench.write_json(results, json_path)
+        print(f"json written to {json_path}")
     return 0
 
 

@@ -15,6 +15,7 @@ The epoch loss is one call of the layout's compiled loss loop.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import numbers
@@ -37,6 +38,8 @@ BUILTIN_DATASETS = ("and", "or", "nand", "line2d")
 def _integer(value, what: str) -> int:
     """value as an int; operator.index accepts ints and numpy ints, not floats or strings."""
     try:
+        if isinstance(value, bool):  # an int to Python, but True is no count
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
@@ -229,11 +232,22 @@ def builtin_dataset(name: str) -> Dataset:
     raise ValueError(f"unknown dataset {name!r}, expected one of {BUILTIN_DATASETS}")
 
 
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file; a bad byte raises ValueError naming the file and its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(
+            f"{path}:{lineno}: byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})"
+        ) from None
+
+
 def load_csv_dataset(path: str | Path) -> Dataset:
     """Read samples from CSV with a strict header x1..xn,y; ragged rows are rejected."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(read_utf8(path), newline="")))
     if not rows:
         raise ValueError(f"{path}: empty file")
     header = [c.strip() for c in rows[0]]

@@ -136,13 +136,26 @@ def test_train_csv_dataset(tmp_path, capsys):
 
 
 def test_bench_small_sweep(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    code = run(["bench", "--widths", "4,8", "--engines", "seeded,backprop",
-                "--reps", "10", "--out", str(out)])
+    out = tmp_path / "bench.json"
+    code = run(["bench", "--widths", "4, 8", "--engines", "seeded, backprop",  # spaces allowed
+                "--reps", "10", "--json", str(out)])
     assert code == 0
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 5  # header + 2 widths x 2 engines
+    points = json.loads(out.read_text())["points"]
+    assert [(p["engine"], p["width"]) for p in points] == [  # 2 widths x 2 engines
+        ("backprop", 4), ("backprop", 8), ("seeded", 4), ("seeded", 8)]
     assert "ns/param" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("where", ["missing/bench.json", "."])
+def test_bench_rejects_an_unusable_json_before_timing(where, tmp_path, monkeypatch, capsys):
+    timed = []
+    monkeypatch.setattr(bench, "run_bench", lambda **sweep: timed.append(sweep))
+    path = str(tmp_path / where)  # under a missing directory, or an existing directory
+    assert run(["bench", "--widths", "4", "--reps", "10", "--json", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert repr(path) in captured.err
+    assert timed == []
 
 
 def test_bench_low_reps_rejected(capsys):
@@ -207,6 +220,14 @@ def test_config_file_bad_syntax(tmp_path, capsys):
     assert run(["train", "--config", str(cfg)]) == 2
 
 
+def test_config_file_non_utf8_byte_names_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"epochs=3\nlr=\xff\n")
+    assert run(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:2: byte 0xff is not UTF-8 (invalid start byte)\n")
+
+
 def test_bench_prints_cost_fits_only_for_a_sweep(capsys):
     argv = ["bench", "--engines", "seeded,ones", "--reps", "10"]
     assert run(argv + ["--widths", "2,4"]) == 0
@@ -225,8 +246,7 @@ def test_bench_prints_cost_fits_only_for_a_sweep(capsys):
                    "tol": "1e-9", "seed": "2"}),
     ("train", {"dataset": "or", "engine": "ones", "lr": "0.25", "epochs": "4",
                "batch": "full_batch", "seed": "3", "out": "OUT/run"}),
-    ("bench", {"widths": "3", "engines": "ones", "reps": "10", "out": "OUT/bench.csv",
-               "json": "OUT/bench.json"}),
+    ("bench", {"widths": "3", "engines": "ones", "reps": "10", "json": "OUT/bench.json"}),
 ])
 def test_every_flag_is_a_config_key(command, values, tmp_path, capsys):
     with pytest.raises(SystemExit):
@@ -246,7 +266,6 @@ def test_every_flag_is_a_config_key(command, values, tmp_path, capsys):
                                              epochs=4, batch_mode="full_batch",
                                              rng_seed=3).to_dict()
     else:
-        assert (tmp_path / "bench.csv").read_text().splitlines()[1].startswith("ones,3,3,1,")
         points = json.loads((tmp_path / "bench.json").read_text())["points"]
         assert [(p["engine"], p["width"], p["passes"]) for p in points] == [("ones", 3, 1)]
 
@@ -262,6 +281,7 @@ def test_every_flag_is_a_config_key(command, values, tmp_path, capsys):
     ("train", "epochs=5\nepochs=7"),
     ("gradcheck", "seed=1\n# again\nseed = 1"),
     ("bench", "reps=10\nreps=20"),
+    ("bench", "out=b.csv"),  # the CSV output is gone; --json is bench's only file
 ])
 def test_config_file_value_error_names_file_and_line(command, line, tmp_path, capsys):
     # the error names the last line of `line`, which starts on line 3
@@ -279,6 +299,7 @@ def test_config_file_value_error_names_file_and_line(command, line, tmp_path, ca
     ("train", "dataset=nosuch.csv"),
     ("bench", "reps=5"),
     ("bench", "engines=ones,ones"),
+    ("bench", "json=no/such/dir/b.json"),
     ("gradcheck", "engine-a=magic"),
     ("gradcheck", "n=0"),
     ("gradcheck", "tol=nan"),

@@ -87,6 +87,14 @@ def test_load_csv_rejects_non_numeric(tmp_path):
         trainer.load_csv_dataset(path)
 
 
+def test_load_csv_reports_a_non_utf8_byte_at_its_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"x1,x2,y\n0,\xff1,1\n")
+    message = "bad.csv:2: byte 0xff is not UTF-8 (invalid start byte)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        trainer.load_csv_dataset(path)
+
+
 def test_load_csv_reports_nonfinite_cell_location(tmp_path):
     path = tmp_path / "nan.csv"
     path.write_text("x1,x2,y\n1,2,0\nnan,2,1\n")
@@ -195,6 +203,8 @@ def test_config_rejects_bad_values():
     ("epochs", 2.5, "epochs must be an integer, got 2.5"),  # not a bare TypeError from range()
     ("rng_seed", 1.5, "rng seed must be an integer, got 1.5"),  # nor one from numpy
     ("hidden", "12", "hidden width must be an integer, got '1'"),  # not the widths (1, 2)
+    ("epochs", True, "epochs must be an integer, got True"),  # not 1 epoch
+    ("hidden", (True,), "hidden width must be an integer, got True"),  # not a width-1 layer
 ])
 def test_config_rejects_non_integral_counts(field, value, message):
     with pytest.raises(ValueError, match=re.escape(message)):
