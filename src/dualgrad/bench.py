@@ -53,7 +53,7 @@ def random_sample(n: int, rng: np.random.Generator) -> Sample:
 
 
 def check_sweep(widths=DEFAULT_WIDTHS, engines=tuple(ENGINES), reps: int = DEFAULT_REPS):
-    """The checked widths and engines of a sweep and the engines' batch functions."""
+    """The checked widths, engines and reps of a sweep and the engines' batch functions."""
     widths = [_integer(w, "width") for w in widths]
     if not widths or any(w < 1 for w in widths):
         raise ValueError(f"widths must be >= 1, got {widths}")
@@ -64,9 +64,10 @@ def check_sweep(widths=DEFAULT_WIDTHS, engines=tuple(ENGINES), reps: int = DEFAU
     for what, values in (("widths", widths), ("engines", engines)):
         if len(set(values)) < len(values):
             raise ValueError(f"{what} must not repeat, got {values}")
-    if _integer(reps, "reps") < MIN_REPS:
+    reps = _integer(reps, "reps")
+    if reps < MIN_REPS:
         raise ValueError(f"reps must be >= {MIN_REPS}, got {reps}")
-    return widths, engines, grads
+    return widths, engines, reps, grads
 
 
 def run_bench(
@@ -76,7 +77,7 @@ def run_bench(
     seed: int = 0,
 ) -> list[BenchResult]:
     """Median gradient latency per (width, engine), sorted by (engine, params)."""
-    widths, engines, grads = check_sweep(widths, engines, reps)
+    widths, engines, reps, grads = check_sweep(widths, engines, reps)
 
     # Draw every input first, then time one engine at a time, its reps
     # round-robin over the widths so that a CPU speed switch mid-sweep hits

@@ -256,9 +256,6 @@ class MlpGradient:
             for i in range(n_out):
                 yield f"layer[{l}].b[{i}]", next(values)
 
-    def to_dict(self) -> dict:
-        return {"layers": [{"dW": lg.dW, "db": lg.db} for lg in self.layers]}
-
 
 class Gradient(MlpGradient):
     """Loss gradient for a perceptron: dW mirrors W, db mirrors b."""
@@ -280,9 +277,6 @@ class Gradient(MlpGradient):
         for i, g in enumerate(self.dW):
             yield f"w[{i}]", g
         yield "b", self.db
-
-    def to_dict(self) -> dict:
-        return {"dW": self.dW, "db": self.db}
 
 
 AnyGradient = MlpGradient  # a Gradient is a one-layer MlpGradient

@@ -117,24 +117,11 @@ def grad_finite_diff(m: Model, s: Sample, h: float = DEFAULT_FD_STEP) -> AnyGrad
 class GradReport:
     """Elementwise comparison of two gradients of identical shape."""
 
-    grad_a: AnyGradient
-    grad_b: AnyGradient
     max_abs_err: float
     max_rel_err: float
     worst_index: str
     passed: bool
     tol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "grad_a": self.grad_a.to_dict(),
-            "grad_b": self.grad_b.to_dict(),
-            "max_abs_err": self.max_abs_err,
-            "max_rel_err": self.max_rel_err,
-            "worst_index": self.worst_index,
-            "pass": self.passed,
-            "tol": self.tol,
-        }
 
 
 def entry_error(a: float, b: float) -> float:
@@ -163,4 +150,4 @@ def compare(a: AnyGradient, b: AnyGradient, tol: float) -> GradReport:
         if err > max_rel:
             max_rel = err
             worst = path
-    return GradReport(a, b, max_abs, max_rel, worst, max_rel <= tol, tol)
+    return GradReport(max_abs, max_rel, worst, max_rel <= tol, tol)

@@ -233,8 +233,11 @@ def builtin_dataset(name: str) -> Dataset:
 
 
 def read_utf8(path: str | Path) -> str:
-    """The text of a UTF-8 file; a bad byte raises ValueError naming the file and its line."""
-    data = Path(path).read_bytes()
+    """The text of a UTF-8 file; a bad byte raises ValueError naming the file and its line.
+
+    One leading byte order mark is dropped, as Excel and Notepad write one.
+    """
+    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -247,15 +250,19 @@ def read_utf8(path: str | Path) -> str:
 def load_csv_dataset(path: str | Path) -> Dataset:
     """Read samples from CSV with a strict header x1..xn,y; ragged rows are rejected."""
     path = Path(path)
-    rows = list(csv.reader(io.StringIO(read_utf8(path), newline="")))
-    if not rows:
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    header = next(reader, None)
+    if header is None:
         raise ValueError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in header]
     n = len(header) - 1
     if n < 1 or header != [f"x{i + 1}" for i in range(n)] + ["y"]:
         raise ValueError(f"{path}: header must be x1..xn,y, got {header}")
     samples = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    # A quoted cell may hold a newline, so a row's file line is where the
+    # previous row ended plus one, not the row's index.
+    lineno = reader.line_num + 1
+    for row in reader:
         if len(row) != n + 1:
             raise ValueError(f"{path}:{lineno}: expected {n + 1} columns, got {len(row)}")
         try:
@@ -263,6 +270,7 @@ def load_csv_dataset(path: str | Path) -> Dataset:
             samples.append(Sample(values[:-1], values[-1]))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        lineno = reader.line_num + 1
     if not samples:
         raise ValueError(f"{path}: no data rows")
     return Dataset(path.stem, n, samples)

@@ -1,7 +1,9 @@
 """Structure of the benchmark harness (never absolute timings)."""
 
+import json
 import re
 
+import numpy as np
 import pytest
 
 from dualgrad import bench, trainer
@@ -30,6 +32,13 @@ def test_rejects_low_reps_and_bad_widths():
 def test_rejects_non_integer_widths_and_reps(sweep, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         bench.run_bench(**{"widths": (4,), "engines": ("ones",), **sweep})
+
+
+def test_numpy_integer_reps_are_kept_as_an_int(tmp_path):
+    results = bench.run_bench(widths=(2,), engines=("backprop",), reps=np.int64(10))
+    path = tmp_path / "bench.json"
+    bench.write_json(results, path)
+    assert [p["reps"] for p in json.loads(path.read_text())["points"]] == [10]
 
 
 def test_pass_accounting_and_fields():

@@ -3,9 +3,11 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from dualgrad import bench, cli, oracle, trainer
+from dualgrad import model as md
 
 
 def run(argv):
@@ -42,6 +44,43 @@ def test_gradcheck_zero_tolerance_fails(capsys):
     assert code == 1
     report = json.loads(capsys.readouterr().out)
     assert report["pass"] is False and report["max_rel_err"] > 0
+
+
+def test_gradcheck_reports_the_last_of_equally_bad_trials(capsys):
+    assert run(["gradcheck", "--trials", "10", "--engine-a", "backprop", "--engine-b", "backprop"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["worst_trial"] == 9 and report["worst_index"] == "w[0]"
+    assert report["max_abs_err"] == 0.0 and report["max_rel_err"] == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_gradcheck_summary_aggregates_compare_over_its_trials(seed, capsys):
+    n, trials = 3, 12
+    code = run(["gradcheck", "--n", str(n), "--trials", str(trials),
+                "--engine-a", "seeded", "--engine-b", "backprop", "--tol", "0", "--seed", str(seed)])
+    rng = np.random.default_rng(seed)
+    reports = []
+    for _ in range(trials):
+        m = bench.guarded_perceptron(n, rng)
+        s = bench.random_sample(n, rng)
+        reports.append(oracle.compare(md.grad_seeded(m, s), oracle.grad_backprop(m, s), 0.0))
+    max_rel = max(r.max_rel_err for r in reports)
+    worst_trial = max(t for t, r in enumerate(reports) if r.max_rel_err == max_rel)
+    passed = all(r.passed for r in reports)
+    expected = {
+        "engine_a": "seeded",
+        "engine_b": "backprop",
+        "n": n,
+        "trials": trials,
+        "tol": 0.0,
+        "max_abs_err": max(r.max_abs_err for r in reports),
+        "max_rel_err": max_rel,
+        "worst_index": reports[worst_trial].worst_index,
+        "worst_trial": worst_trial,
+        "pass": passed,
+    }
+    assert list(json.loads(capsys.readouterr().out).items()) == list(expected.items())
+    assert code == (0 if passed else cli.CHECK_FAILED)
 
 
 def test_gradcheck_unknown_engine(capsys):
@@ -218,6 +257,15 @@ def test_config_file_bad_syntax(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("epochs 30\n")
     assert run(["train", "--config", str(cfg)]) == 2
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfdataset=or\nepochs=3\n")
+    out = tmp_path / "run"
+    assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    blob = json.loads((out / "log.json").read_text())
+    assert blob["config"]["dataset"] == "or" and blob["config"]["epochs"] == 3
 
 
 def test_config_file_non_utf8_byte_names_file_and_line(tmp_path, capsys):

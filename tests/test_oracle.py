@@ -1,6 +1,5 @@
 """Reference gradients and the comparison report."""
 
-import json
 import math
 
 import numpy as np
@@ -160,13 +159,3 @@ def test_compare_worst_index():
 def test_compare_shape_mismatch():
     with pytest.raises(ValueError):
         oracle.compare(Gradient([1.0], 0.0), Gradient([1.0, 2.0], 0.0), 1e-6)
-
-
-def test_report_serializes_to_json():
-    g = oracle.grad_backprop(Perceptron([1.0, 1.0], 0.0), Sample([1.0, 0.0], 1.0))
-    report = oracle.compare(g, g, 1e-10)
-    blob = json.dumps(report.to_dict())
-    parsed = json.loads(blob)
-    assert parsed == report.to_dict()
-    assert parsed["pass"] is True
-    assert parsed["grad_a"]["dW"] == g.dW

@@ -95,6 +95,32 @@ def test_load_csv_reports_a_non_utf8_byte_at_its_line(tmp_path):
         trainer.load_csv_dataset(path)
 
 
+def test_load_csv_errors_name_the_file_line_after_a_quoted_newline(tmp_path):
+    path = tmp_path / "ml.csv"
+    path.write_text('x1,y\n"1\n",0\n2,abc\n')
+    message = "ml.csv:4: could not convert string to float: 'abc'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        trainer.load_csv_dataset(path)
+    path.write_text('x1,y\n"1\n",0\n2\n')
+    with pytest.raises(ValueError, match=re.escape("ml.csv:4: expected 2 columns, got 1")):
+        trainer.load_csv_dataset(path)
+
+
+def test_load_csv_accepts_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfx1,x2,y\n0.5,-1.25,1\n")
+    ds = trainer.load_csv_dataset(path)
+    assert ds.feature_width == 2 and [(s.x, s.y) for s in ds.samples] == [([0.5, -1.25], 1.0)]
+    # the mark shifts no line number
+    path.write_bytes(b"\xef\xbb\xbfx1,y\n\xff,1\n")
+    message = "bom.csv:2: byte 0xff is not UTF-8 (invalid start byte)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        trainer.load_csv_dataset(path)
+    path.write_bytes(b"\xef\xbb\xbfa\n\xff")
+    with pytest.raises(ValueError, match=re.escape("bom.csv:2: byte 0xff")):
+        trainer.read_utf8(path)
+
+
 def test_load_csv_reports_nonfinite_cell_location(tmp_path):
     path = tmp_path / "nan.csv"
     path.write_text("x1,x2,y\n1,2,0\nnan,2,1\n")
