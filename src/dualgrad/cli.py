@@ -73,7 +73,7 @@ _BENCH_FLAGS = {
 def _read_config_file(path: str, flags: dict) -> dict[str, tuple[str, int]]:
     """key -> (value, line number) from flat key=value lines naming flags once each."""
     values = {}
-    for lineno, raw in enumerate(_trainer.read_utf8(path).splitlines(), start=1):
+    for lineno, raw in enumerate(_trainer.split_lines(_trainer.read_utf8(path)), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

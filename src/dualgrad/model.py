@@ -38,6 +38,13 @@ dual parts in plain floats, and the float operations are the ring's, in
 the ring's order, so the results are bit-identical to the same passes
 written with ``Dual`` and the lifts in ``functions``. ``Dual`` stays the
 public ring and the spec the passes are tested against.
+
+``run_sgd`` runs ``train``'s loop over an epoch's batches under either
+rule, per-sample gradients, batch means and updates included, as one more
+compiled function per layout and rule (``_sgd_loop``), built from the
+kernel's lines on the layout's first ``train`` use. A run through them is
+bit-identical to one through the rules, ``trainer.summed`` and
+``trainer.sgd_step``.
 """
 
 from __future__ import annotations
@@ -394,14 +401,105 @@ def _kernel(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
     the pass over ``Dual`` values fails there too. Each term of the check
     is 0.0 or nan, so its sum is nan at the same units in any order.
 
+    ``_sgd_loop`` writes ``train``'s SGD loop for ``ones`` or ``seeded``
+    from the same sweep, factor and pass lines, so each sample's output
+    real and tangents are those the kernel returns. Around them it takes
+    the rules' and ``trainer.summed``'s float operations in their order:
+    ``sum`` over the weights as ``grad_ones`` calls it, the gradient
+    entries, then per batch a sum per entry in sample order and the
+    1/contributing scale when more than one sample contributes, then
+    ``p - lr * g``. Each batch's sums start at -0.0, and ``-0.0 + v`` is v
+    for every v, so the first sample's entries are copied bit for bit, as
+    ``summed`` copies them. The guard depends only on the weights, which
+    do not change within a batch, so a batch is skipped whole or not at
+    all, as sample-by-sample checking would skip it. The entries, the
+    scaled entries and the new parameters are checked for finiteness
+    with the ``v * 0.0`` sum, and a failure raises ``_finite``'s
+    NonFinite, as ``_grad_like`` and ``_model_like`` check them. The
+    running norm takes ``max`` over the same values in the same order as
+    ``max(norm, *map(abs, g.params))``. So a run through the loop is
+    bit-identical to one through ``grad_ones``/``grad_seeded``, ``summed``
+    and ``sgd_step``, and counts the same passes.
+
     The source is built only from integers and the fixed fragments of
     ``_ACT_SOURCE``; activations are looked up at run time as
     ``fn.sigmoid_real`` and ``math.tanh``.
     """
+    sweep, factors, passes, units, values = _pass_lines(shapes, acts, "len(yds)")
+    n, k, out = shapes[0][0], len(units), units[-1]
+    input_tangents = " = ".join(f"d{j}" for j in range(n))
+    unpack_params = f"{''.join(f'w{j}, ' for j in range(k))}= p"
+    unpack_inputs = f"{''.join(f'x{j}, ' for j in range(n))}= "
+    lines = [
+        "def kernel(p, x, ones):",
+        f"    {unpack_params}",
+        f"    {unpack_inputs}x",
+        *(f"    {line}" for line in sweep),
+        "    if ones is None:",
+        f"        return a{out}",
+        *(f"    {line}" for line in factors),
+        "    if ones:",  # one pass; its seed adds 0.0 to unit 0
+        f"        {input_tangents} = 1.0",
+        "        seeds = ((0, 0.0),)",
+        "    else:",
+        f"        {input_tangents} = 0.0",
+        f"        seeds = zip({tuple(units)}, ({''.join(f'{v}, ' for v in values)}))",
+        f"    sd = [0.0] * {out + 1}",
+        "    yds = []",
+        "    for u, v in seeds:",
+        "        sd[u] = v",
+        *(f"        {line}" for line in passes),
+        f"        yds.append(t{out})",
+        "        sd[u] = 0.0",
+        "    count_forward_pass(len(yds))",
+        f"    return a{out}, yds",
+        "def loss_sum(p, samples):",
+        f"    {unpack_params}",
+        "    total = 0.0",
+        "    for s in samples:",
+        f"        {unpack_inputs}s.x",
+        *(f"        {line}" for line in sweep),
+        f"        d = s.y - a{out}",
+        "        total += d * d",
+        "    return total",
+    ]
+    kernel = _compile(lines, "kernel")
+    kernel.loss_sum = kernel.__globals__["loss_sum"]
+    return kernel
+
+
+def _compile(lines: list[str], name: str):
+    """The function ``name`` that the source ``lines`` define."""
+    namespace = {"fn": fn, "math": math, "count_forward_pass": count_forward_pass,
+                 "_unit_failure": _unit_failure, "_finite": _finite, "NonFinite": NonFinite,
+                 "ONES_SEED_GUARD": ONES_SEED_GUARD}
+    exec(compile("\n".join(lines), "<dualgrad kernel>", "exec"), namespace)
+    return namespace[name]
+
+
+def _finite_check(target: str, names: list[str], what: str) -> list[str]:
+    """Lines raising ``_finite``'s NonFinite unless every one of ``names`` is finite."""
+    return [
+        *_chain(target, [f"{v} * 0.0" for v in names]),
+        f"if {target} != 0.0:",
+        f"    _finite([{', '.join(names)}], {what!r})",
+    ]
+
+
+def _pass_lines(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], done: str):
+    """The lines of one layout's dual pass, shared by ``_kernel`` and ``_sgd_loop``.
+
+    ``sweep`` sets each unit's pre-activation real ``r{u}`` and activation
+    ``a{u}`` from the inputs ``x{j}``; ``factors`` sets its derivative
+    factors and each layer's real check term ``rb{l}``; ``passes`` is one
+    tangent pass from the input tangents ``d{j}`` and the seeds ``sd``,
+    which ends at the output tangent ``t{u}``. ``units`` and ``values``
+    name, per parameter in layout order, the unit ``seeded`` seeds and the
+    seed. A failing pass counts ``done``, the passes before it.
+    """
     n = shapes[0][0]
     hr = [f"x{j}" for j in range(n)]  # the layer's input reals
     hd = [f"d{j}" for j in range(n)]  # and their tangents
-    input_tangents = " = ".join(hd)
     sweep, factors, passes, units, values = [], [], [], [], []
     k = u0 = 0  # the layer's first weight and first unit
     for l, ((n_in, n_out), act) in enumerate(zip(shapes, acts)):
@@ -422,7 +520,7 @@ def _kernel(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
         passes += _chain(f"zb{l}", [f"z{u} * 0.0" for u in layer] + [f"rb{l}"])
         passes.append(f"if zb{l} != 0.0:")
         passes.append(
-            f"    raise _unit_failure(len(yds), {l}, ("
+            f"    raise _unit_failure({done}, {l}, ("
             + "".join(f"(r{u}, z{u}), " for u in layer) + "))"
         )
         passes += [f"t{u} = " + tangent.format(u=u) for u in layer]
@@ -430,47 +528,87 @@ def _kernel(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
         hd = [f"t{u}" for u in layer]
         k = b0 + n_out
         u0 += n_out
-    unpack_params = f"{''.join(f'w{j}, ' for j in range(k))}= p"
-    unpack_inputs = f"{''.join(f'x{j}, ' for j in range(n))}= "
+    return sweep, factors, passes, units, values
+
+
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _sgd_loop(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], ones: bool):
+    """``train``'s SGD loop under ``ones`` (if true) or ``seeded``, compiled for one layout.
+
+    ``loop(params, batches, lr)`` takes one SGD step per nonempty batch,
+    on the mean gradient of the batch's samples, and returns the last
+    finite parameters, the largest |entry| of the steps' gradients, the
+    singular skips and, if a value left the finite numbers, the NonFinite
+    that stopped it, else None. It counts the passes that the rule's
+    per-sample calls count. ``_kernel``'s docstring holds the argument
+    that it is bit-identical to them. It is compiled on a layout's first
+    ``train`` use, so the gradient rules alone never pay for it.
+    """
+    sweep, factors, passes, units, values = _pass_lines(shapes, acts, "0" if ones else "len(yds)")
+    n, k, out = shapes[0][0], len(units), units[-1]
+    params = [f"w{j}" for j in range(k)]
+    entries = [f"e{j}" for j in range(k)]
+    sums = [f"c{j}" for j in range(k)]
+    steps = [f"n{j}" for j in range(k)]
+    if ones:  # one pass, every input tangent 1.0 and no seed
+        gradient = [
+            *passes,
+            "passes += 1",
+            f"q = 2.0 * (a{out} - s.y) * t{out} / seed_sum",
+            *(f"e{j} = q * x{j}" for j in range(n)),
+            f"e{n} = q",
+        ]
+    else:  # one pass per parameter, zero input tangents
+        gradient = [
+            "yds = []",
+            f"for u, v in zip({tuple(units)}, ({''.join(f'{v}, ' for v in values)})):",
+            "    sd[u] = v",
+            *(f"    {line}" for line in passes),
+            f"    yds.append(t{out})",
+            "    sd[u] = 0.0",
+            f"passes += {k}",
+            f"{''.join(f'yd{j}, ' for j in range(k))}= yds",
+            f"d = s.y - a{out}",
+            *(f"e{j} = 2 * d * (0.0 - yd{j})" for j in range(k)),
+        ]
+    guard = [
+        f"seed_sum = sum(({''.join(f'w{j}, ' for j in range(n))}))",
+        "if abs(seed_sum) < ONES_SEED_GUARD:",
+        "    skips += len(batch)",
+        "    continue",
+    ] if ones else []
     lines = [
-        "def kernel(p, x, ones):",
-        f"    {unpack_params}",
-        f"    {unpack_inputs}x",
-        *(f"    {line}" for line in sweep),
-        "    if ones is None:",
-        f"        return {hr[0]}",
-        *(f"    {line}" for line in factors),
-        "    if ones:",  # one pass; its seed adds 0.0 to unit 0
-        f"        {input_tangents} = 1.0",
-        "        seeds = ((0, 0.0),)",
-        "    else:",
-        f"        {input_tangents} = 0.0",
-        f"        seeds = zip({tuple(units)}, ({''.join(f'{v}, ' for v in values)}))",
-        f"    sd = [0.0] * {u0}",
-        "    yds = []",
-        "    for u, v in seeds:",
-        "        sd[u] = v",
-        *(f"        {line}" for line in passes),
-        f"        yds.append({hd[0]})",
-        "        sd[u] = 0.0",
-        "    count_forward_pass(len(yds))",
-        f"    return {hr[0]}, yds",
-        "def loss_sum(p, samples):",
-        f"    {unpack_params}",
-        "    total = 0.0",
-        "    for s in samples:",
-        f"        {unpack_inputs}s.x",
-        *(f"        {line}" for line in sweep),
-        f"        d = s.y - {hr[0]}",
-        "        total += d * d",
-        "    return total",
+        "def loop(p, batches, lr):",
+        f"    {''.join(f'{w}, ' for w in params)}= p",
+        f"    {' = '.join(f'd{j}' for j in range(n))} = {1.0 if ones else 0.0}",
+        f"    sd = [0.0] * {out + 1}",
+        "    norm = 0.0",
+        "    skips = passes = 0",
+        "    failure = None",
+        "    try:",
+        "        for batch in batches:",
+        *(f"            {line}" for line in guard),
+        f"            {' = '.join(sums)} = -0.0",
+        "            for s in batch:",
+        f"                {''.join(f'x{j}, ' for j in range(n))}= s.x",
+        *(f"                {line}" for line in [*sweep, *factors, *gradient]),
+        *(f"                {line}" for line in _finite_check("ge", entries, "gradient entries")),
+        *(f"                {c} = {c} + {e}" for c, e in zip(sums, entries)),
+        "            if len(batch) > 1:",
+        "                scale = 1.0 / len(batch)",
+        *(f"                {c} = scale * {c}" for c in sums),
+        *(f"                {line}" for line in _finite_check("gs", sums, "gradient entries")),
+        f"            norm = max(norm, {', '.join(f'abs({c})' for c in sums)})",
+        *(f"            {m} = {w} - lr * {c}" for m, w, c in zip(steps, params, sums)),
+        *(f"            {line}" for line in _finite_check("ps", steps, "parameters")),
+        *(f"            {w} = {m}" for w, m in zip(params, steps)),
+        "    except NonFinite as exc:",
+        "        failure = exc",
+        "    finally:",
+        "        count_forward_pass(passes)",
+        f"    return [{', '.join(params)}], norm, skips, failure",
     ]
-    namespace = {"fn": fn, "math": math, "count_forward_pass": count_forward_pass,
-                 "_unit_failure": _unit_failure}
-    exec(compile("\n".join(lines), "<dualgrad kernel>", "exec"), namespace)
-    kernel = namespace["kernel"]
-    kernel.loss_sum = namespace["loss_sum"]
-    return kernel
+    return _compile(lines, "loop")
 
 
 def _run_kernel(m: Mlp, x: Sequence[float], ones: bool | None):
@@ -533,3 +671,21 @@ def grad_seeded(m: Model, s: Sample) -> AnyGradient:
     yr, yds = _run_kernel(m, s.x, False)
     d = s.y - yr
     return _grad_like(m, [2 * d * (0.0 - yd) for yd in yds])
+
+
+# --- train's SGD loop ---------------------------------------------------------------
+
+
+def run_sgd(m: Model, batches, lr: float, ones: bool):
+    """SGD over nonempty batches with ``grad_ones`` (if ``ones``) or ``grad_seeded``.
+
+    Each batch's step is ``p - lr * g`` on the sample-order mean of its
+    gradients; under ``ones`` a singular batch is skipped. The loop runs as
+    one call of the layout's compiled ``_sgd_loop``. Returns the model
+    after the last finite step, the largest |gradient entry| of the steps,
+    the singular skips and the NonFinite that stopped the loop, or None.
+    """
+    if ones:
+        _single_layer(m)
+    params, norm, skips, failure = _sgd_loop(m.shapes, m.acts, ones)(m.params, batches, lr)
+    return _model_like(m, params), norm, skips, failure

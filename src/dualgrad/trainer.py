@@ -5,21 +5,28 @@ fully determined by the config: same seed and sample order give the same
 trajectory whichever engine is selected (wall-clock timings aside).
 
 Every engine takes a batch, ``ENGINES[name](m, samples) -> (mean gradient
-or None, singular skips)``, so ``train`` makes one engine call per epoch
-in ``full_batch`` mode and one per sample in ``per_sample`` mode. ``ones``
-and ``seeded`` are per-sample rules wrapped by ``summed``; ``backprop`` is
-the oracle's own batch loop. Both sum in sample order, so the logs agree.
-The epoch loss is one call of the layout's compiled loss loop.
+or None, singular skips)``. ``ones`` and ``seeded`` are per-sample rules
+wrapped by ``summed``; ``backprop`` is the oracle's own batch loop. Both
+sum in sample order, so the logs agree. An engine may also carry an
+``sgd`` attribute, a compiled loop that runs a whole epoch's batches,
+updates included, in one call: ``ones`` and ``seeded`` carry the model's
+``run_sgd`` for their rule. For the others ``train`` makes one engine
+call and one ``sgd_step`` per batch, so one per epoch in ``full_batch``
+mode and one per sample in ``per_sample`` mode. Either way the log is the
+same, bit for bit. The epoch loss is one call of the layout's compiled
+loss loop.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 import numbers
 import operator
+import re
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -88,6 +95,10 @@ ENGINES = {
     "seeded": summed(_model.grad_seeded),
     "backprop": _oracle.grad_backprop_batch,
 }
+# The forward-mode rules also run train's whole loop over an epoch's
+# batches as one compiled call; the others keep train's loop of engine calls.
+ENGINES["ones"].sgd = functools.partial(_model.run_sgd, ones=True)
+ENGINES["seeded"].sgd = functools.partial(_model.run_sgd, ones=False)
 
 
 def engine(name: str):
@@ -232,6 +243,15 @@ def builtin_dataset(name: str) -> Dataset:
     raise ValueError(f"unknown dataset {name!r}, expected one of {BUILTIN_DATASETS}")
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of text, each ended by ``\\r\\n``, ``\\r`` or ``\\n``.
+
+    These are the line breaks of the csv reader in ``load_csv_dataset``,
+    so every ``path:line`` that a file's reader reports counts alike.
+    """
+    return re.split(r"\r\n|\r|\n", text)
+
+
 def read_utf8(path: str | Path) -> str:
     """The text of a UTF-8 file; a bad byte raises ValueError naming the file and its line.
 
@@ -241,7 +261,7 @@ def read_utf8(path: str | Path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
+        lineno = len(split_lines(data[:exc.start].decode("utf-8")))
         raise ValueError(
             f"{path}:{lineno}: byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})"
         ) from None
@@ -357,6 +377,7 @@ def train(cfg: TrainConfig, dataset: Dataset | None = None, model: Model | None 
             f"model width {m.width} does not match dataset width {dataset.feature_width}"
         )
     grad = engine(cfg.engine)
+    sgd = getattr(grad, "sgd", None)  # the engine's compiled loop over batches, if it has one
 
     log = TrainLog(config=cfg.to_dict())
     for epoch in range(1, cfg.epochs + 1):
@@ -369,13 +390,19 @@ def train(cfg: TrainConfig, dataset: Dataset | None = None, model: Model | None 
         # per-sample SGD is full-batch SGD over batches of one sample
         batches = [ordered] if cfg.batch_mode == "full_batch" else [[s] for s in ordered]
         try:
-            for batch in batches:
-                g, skips = grad(m, batch)
+            if sgd is None:
+                for batch in batches:
+                    g, skips = grad(m, batch)
+                    log.singular_skips += skips
+                    if g is None:
+                        continue
+                    grad_norm = max(grad_norm, *map(abs, g.params))
+                    m = sgd_step(m, g, cfg.learning_rate)
+            else:
+                m, grad_norm, skips, failure = sgd(m, batches, cfg.learning_rate)
                 log.singular_skips += skips
-                if g is None:
-                    continue
-                grad_norm = max(grad_norm, *map(abs, g.params))
-                m = sgd_step(m, g, cfg.learning_rate)
+                if failure is not None:
+                    raise failure
             epoch_loss = mean_loss(m, dataset)
             if not math.isfinite(epoch_loss):
                 raise NonFinite(f"epoch {epoch}: mean loss {epoch_loss!r} is not finite")
@@ -392,7 +419,10 @@ def train(cfg: TrainConfig, dataset: Dataset | None = None, model: Model | None 
 
 
 def write_log_json(log: TrainLog, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(log.to_dict(), indent=2) + "\n")
+    """The log as indented JSON, streamed to the file rather than built as one string."""
+    with Path(path).open("w") as fh:
+        json.dump(log.to_dict(), fh, indent=2)
+        fh.write("\n")
 
 
 def write_log_csv(log: TrainLog, path: str | Path) -> None:

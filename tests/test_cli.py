@@ -276,6 +276,17 @@ def test_config_file_non_utf8_byte_names_file_and_line(tmp_path, capsys):
         f"error: {cfg}:2: byte 0xff is not UTF-8 (invalid start byte)\n")
 
 
+def test_config_file_lines_break_at_cr_lf_or_crlf_only(tmp_path, capsys):
+    # \x0c, \x1c and \u2028 sit inside a value; a bare \r ends a line, as in a CSV
+    cfg = tmp_path / "ff.cfg"
+    cfg.write_bytes("dataset=or\rout=run\x0c\x1c\u2028dir\r\nepochs=3\n".encode())
+    assert cli._read_config_file(str(cfg), cli._TRAIN_FLAGS) == {
+        "dataset": ("or", 1), "out": ("run\x0c\x1c\u2028dir", 2), "epochs": ("3", 3)}
+    cfg.write_bytes("dataset=or\rout=run\x0cdir\r\nbogus=1\n".encode())
+    assert run(["train", "--config", str(cfg)]) == 2
+    assert f"{cfg}:3: unknown config key 'bogus'" in capsys.readouterr().err
+
+
 def test_bench_prints_cost_fits_only_for_a_sweep(capsys):
     argv = ["bench", "--engines", "seeded,ones", "--reps", "10"]
     assert run(argv + ["--widths", "2,4"]) == 0

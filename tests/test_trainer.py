@@ -1,5 +1,6 @@
 """Datasets, SGD updates, the training loop, and log export."""
 
+import itertools
 import json
 import math
 import re
@@ -503,6 +504,135 @@ def test_backprop_batch_keeps_the_per_sample_errors():
     assert trainer.ENGINES["backprop"](m, []) == (None, 0)
 
 
+# --- the compiled SGD loop ----------------------------------------------------------------
+
+
+@pytest.fixture
+def generic(monkeypatch):
+    """Each engine registered again as ``<name>-generic``, which train runs one call per batch.
+
+    The per-sample rules wrapped by ``summed`` carry no compiled loop, so
+    these runs make exactly the per-sample calls that the loop replaces.
+    """
+    monkeypatch.setitem(trainer.ENGINES, "ones-generic", trainer.summed(md.grad_ones))
+    monkeypatch.setitem(trainer.ENGINES, "seeded-generic", trainer.summed(md.grad_seeded))
+    monkeypatch.setitem(trainer.ENGINES, "backprop-generic", trainer.summed(oracle.grad_backprop))
+
+
+def counted(engine, data=None, model=None, **kw):
+    """train's log without wall times and engine name, as a repr that tells -0.0 from 0.0,
+    and the passes the run counted."""
+    md.reset_pass_count()
+    doc = trainer.train(TrainConfig(engine=engine, **kw), data, model).to_dict()
+    for record in doc["records"]:
+        del record["wall_ms"]
+    del doc["config"]["engine"]
+    return repr(doc), md.pass_count()
+
+
+def test_the_forward_mode_engines_train_through_their_compiled_loop():
+    for name, ones in (("ones", True), ("seeded", False)):
+        sgd = trainer.ENGINES[name].sgd
+        assert (sgd.func, sgd.args, sgd.keywords) == (md.run_sgd, (), {"ones": ones})
+    assert not hasattr(trainer.ENGINES["backprop"], "sgd")
+    assert not hasattr(trainer.summed(md.grad_ones), "sgd")
+
+
+@pytest.mark.parametrize("rule", ["ones", "seeded"])
+@pytest.mark.parametrize("dataset", ["and", "line2d"])
+@pytest.mark.parametrize("act", md.ACTIVATIONS)
+def test_the_compiled_loop_traces_the_generic_loop_bit_for_bit(rule, dataset, act, generic):
+    # lr 1e6 makes the identity runs diverge in the middle of an epoch
+    for batch, shuffle, lr in itertools.product(trainer.BATCH_MODES, (False, True), (0.5, 1e6)):
+        kw = dict(dataset=dataset, activation=act, batch_mode=batch, shuffle=shuffle,
+                  learning_rate=lr, epochs=6, rng_seed=2)
+        assert counted(rule, **kw) == counted(f"{rule}-generic", **kw), kw
+
+
+@pytest.mark.parametrize("batch", trainer.BATCH_MODES)
+@pytest.mark.parametrize("lr", [0.5, 1e6])
+def test_the_compiled_loop_traces_the_generic_loop_on_a_hidden_layer(batch, lr, generic):
+    cfg = TrainConfig(dataset="and", engine="seeded", hidden=(3,), activation="identity")
+    mlp = trainer.init_model(cfg, 2, np.random.default_rng(4))
+    kw = dict(dataset="and", batch_mode=batch, learning_rate=lr, epochs=6)
+    and_ = trainer.builtin_dataset("and")
+    assert counted("seeded", and_, mlp, **kw) == counted("seeded-generic", and_, mlp, **kw)
+
+
+@pytest.mark.parametrize("batch", trainer.BATCH_MODES)
+def test_the_compiled_loop_keeps_singular_skips_and_signed_zeros(batch, generic):
+    and_ = trainer.builtin_dataset("and")
+    singular = Perceptron([0.5, -0.5], 0.0)
+    for rule in ("ones", "seeded"):
+        kw = dict(dataset="and", batch_mode=batch, epochs=3)
+        assert counted(rule, and_, singular, **kw) == counted(f"{rule}-generic", and_, singular, **kw)
+    # ones' weight entry is -0.0 here, and -0.0 - 0.5 * -0.0 is +0.0
+    zero = Dataset("zero", 2, [Sample([0.0, 1.0], 1.0), Sample([0.0, 0.5], 1.0)])
+    m = Perceptron([-0.0, 1.0], 0.0)
+    for rule in ("ones", "seeded"):
+        kw = dict(dataset="zero", batch_mode=batch, epochs=2)
+        assert counted(rule, zero, m, **kw) == counted(f"{rule}-generic", zero, m, **kw)
+    log = trainer.train(TrainConfig(engine="ones", batch_mode=batch, epochs=1), zero, m)
+    assert math.copysign(1.0, log.final_model["W"][0]) == 1.0
+
+
+def test_an_mlp_trained_with_ones_still_raises_the_shared_seed_error():
+    and_ = trainer.builtin_dataset("and")
+    mlp = Mlp([Layer([[0.5, 0.25], [0.1, -0.3]], [0.0, 0.1]), Layer([[1.0, 0.5]], [0.0])])
+    one_layer = Mlp([Layer([[0.5, 0.25]], [0.0])])  # not a Perceptron
+    for m in (mlp, one_layer):
+        with pytest.raises(TypeError, match="shared-seed rule is single-layer"):
+            trainer.train(TrainConfig(dataset="and", engine="ones", epochs=2), and_, m)
+
+
+def test_the_loop_compiles_on_a_layouts_first_train_use_only():
+    m = Perceptron([0.3, -0.7, 0.2], 0.1, "tanh")
+    ds = Dataset("d", 3, [Sample([1.0, 2.0, -1.0], 1.0), Sample([0.5, 0.0, 2.0], 0.0)])
+    md._sgd_loop.cache_clear()
+    md.grad_ones(m, ds.samples[0])
+    md.grad_seeded(m, ds.samples[0])
+    m.forward(ds.samples[0].x)
+    trainer.mean_loss(m, ds)
+    assert md._sgd_loop.cache_info()[:2] == (0, 0)  # (hits, misses)
+    for _ in range(2):  # one lookup per epoch
+        trainer.train(TrainConfig(engine="ones", epochs=2), ds, m)
+    assert md._sgd_loop.cache_info()[:2] == (3, 1)
+    trainer.train(TrainConfig(engine="seeded", epochs=2), ds, m)
+    assert md._sgd_loop.cache_info()[:2] == (4, 2)
+    assert md._sgd_loop.cache_info().maxsize == md.KERNEL_CACHE_SIZE
+
+
+# --- pass counts of a training run --------------------------------------------------------
+
+
+@pytest.mark.parametrize("batch", trainer.BATCH_MODES)
+@pytest.mark.parametrize("engine, hidden, per_gradient", [
+    ("ones", (), 1), ("seeded", (), 3), ("seeded", (3,), 3 * 2 + 3 + 3 + 1), ("backprop", (), 1),
+])
+def test_train_counts_one_gradients_passes_per_sample_and_epoch(engine, hidden, per_gradient,
+                                                                 batch):
+    _, passes = counted(engine, dataset="and", hidden=hidden, batch_mode=batch, epochs=5)
+    assert passes == 5 * 4 * per_gradient
+
+
+@pytest.mark.parametrize("batch", trainer.BATCH_MODES)
+def test_singular_skips_count_no_pass(batch):
+    and_ = trainer.builtin_dataset("and")
+    singular = Perceptron([0.5, -0.5], 0.0)
+    assert counted("ones", and_, singular, dataset="and", batch_mode=batch, epochs=3)[1] == 0
+    assert counted("seeded", and_, singular, dataset="and", batch_mode=batch, epochs=3)[1] == 36
+
+
+@pytest.mark.parametrize("engine", ["ones", "seeded", "backprop"])
+def test_a_run_diverging_mid_epoch_counts_the_passes_of_its_per_sample_calls(engine, generic):
+    kw = dict(dataset="line2d", activation="identity", learning_rate=1e6, epochs=3, rng_seed=2)
+    doc, passes = counted(engine, **kw)
+    assert (doc, passes) == counted(f"{engine}-generic", **kw)
+    log = json.loads(doc.replace("'", '"').replace("True", "true").replace("False", "false"))
+    assert log["diverged"] and log["records"] == []
+    assert 0 < passes < 64 * (3 if engine == "seeded" else 1)  # stopped inside epoch 1
+
+
 # --- log export ------------------------------------------------------------------------
 
 
@@ -511,6 +641,13 @@ def test_log_json_round_trip(tmp_path):
     path = tmp_path / "log.json"
     trainer.write_log_json(log, path)
     assert json.loads(path.read_text()) == log.to_dict()
+
+
+def test_log_json_is_the_indented_dump_byte_for_byte(tmp_path):
+    log = trainer.train(TrainConfig(dataset="line2d", engine="ones", epochs=20, rng_seed=1))
+    path = tmp_path / "log.json"
+    trainer.write_log_json(log, path)
+    assert path.read_bytes() == (json.dumps(log.to_dict(), indent=2) + "\n").encode()
 
 
 def test_log_csv_columns(tmp_path):
