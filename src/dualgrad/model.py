@@ -463,18 +463,19 @@ def _kernel(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
         "        total += d * d",
         "    return total",
     ]
-    kernel = _compile(lines, "kernel")
-    kernel.loss_sum = kernel.__globals__["loss_sum"]
+    namespace = _compile(lines)
+    kernel = namespace["kernel"]
+    kernel.loss_sum = namespace["loss_sum"]
     return kernel
 
 
-def _compile(lines: list[str], name: str):
-    """The function ``name`` that the source ``lines`` define."""
+def _compile(lines: list[str]) -> dict:
+    """The namespace that running the source ``lines`` leaves, holding their functions."""
     namespace = {"fn": fn, "math": math, "count_forward_pass": count_forward_pass,
                  "_unit_failure": _unit_failure, "_finite": _finite, "NonFinite": NonFinite,
                  "ONES_SEED_GUARD": ONES_SEED_GUARD}
     exec(compile("\n".join(lines), "<dualgrad kernel>", "exec"), namespace)
-    return namespace[name]
+    return namespace
 
 
 def _finite_check(target: str, names: list[str], what: str) -> list[str]:
@@ -608,7 +609,7 @@ def _sgd_loop(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], ones: 
         "        count_forward_pass(passes)",
         f"    return [{', '.join(params)}], norm, skips, failure",
     ]
-    return _compile(lines, "loop")
+    return _compile(lines)["loop"]
 
 
 def _run_kernel(m: Mlp, x: Sequence[float], ones: bool | None):

@@ -107,6 +107,18 @@ def test_load_csv_errors_name_the_file_line_after_a_quoted_newline(tmp_path):
         trainer.load_csv_dataset(path)
 
 
+@pytest.mark.parametrize("eol", [b"\r", b"\r\n", b"\n"])
+def test_a_bad_byte_and_a_bad_row_count_file_lines_alike(eol, tmp_path):
+    # \r\n, \r and \n each end a line, for the bytes and the csv reader alike
+    path = tmp_path / "eol.csv"
+    path.write_bytes(eol.join([b"x1,y", b"1,0", b"2,\xff", b""]))
+    with pytest.raises(ValueError, match=re.escape("eol.csv:3: byte 0xff is not UTF-8")):
+        trainer.load_csv_dataset(path)
+    path.write_bytes(eol.join([b"x1,y", b"1,0", b"2,abc", b""]))
+    with pytest.raises(ValueError, match=re.escape("eol.csv:3: could not convert")):
+        trainer.load_csv_dataset(path)
+
+
 def test_load_csv_accepts_a_leading_byte_order_mark(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbfx1,x2,y\n0.5,-1.25,1\n")
@@ -628,8 +640,7 @@ def test_a_run_diverging_mid_epoch_counts_the_passes_of_its_per_sample_calls(eng
     kw = dict(dataset="line2d", activation="identity", learning_rate=1e6, epochs=3, rng_seed=2)
     doc, passes = counted(engine, **kw)
     assert (doc, passes) == counted(f"{engine}-generic", **kw)
-    log = json.loads(doc.replace("'", '"').replace("True", "true").replace("False", "false"))
-    assert log["diverged"] and log["records"] == []
+    assert "'records': []" in doc and "'diverged': True" in doc
     assert 0 < passes < 64 * (3 if engine == "seeded" else 1)  # stopped inside epoch 1
 
 
