@@ -39,12 +39,12 @@ the ring's order, so the results are bit-identical to the same passes
 written with ``Dual`` and the lifts in ``functions``. ``Dual`` stays the
 public ring and the spec the passes are tested against.
 
-``run_sgd`` runs ``train``'s loop over an epoch's batches under either
-rule, per-sample gradients, batch means and updates included, as one more
-compiled function per layout and rule (``_sgd_loop``), built from the
-kernel's lines on the layout's first ``train`` use. A run through them is
-bit-identical to one through the rules, ``trainer.summed`` and
-``trainer.sgd_step``.
+``run_sgd``, the ``sgd`` of the trainer's ``ones`` and ``seeded``, runs an
+epoch's batches under either rule, per-sample gradients, batch means and
+updates included, as one more compiled function per layout and rule
+(``_sgd_loop``), built from the kernel's lines on the layout's first
+``train`` use. A run through it is bit-identical to one through
+``trainer.stepwise`` over the rule wrapped by ``trainer.summed``.
 """
 
 from __future__ import annotations

@@ -4,17 +4,16 @@ The three engines compute the same mathematical gradient, so a run is
 fully determined by the config: same seed and sample order give the same
 trajectory whichever engine is selected (wall-clock timings aside).
 
-Every engine takes a batch, ``ENGINES[name](m, samples) -> (mean gradient
-or None, singular skips)``. ``ones`` and ``seeded`` are per-sample rules
-wrapped by ``summed``; ``backprop`` is the oracle's own batch loop. Both
-sum in sample order, so the logs agree. An engine may also carry an
-``sgd`` attribute, a compiled loop that runs a whole epoch's batches,
-updates included, in one call: ``ones`` and ``seeded`` carry the model's
-``run_sgd`` for their rule. For the others ``train`` makes one engine
-call and one ``sgd_step`` per batch, so one per epoch in ``full_batch``
-mode and one per sample in ``per_sample`` mode. Either way the log is the
-same, bit for bit. The epoch loss is one call of the layout's compiled
-loss loop.
+Every engine is one ``Engine(batch, sgd)`` record, callable as its
+batch: ``ENGINES[name](m, samples) -> (mean gradient or None, singular
+skips)``. ``ones`` and ``seeded`` batch through per-sample rules wrapped
+by ``summed``, ``backprop`` through the oracle's own batch loop. Both sum
+in sample order, so the logs agree. ``sgd(m, batches, lr)`` runs an
+epoch's batches, updates included: ``ones`` and ``seeded`` carry the
+model's compiled ``run_sgd`` for their rule, the others ``stepwise``, one
+batch call and one ``sgd_step`` per batch. ``train`` makes one ``sgd``
+call per epoch under every engine; either loop gives the same log, bit
+for bit. The epoch loss is one call of the layout's compiled loss loop.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ import numbers
 import operator
 import re
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -89,23 +89,53 @@ def summed(grad):
     return batch
 
 
-# The one name -> batch engine registry; bench and cli import it.
+@dataclass(frozen=True)
+class Engine:
+    """A batch gradient, and ``sgd(m, batches, lr) -> (last finite model, max |g|, skips, failure)``.
+
+    ``failure`` is the NonFinite that stopped the epoch, or None.
+    """
+
+    batch: Callable
+    sgd: Callable
+
+    def __call__(self, m: Model, samples: list[Sample]):
+        return self.batch(m, samples)
+
+
+def stepwise(batch):
+    """The ``sgd`` of a batch engine: one ``batch`` call and one ``sgd_step`` per batch."""
+
+    def sgd(m: Model, batches, lr: float):
+        norm, skips = 0.0, 0
+        try:
+            for samples in batches:
+                g, k = batch(m, samples)
+                skips += k
+                if g is not None:
+                    norm = max(norm, *map(abs, g.params))
+                    m = sgd_step(m, g, lr)
+        except NonFinite as failure:
+            return m, norm, skips, failure
+        return m, norm, skips, None
+
+    return sgd
+
+
+# The one name -> engine registry; bench and cli import it.
 ENGINES = {
-    "ones": summed(_model.grad_ones),
-    "seeded": summed(_model.grad_seeded),
-    "backprop": _oracle.grad_backprop_batch,
+    "ones": Engine(summed(_model.grad_ones), functools.partial(_model.run_sgd, ones=True)),
+    "seeded": Engine(summed(_model.grad_seeded), functools.partial(_model.run_sgd, ones=False)),
+    "backprop": Engine(_oracle.grad_backprop_batch, stepwise(_oracle.grad_backprop_batch)),
 }
-# The forward-mode rules also run train's whole loop over an epoch's
-# batches as one compiled call; the others keep train's loop of engine calls.
-ENGINES["ones"].sgd = functools.partial(_model.run_sgd, ones=True)
-ENGINES["seeded"].sgd = functools.partial(_model.run_sgd, ones=False)
 
 
-def engine(name: str):
-    """The batch engine registered as ``name`` in ENGINES."""
+def engine(name: str) -> Engine:
+    """The engine registered as ``name`` in ENGINES; a bare batch function trains stepwise."""
     if name not in ENGINES:
         raise ValueError(f"unknown engine {name!r}, expected one of {tuple(ENGINES)}")
-    return ENGINES[name]
+    found = ENGINES[name]
+    return found if isinstance(found, Engine) else Engine(found, stepwise(found))
 
 
 @dataclass
@@ -297,8 +327,9 @@ def load_csv_dataset(path: str | Path) -> Dataset:
 
 
 def check_dataset_ref(ref: str) -> None:
-    """Raise FileNotFoundError unless ref is a builtin name or an existing path."""
-    if ref not in BUILTIN_DATASETS and not Path(ref).exists():
+    """Raise FileNotFoundError unless ref is builtin or an existing path that is no directory."""
+    path = Path(ref)  # Path("") is the working directory; a pipe such as <(...) passes
+    if ref not in BUILTIN_DATASETS and (not path.exists() or path.is_dir()):
         raise FileNotFoundError(f"dataset {ref!r} is neither builtin nor an existing file")
 
 
@@ -362,11 +393,12 @@ def mean_loss(m: Model, dataset: Dataset) -> float:
 def train(cfg: TrainConfig, dataset: Dataset | None = None, model: Model | None = None) -> TrainLog:
     """Run the configured gradient descent and log one record per epoch.
 
-    SingularSeed steps (possible with engine='ones') are skipped and
-    counted. NonFinite is the one divergence signal: a non-finite gradient
-    entry, parameter, pass value or epoch loss ends the run with the log
-    marked diverged, and the diverging epoch is not recorded, so no record
-    holds an inf or nan. Any other error propagates.
+    Each epoch is one call of the engine's ``sgd``. SingularSeed steps
+    (possible with engine='ones') are skipped and counted. NonFinite is the
+    one divergence signal: one that ``sgd`` returns, or a non-finite epoch
+    loss, ends the run with the log marked diverged, and the diverging
+    epoch is not recorded, so no record holds an inf or nan. Any other
+    error propagates.
     """
     if dataset is None:
         dataset = resolve_dataset(cfg.dataset)
@@ -376,37 +408,20 @@ def train(cfg: TrainConfig, dataset: Dataset | None = None, model: Model | None 
         raise ValueError(
             f"model width {m.width} does not match dataset width {dataset.feature_width}"
         )
-    grad = engine(cfg.engine)
-    sgd = getattr(grad, "sgd", None)  # the engine's compiled loop over batches, if it has one
+    sgd = engine(cfg.engine).sgd
 
     log = TrainLog(config=cfg.to_dict())
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        grad_norm = 0.0
         order = list(range(len(dataset.samples)))
         if cfg.shuffle:
             rng.shuffle(order)
         ordered = [dataset.samples[i] for i in order]
         # per-sample SGD is full-batch SGD over batches of one sample
         batches = [ordered] if cfg.batch_mode == "full_batch" else [[s] for s in ordered]
-        try:
-            if sgd is None:
-                for batch in batches:
-                    g, skips = grad(m, batch)
-                    log.singular_skips += skips
-                    if g is None:
-                        continue
-                    grad_norm = max(grad_norm, *map(abs, g.params))
-                    m = sgd_step(m, g, cfg.learning_rate)
-            else:
-                m, grad_norm, skips, failure = sgd(m, batches, cfg.learning_rate)
-                log.singular_skips += skips
-                if failure is not None:
-                    raise failure
-            epoch_loss = mean_loss(m, dataset)
-            if not math.isfinite(epoch_loss):
-                raise NonFinite(f"epoch {epoch}: mean loss {epoch_loss!r} is not finite")
-        except NonFinite:
+        m, grad_norm, skips, failure = sgd(m, batches, cfg.learning_rate)
+        log.singular_skips += skips
+        if failure is not None or not math.isfinite(epoch_loss := mean_loss(m, dataset)):
             log.diverged = True
             break
         wall_ms = (time.perf_counter() - t0) * 1e3

@@ -1,7 +1,9 @@
 """CLI subcommands, exit codes, and file outputs."""
 
 import json
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +145,39 @@ def test_train_missing_dataset_file(capsys):
 def test_train_unreadable_dataset_is_usage_error(tmp_path, capsys):
     assert run(["train", "--dataset", str(tmp_path), "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("directory", ["", "tmp"])
+def test_a_directory_dataset_fails_the_check_and_names_the_input(directory, tmp_path, capsys):
+    # Path("") is the working directory
+    ref = str(tmp_path) if directory else ""
+    assert run(["train", "--dataset", ref, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: dataset {ref!r} is neither builtin nor an existing file\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_an_empty_config_file_dataset_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("dataset=\n")
+    assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}:1: dataset: dataset '' is neither builtin nor an existing file\n"
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
+def test_a_piped_dataset_still_trains(tmp_path, capsys):
+    # a shell's <(...) names a pipe that exists but is no regular file
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"x1,y\n1,0\n0,1\n")
+    os.close(write_end)
+    try:
+        argv = ["train", "--dataset", f"/dev/fd/{read_end}", "--epochs", "2",
+                "--out", str(tmp_path / "run")]
+        assert run(argv) == 0
+    finally:
+        os.close(read_end)
+    assert json.loads((tmp_path / "run" / "log.json").read_text())["records"][1]["epoch"] == 2
 
 
 def test_train_zero_epochs_rejected(capsys):

@@ -1,5 +1,7 @@
 """Datasets, SGD updates, the training loop, and log export."""
 
+import dataclasses
+import inspect
 import itertools
 import json
 import math
@@ -521,10 +523,11 @@ def test_backprop_batch_keeps_the_per_sample_errors():
 
 @pytest.fixture
 def generic(monkeypatch):
-    """Each engine registered again as ``<name>-generic``, which train runs one call per batch.
+    """Each engine registered again as ``<name>-generic``, a bare batch function.
 
-    The per-sample rules wrapped by ``summed`` carry no compiled loop, so
-    these runs make exactly the per-sample calls that the loop replaces.
+    ``trainer.engine`` runs a bare function stepwise, one call per batch,
+    so these runs make exactly the per-sample calls that the compiled loop
+    and the oracle's batch loop replace.
     """
     monkeypatch.setitem(trainer.ENGINES, "ones-generic", trainer.summed(md.grad_ones))
     monkeypatch.setitem(trainer.ENGINES, "seeded-generic", trainer.summed(md.grad_seeded))
@@ -542,12 +545,63 @@ def counted(engine, data=None, model=None, **kw):
     return repr(doc), md.pass_count()
 
 
-def test_the_forward_mode_engines_train_through_their_compiled_loop():
+def stepped_batch(sgd):
+    """The batch function that ``sgd``, a ``trainer.stepwise`` loop, calls once per batch."""
+    assert sgd.__qualname__ == trainer.stepwise(None).__qualname__
+    return inspect.getclosurevars(sgd).nonlocals["batch"]
+
+
+def test_the_forward_mode_engines_train_through_their_compiled_loop(monkeypatch):
+    assert all(isinstance(e, trainer.Engine) for e in trainer.ENGINES.values())
     for name, ones in (("ones", True), ("seeded", False)):
         sgd = trainer.ENGINES[name].sgd
         assert (sgd.func, sgd.args, sgd.keywords) == (md.run_sgd, (), {"ones": ones})
-    assert not hasattr(trainer.ENGINES["backprop"], "sgd")
-    assert not hasattr(trainer.summed(md.grad_ones), "sgd")
+    backprop = trainer.ENGINES["backprop"]
+    assert backprop.batch is oracle.grad_backprop_batch
+    assert stepped_batch(backprop.sgd) is oracle.grad_backprop_batch
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        backprop.sgd = None
+    # a bare batch function that a caller registers trains stepwise
+    bare = trainer.summed(md.grad_ones)
+    monkeypatch.setitem(trainer.ENGINES, "bare", bare)
+    found = trainer.engine("bare")
+    assert found.batch is bare and stepped_batch(found.sgd) is bare
+
+
+@pytest.mark.parametrize("name", ["ones", "seeded", "backprop"])
+@pytest.mark.parametrize("batch", trainer.BATCH_MODES)
+def test_train_makes_one_sgd_call_per_epoch(name, batch, monkeypatch):
+    real = trainer.ENGINES[name]
+    calls = []
+
+    def sgd(m, batches, lr):
+        calls.append(len(batches))
+        return real.sgd(m, batches, lr)
+
+    monkeypatch.setitem(trainer.ENGINES, "counting", trainer.Engine(real.batch, sgd))
+    kw = dict(dataset="and", batch_mode=batch, shuffle=True, epochs=4, rng_seed=1)
+    assert counted("counting", **kw) == counted(name, **kw)
+    assert calls == [1 if batch == "full_batch" else 4] * 4
+
+
+def test_stepwise_returns_the_last_finite_model_and_the_failure():
+    # the first step is finite (dW = db = 2); the second gradient's dW overflows
+    m = Perceptron([1.0], 0.0, "identity")
+    samples = [Sample([1.0], 0.0), Sample([1e200], 0.0)]
+    sgd = trainer.stepwise(trainer.ENGINES["backprop"].batch)
+    last, norm, skips, failure = sgd(m, [[s] for s in samples], 1.0)
+    assert isinstance(failure, NonFinite)
+    assert (last, norm, skips) == (Perceptron([-1.0], -2.0, "identity"), 2.0, 0)
+
+
+@pytest.mark.parametrize("dataset", ["and", "or", "line2d"])
+@pytest.mark.parametrize("act", md.ACTIVATIONS)
+def test_the_oracle_batch_loop_traces_the_summed_per_sample_oracle_bit_for_bit(dataset, act,
+                                                                              generic):
+    for batch, shuffle, lr in itertools.product(trainer.BATCH_MODES, (False, True), (0.5, 1e6)):
+        kw = dict(dataset=dataset, activation=act, batch_mode=batch, shuffle=shuffle,
+                  learning_rate=lr, epochs=6, rng_seed=2)
+        assert counted("backprop", **kw) == counted("backprop-generic", **kw), kw
 
 
 @pytest.mark.parametrize("rule", ["ones", "seeded"])
