@@ -93,7 +93,8 @@ def summed(grad):
 class Engine:
     """A batch gradient, and ``sgd(m, batches, lr) -> (last finite model, max |g|, skips, failure)``.
 
-    ``failure`` is the NonFinite that stopped the epoch, or None.
+    ``failure`` is the NonFinite that stopped the epoch, or None. ``sgd``
+    and ``batch`` only read their batches, so unshuffled ones are reused.
     """
 
     batch: Callable
@@ -413,12 +414,13 @@ def train(cfg: TrainConfig, dataset: Dataset | None = None, model: Model | None 
     log = TrainLog(config=cfg.to_dict())
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        order = list(range(len(dataset.samples)))
-        if cfg.shuffle:
-            rng.shuffle(order)
-        ordered = [dataset.samples[i] for i in order]
-        # per-sample SGD is full-batch SGD over batches of one sample
-        batches = [ordered] if cfg.batch_mode == "full_batch" else [[s] for s in ordered]
+        if cfg.shuffle or epoch == 1:  # sgd only reads batches, so unshuffled ones keep
+            order = list(range(len(dataset.samples)))
+            if cfg.shuffle:
+                rng.shuffle(order)
+            ordered = [dataset.samples[i] for i in order]
+            # per-sample SGD is full-batch SGD over batches of one sample
+            batches = [ordered] if cfg.batch_mode == "full_batch" else [[s] for s in ordered]
         m, grad_norm, skips, failure = sgd(m, batches, cfg.learning_rate)
         log.singular_skips += skips
         if failure is not None or not math.isfinite(epoch_loss := mean_loss(m, dataset)):
@@ -433,16 +435,44 @@ def train(cfg: TrainConfig, dataset: Dataset | None = None, model: Model | None 
 # --- log export --------------------------------------------------------------------
 
 
+# One record as json.dumps(..., indent=2) writes it inside the log.
+_RECORD_JSON = ('    {\n      "epoch": %r,\n      "mean_loss": %r,\n'
+                '      "grad_norm": %r,\n      "wall_ms": %r\n    }')
+# A newline or quote inside a JSON string is escaped, so only the key itself matches.
+_NO_RECORDS = '\n  "records": [],\n'
+_record_fields = operator.attrgetter("epoch", "mean_loss", "grad_norm", "wall_ms")
+
+
+def _plain(r: EpochRecord) -> bool:
+    """An int epoch and finite floats, which ``%r`` writes as json does."""
+    return (type(r.epoch) is int and type(r.mean_loss) is type(r.grad_norm) is type(r.wall_ms)
+            is float and math.isfinite(r.mean_loss + r.grad_norm + r.wall_ms))
+
+
 def write_log_json(log: TrainLog, path: str | Path) -> None:
-    """The log as indented JSON, streamed to the file rather than built as one string."""
+    """The log as ``json.dumps(log.to_dict(), indent=2)`` plus a newline, byte for byte.
+
+    The header is dumped without records, which are streamed in at its
+    ``"records"`` key from one ``%r`` template unless one is not ``_plain``.
+    """
     with Path(path).open("w") as fh:
-        json.dump(log.to_dict(), fh, indent=2)
+        if not all(map(_plain, log.records)):
+            json.dump(log.to_dict(), fh, indent=2)
+        else:
+            head = json.dumps({"config": log.config, "records": [], "final_model": log.final_model,
+                               "singular_skips": log.singular_skips, "diverged": log.diverged}, indent=2)
+            if log.records:
+                before, after = head.split(_NO_RECORDS, 1)
+                rows = map(_record_fields, log.records)
+                fh.write(before + '\n  "records": [\n' + _RECORD_JSON % next(rows))
+                fh.writelines(map((",\n" + _RECORD_JSON).__mod__, rows))
+                head = "\n  ],\n" + after
+            fh.write(head)
         fh.write("\n")
 
 
 def write_log_csv(log: TrainLog, path: str | Path) -> None:
+    """The records as csv.writer writes them: ``\\r\\n`` line ends and ``repr`` floats."""
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss", "grad_norm", "wall_ms"])
-        for r in log.records:
-            writer.writerow([r.epoch, repr(r.mean_loss), repr(r.grad_norm), repr(r.wall_ms)])
+        fh.write("epoch,mean_loss,grad_norm,wall_ms\r\n")
+        fh.writelines(map("%s,%r,%r,%r\r\n".__mod__, map(_record_fields, log.records)))

@@ -66,13 +66,13 @@ def test_each_engine_is_timed_in_its_own_round_robin(monkeypatch):
     calls = []
 
     def recording(tag):
-        grad = trainer.engine(tag)
+        real = trainer.engine(tag)
 
-        def call(m, s):
+        def batch(m, s):
             calls.append((tag, m.width))
-            return grad(m, s)
+            return real.batch(m, s)
 
-        return call
+        return trainer.Engine(batch, real.sgd)
 
     monkeypatch.setattr(bench, "engine", recording)
     bench.run_bench(widths=(4, 8), reps=10, seed=4)
@@ -84,6 +84,12 @@ def test_each_engine_is_timed_in_its_own_round_robin(monkeypatch):
     # each rep goes round-robin over the widths, and each timed call
     # directly follows an untimed call of the same point
     assert [w for _, w in calls[untimed:per_engine]] == [4, 4, 8, 8] * 10
+
+
+def test_the_sweep_times_each_engines_batch_function():
+    # not the Engine record, whose forwarding __call__ would be timed with it
+    *_, grads = bench.check_sweep(widths=(4,), reps=10)
+    assert all(g is trainer.ENGINES[tag].batch for g, tag in zip(grads, trainer.ENGINES, strict=True))
 
 
 def test_linear_fit_recovers_exact_line():

@@ -1,7 +1,9 @@
 """Datasets, SGD updates, the training loop, and log export."""
 
+import csv
 import dataclasses
 import inspect
+import io
 import itertools
 import json
 import math
@@ -14,7 +16,7 @@ from dualgrad import model as md
 from dualgrad import oracle, trainer
 from dualgrad.dual import NonFinite
 from dualgrad.model import Gradient, Layer, LayerGradient, Mlp, MlpGradient, Perceptron, Sample
-from dualgrad.trainer import Dataset, TrainConfig
+from dualgrad.trainer import Dataset, EpochRecord, TrainConfig, TrainLog
 
 
 # --- builtin datasets ---------------------------------------------------------
@@ -584,6 +586,38 @@ def test_train_makes_one_sgd_call_per_epoch(name, batch, monkeypatch):
     assert calls == [1 if batch == "full_batch" else 4] * 4
 
 
+@pytest.mark.parametrize("batch", trainer.BATCH_MODES)
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_each_epoch_shuffles_afresh_from_the_run_generator(batch, shuffle, monkeypatch):
+    data = trainer.builtin_dataset("line2d")
+    index = {id(s): i for i, s in enumerate(data.samples)}
+    calls = []
+
+    def recording(m, samples):
+        calls.append([index[id(s)] for s in samples])
+        return oracle.grad_backprop_batch(m, samples)
+
+    monkeypatch.setitem(trainer.ENGINES, "recording", recording)  # trains stepwise
+    cfg = TrainConfig(dataset="line2d", engine="recording", batch_mode=batch, shuffle=shuffle,
+                      epochs=4, rng_seed=5)
+    assert not trainer.train(cfg, data).diverged
+    # the order the run's generator gives after init_model's draws, shuffled each epoch
+    rng = np.random.default_rng(5)
+    trainer.init_model(cfg, data.feature_width, rng)
+    expected = []
+    for _ in range(cfg.epochs):
+        order = list(range(len(data.samples)))
+        if shuffle:
+            rng.shuffle(order)
+        expected.append(order)
+    assert len({tuple(order) for order in expected}) == (cfg.epochs if shuffle else 1)
+    per_epoch = 1 if batch == "full_batch" else len(data.samples)
+    assert len(calls) == per_epoch * cfg.epochs
+    flat = [i for call in calls for i in call]
+    n = len(data.samples)
+    assert [flat[k:k + n] for k in range(0, len(flat), n)] == expected
+
+
 def test_stepwise_returns_the_last_finite_model_and_the_failure():
     # the first step is finite (dW = db = 2); the second gradient's dW overflows
     m = Perceptron([1.0], 0.0, "identity")
@@ -713,6 +747,66 @@ def test_log_json_is_the_indented_dump_byte_for_byte(tmp_path):
     path = tmp_path / "log.json"
     trainer.write_log_json(log, path)
     assert path.read_bytes() == (json.dumps(log.to_dict(), indent=2) + "\n").encode()
+
+
+def _trained_log(**kw) -> TrainLog:
+    return trainer.train(TrainConfig(**kw))
+
+
+def _odd_config_log() -> TrainLog:
+    # config text that reads like the records key, plus -0.0 and a subnormal
+    config = TrainConfig().to_dict()
+    config["dataset"] = 'say "hi"\n\u00e9 \n  "records": [],\n'
+    records = [EpochRecord(1, -0.0, 1e-320, 0.25), EpochRecord(2, 5e-324, 0.0, 1e300)]
+    return TrainLog(config, records, {"kind": "\n  \"records\": [],\n"}, 2, False)
+
+
+# Each builder gives a log and what it must show: (diverged, records kept).
+LOGS = {
+    "trained": (lambda: _trained_log(dataset="line2d", engine="ones", epochs=20, rng_seed=1),
+                (False, 20)),
+    "diverged-empty": (lambda: _trained_log(dataset="line2d", activation="identity",
+                                            learning_rate=1e6), (True, 0)),
+    "diverged-with-records": (lambda: _trained_log(dataset="and", activation="identity",
+                                                   learning_rate=5.0, epochs=50), (True, 37)),
+    "nonfinite-records": (lambda: TrainLog(TrainConfig().to_dict(), [
+        EpochRecord(1, math.nan, math.inf, -0.0), EpochRecord(2, 0.5, -math.inf, 1.5),
+    ], diverged=True), (True, 2)),
+    "numpy-float-record": (lambda: TrainLog(TrainConfig().to_dict(), [
+        EpochRecord(1, 0.5, np.float64(0.25), 1.5),
+    ]), (False, 1)),
+    "odd-config-string": (_odd_config_log, (False, 2)),
+}
+
+
+@pytest.fixture(params=list(LOGS))
+def edge_log(request) -> TrainLog:
+    build, (diverged, kept) = LOGS[request.param]
+    log = build()
+    assert (log.diverged, len(log.records)) == (diverged, kept)
+    return log
+
+
+def test_log_json_is_the_indented_dump_on_edge_logs(edge_log, tmp_path):
+    path = tmp_path / "log.json"
+    trainer.write_log_json(edge_log, path)
+    assert path.read_bytes() == (json.dumps(edge_log.to_dict(), indent=2) + "\n").encode()
+
+
+def _csv_writer_log(log: TrainLog) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["epoch", "mean_loss", "grad_norm", "wall_ms"])
+    for r in log.records:
+        writer.writerow([r.epoch, repr(r.mean_loss), repr(r.grad_norm), repr(r.wall_ms)])
+    return buf.getvalue().encode()
+
+
+def test_log_csv_is_what_csv_writer_writes_byte_for_byte(edge_log, tmp_path):
+    # \r\n line ends and repr floats, none of which csv.writer quotes
+    path = tmp_path / "log.csv"
+    trainer.write_log_csv(edge_log, path)
+    assert path.read_bytes() == _csv_writer_log(edge_log)
 
 
 def test_log_csv_columns(tmp_path):
