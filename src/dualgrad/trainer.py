@@ -444,7 +444,7 @@ _record_fields = operator.attrgetter("epoch", "mean_loss", "grad_norm", "wall_ms
 
 
 def _plain(r: EpochRecord) -> bool:
-    """An int epoch and finite floats, which ``%r`` writes as json does."""
+    """An int epoch and floats with a finite sum (so all finite): ``%r`` writes them as json does."""
     return (type(r.epoch) is int and type(r.mean_loss) is type(r.grad_norm) is type(r.wall_ms)
             is float and math.isfinite(r.mean_loss + r.grad_norm + r.wall_ms))
 

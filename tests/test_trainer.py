@@ -742,13 +742,6 @@ def test_log_json_round_trip(tmp_path):
     assert json.loads(path.read_text()) == log.to_dict()
 
 
-def test_log_json_is_the_indented_dump_byte_for_byte(tmp_path):
-    log = trainer.train(TrainConfig(dataset="line2d", engine="ones", epochs=20, rng_seed=1))
-    path = tmp_path / "log.json"
-    trainer.write_log_json(log, path)
-    assert path.read_bytes() == (json.dumps(log.to_dict(), indent=2) + "\n").encode()
-
-
 def _trained_log(**kw) -> TrainLog:
     return trainer.train(TrainConfig(**kw))
 
@@ -787,7 +780,7 @@ def edge_log(request) -> TrainLog:
     return log
 
 
-def test_log_json_is_the_indented_dump_on_edge_logs(edge_log, tmp_path):
+def test_log_json_is_the_indented_dump_byte_for_byte(edge_log, tmp_path):
     path = tmp_path / "log.json"
     trainer.write_log_json(edge_log, path)
     assert path.read_bytes() == (json.dumps(edge_log.to_dict(), indent=2) + "\n").encode()
