@@ -53,7 +53,7 @@ def random_sample(n: int, rng: np.random.Generator) -> Sample:
 
 
 def check_sweep(widths=DEFAULT_WIDTHS, engines=tuple(ENGINES), reps: int = DEFAULT_REPS):
-    """The checked widths, engines and reps of a sweep and the engines' ``batch`` functions."""
+    """The checked widths, engines and reps of a sweep and the engines' batch functions."""
     widths = [_integer(w, "width") for w in widths]
     if not widths or any(w < 1 for w in widths):
         raise ValueError(f"widths must be >= 1, got {widths}")

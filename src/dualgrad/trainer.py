@@ -414,7 +414,7 @@ def train(cfg: TrainConfig, dataset: Dataset | None = None, model: Model | None 
     log = TrainLog(config=cfg.to_dict())
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        if cfg.shuffle or epoch == 1:  # sgd only reads batches, so unshuffled ones keep
+        if cfg.shuffle or epoch == 1:  # built once unless shuffled: sgd only reads them
             order = list(range(len(dataset.samples)))
             if cfg.shuffle:
                 rng.shuffle(order)
