@@ -53,12 +53,12 @@ def random_sample(n: int, rng: np.random.Generator) -> Sample:
 
 
 def check_sweep(widths=DEFAULT_WIDTHS, engines=tuple(ENGINES), reps: int = DEFAULT_REPS):
-    """The checked widths, engines and reps of a sweep and the engines' batch functions."""
+    """The checked widths, engines and reps of a sweep and the engines' per-sample gradients."""
     widths = [_integer(w, "width") for w in widths]
     if not widths or any(w < 1 for w in widths):
         raise ValueError(f"widths must be >= 1, got {widths}")
     engines = list(engines)
-    grads = [engine(tag).batch for tag in engines]  # timed without Engine's forwarding call
+    grads = [engine(tag).grad for tag in engines]
     if not grads:
         raise ValueError("engines must name at least one engine")
     for what, values in (("widths", widths), ("engines", engines)):
@@ -83,24 +83,24 @@ def run_bench(
     # round-robin over the widths so that a CPU speed switch mid-sweep hits
     # every width alike. Each timed call directly follows an untimed call
     # of its own point: timed right after another engine or width, a point
-    # read up to 1.7x slower. Each call is a batch of one sample.
+    # read up to 1.7x slower. Each call is one per-sample gradient.
     rng = np.random.default_rng(seed)
-    cases = [(guarded_perceptron(n, rng), [random_sample(n, rng)]) for n in widths]
+    cases = [(guarded_perceptron(n, rng), random_sample(n, rng)) for n in widths]
     results = []
     for tag, grad in zip(engines, grads):
         passes = []
-        for m, batch in cases:
+        for m, s in cases:
             _model.reset_pass_count()
-            grad(m, batch)
+            grad(m, s)
             passes.append(_model.pass_count())
             for _ in range(_WARMUP):
-                grad(m, batch)
+                grad(m, s)
         times = [[] for _ in cases]
         for _ in range(reps):
-            for (m, batch), ts in zip(cases, times):
-                grad(m, batch)
+            for (m, s), ts in zip(cases, times):
+                grad(m, s)
                 t0 = time.perf_counter_ns()
-                grad(m, batch)
+                grad(m, s)
                 ts.append(time.perf_counter_ns() - t0)
         for (m, _), n_passes, ts in zip(cases, passes, times):
             q1, _, q3 = statistics.quantiles(ts, n=4)

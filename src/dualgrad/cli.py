@@ -132,8 +132,8 @@ def _check_gradcheck_value(attr: str, value) -> None:
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
     v = _merge(args, _GRADCHECK_FLAGS, _check_gradcheck_value)
-    grad_a = _trainer.engine(v["engine_a"])
-    grad_b = _trainer.engine(v["engine_b"])
+    grad_a = _trainer.engine(v["engine_a"]).grad
+    grad_b = _trainer.engine(v["engine_b"]).grad
 
     rng = np.random.default_rng(v["seed"])
     max_abs = 0.0
@@ -142,7 +142,7 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     for trial in range(v["trials"]):
         m = _bench.guarded_perceptron(v["n"], rng)
         s = _bench.random_sample(v["n"], rng)
-        report = _oracle.compare(grad_a(m, [s])[0], grad_b(m, [s])[0], v["tol"])
+        report = _oracle.compare(grad_a(m, s), grad_b(m, s), v["tol"])
         max_abs = max(max_abs, report.max_abs_err)
         if worst is None or report.max_rel_err >= worst.max_rel_err:
             worst_trial, worst = trial, report

@@ -4,16 +4,16 @@ The three engines compute the same mathematical gradient, so a run is
 fully determined by the config: same seed and sample order give the same
 trajectory whichever engine is selected (wall-clock timings aside).
 
-Every engine is one ``Engine(batch, sgd)`` record, callable as its
-batch: ``ENGINES[name](m, samples) -> (mean gradient or None, singular
-skips)``. ``ones`` and ``seeded`` batch through per-sample rules wrapped
-by ``summed``, ``backprop`` through the oracle's own batch loop. Both sum
-in sample order, so the logs agree. ``sgd(m, batches, lr)`` runs an
-epoch's batches, updates included: ``ones`` and ``seeded`` carry the
-model's compiled ``run_sgd`` for their rule, the others ``stepwise``, one
-batch call and one ``sgd_step`` per batch. ``train`` makes one ``sgd``
-call per epoch under every engine; either loop gives the same log, bit
-for bit. The epoch loss is one call of the layout's compiled loss loop.
+Every engine is one ``Engine(grad, sgd)`` record. ``grad(m, s)`` is its
+public per-sample rule (``model.grad_ones``, ``model.grad_seeded``,
+``oracle.grad_backprop``). ``sgd(m, batches, lr)`` runs an epoch's
+batches, updates included: ``ones`` and ``seeded`` carry the model's
+compiled ``run_sgd`` for their rule, ``backprop`` ``stepwise`` over the
+oracle's batch loop, one batch call and one ``sgd_step`` per batch. A
+per-sample rule registers as ``Engine(rule, stepwise(summed(rule)))``.
+Each loop sums in sample order, so the logs agree bit for bit. ``train``
+makes one ``sgd`` call per epoch under every engine. The epoch loss is
+one call of the layout's compiled loss loop.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def _real(value, what: str) -> float:
 
 
 def summed(grad):
-    """The batch engine of a per-sample gradient rule.
+    """The batch function of a per-sample gradient rule.
 
     ``summed(grad)(m, samples)`` sums the gradients of the samples in
     sample order and scales the sum by 1/contributing when more than one
@@ -91,21 +91,18 @@ def summed(grad):
 
 @dataclass(frozen=True)
 class Engine:
-    """A batch gradient, and ``sgd(m, batches, lr) -> (last finite model, max |g|, skips, failure)``.
+    """A per-sample gradient ``grad(m, s)`` and ``sgd(m, batches, lr) -> (last finite model, max |g|, skips, failure)``.
 
     ``failure`` is the NonFinite that stopped the epoch, or None. ``sgd``
-    and ``batch`` only read their batches, so unshuffled ones are reused.
+    only reads its batches, so unshuffled ones are reused.
     """
 
-    batch: Callable
+    grad: Callable
     sgd: Callable
-
-    def __call__(self, m: Model, samples: list[Sample]):
-        return self.batch(m, samples)
 
 
 def stepwise(batch):
-    """The ``sgd`` of a batch engine: one ``batch`` call and one ``sgd_step`` per batch."""
+    """The ``sgd`` of a batch function: one ``batch`` call and one ``sgd_step`` per batch."""
 
     def sgd(m: Model, batches, lr: float):
         norm, skips = 0.0, 0
@@ -125,18 +122,17 @@ def stepwise(batch):
 
 # The one name -> engine registry; bench and cli import it.
 ENGINES = {
-    "ones": Engine(summed(_model.grad_ones), functools.partial(_model.run_sgd, ones=True)),
-    "seeded": Engine(summed(_model.grad_seeded), functools.partial(_model.run_sgd, ones=False)),
-    "backprop": Engine(_oracle.grad_backprop_batch, stepwise(_oracle.grad_backprop_batch)),
+    "ones": Engine(_model.grad_ones, functools.partial(_model.run_sgd, ones=True)),
+    "seeded": Engine(_model.grad_seeded, functools.partial(_model.run_sgd, ones=False)),
+    "backprop": Engine(_oracle.grad_backprop, stepwise(_oracle.grad_backprop_batch)),
 }
 
 
 def engine(name: str) -> Engine:
-    """The engine registered as ``name`` in ENGINES; a bare batch function trains stepwise."""
+    """The engine registered as ``name`` in ENGINES."""
     if name not in ENGINES:
         raise ValueError(f"unknown engine {name!r}, expected one of {tuple(ENGINES)}")
-    found = ENGINES[name]
-    return found if isinstance(found, Engine) else Engine(found, stepwise(found))
+    return ENGINES[name]
 
 
 @dataclass
@@ -348,13 +344,13 @@ def init_model(cfg: TrainConfig, feature_width: int, rng: np.random.Generator) -
     def draw(k: int) -> list[float]:
         return [float(v) for v in rng.uniform(-cfg.init_range, cfg.init_range, size=k)]
 
-    if not cfg.hidden:
-        return Perceptron(draw(feature_width), draw(1)[0], cfg.activation)
     widths = [feature_width, *cfg.hidden, 1]
     layers = []
     for w_in, w_out in zip(widths, widths[1:]):
         rows = [draw(w_in) for _ in range(w_out)]
         layers.append(Layer(rows, draw(w_out), cfg.activation))
+    if not cfg.hidden:
+        return Perceptron(layers[0].W[0], layers[0].b[0], cfg.activation)
     return Mlp(layers)
 
 
@@ -472,7 +468,10 @@ def write_log_json(log: TrainLog, path: str | Path) -> None:
 
 
 def write_log_csv(log: TrainLog, path: str | Path) -> None:
-    """The records as csv.writer writes them: ``\\r\\n`` line ends and ``repr`` floats."""
+    """The records as csv.writer writes them, ``\\r\\n`` line ends, each float as its ``float`` repr.
+
+    That is ``%s``: numpy's ``str`` of an ``np.float64`` is ``repr(float(v))``.
+    """
     with Path(path).open("w", newline="") as fh:
         fh.write("epoch,mean_loss,grad_norm,wall_ms\r\n")
-        fh.writelines(map("%s,%r,%r,%r\r\n".__mod__, map(_record_fields, log.records)))
+        fh.writelines(map("%s,%s,%s,%s\r\n".__mod__, map(_record_fields, log.records)))

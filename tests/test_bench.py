@@ -68,11 +68,11 @@ def test_each_engine_is_timed_in_its_own_round_robin(monkeypatch):
     def recording(tag):
         real = trainer.engine(tag)
 
-        def batch(m, s):
+        def grad(m, s):
             calls.append((tag, m.width))
-            return real.batch(m, s)
+            return real.grad(m, s)
 
-        return trainer.Engine(batch, real.sgd)
+        return trainer.Engine(grad, real.sgd)
 
     monkeypatch.setattr(bench, "engine", recording)
     bench.run_bench(widths=(4, 8), reps=10, seed=4)
@@ -86,10 +86,9 @@ def test_each_engine_is_timed_in_its_own_round_robin(monkeypatch):
     assert [w for _, w in calls[untimed:per_engine]] == [4, 4, 8, 8] * 10
 
 
-def test_the_sweep_times_each_engines_batch_function():
-    # not the Engine record, whose forwarding __call__ would be timed with it
+def test_the_sweep_times_each_engines_per_sample_gradient():
     *_, grads = bench.check_sweep(widths=(4,), reps=10)
-    assert all(g is trainer.ENGINES[tag].batch for g, tag in zip(grads, trainer.ENGINES, strict=True))
+    assert all(g is trainer.ENGINES[tag].grad for g, tag in zip(grads, trainer.ENGINES, strict=True))
 
 
 def test_linear_fit_recovers_exact_line():

@@ -258,7 +258,9 @@ def test_bench_malformed_widths():
 
 def test_train_bench_and_cli_share_one_engine_registry(monkeypatch, capsys):
     assert bench.ENGINES is trainer.ENGINES and cli.ENGINES is trainer.ENGINES
-    monkeypatch.setitem(trainer.ENGINES, "backprop2", trainer.summed(oracle.grad_backprop))
+    rule = oracle.grad_backprop
+    monkeypatch.setitem(trainer.ENGINES, "backprop2",
+                        trainer.Engine(rule, trainer.stepwise(trainer.summed(rule))))
     assert run(["gradcheck", "--n", "3", "--trials", "5", "--engine-a", "backprop2",
                 "--engine-b", "backprop", "--tol", "0"]) == 0
     assert [r.engine for r in bench.run_bench(widths=(3,), engines=("backprop2",), reps=10)] == [

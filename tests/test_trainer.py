@@ -384,10 +384,10 @@ def test_a_nonfinite_epoch_loss_is_divergence_and_not_recorded(tmp_path):
 
 
 def test_plain_value_error_is_not_divergence(monkeypatch):
-    def broken_engine(m, s):
+    def broken(m, s):
         raise ValueError("a programming error, not a diverging run")
 
-    monkeypatch.setitem(trainer.ENGINES, "seeded", broken_engine)
+    monkeypatch.setitem(trainer.ENGINES, "seeded", trainer.Engine(broken, trainer.stepwise(broken)))
     with pytest.raises(ValueError, match="programming error") as exc:
         trainer.train(TrainConfig(dataset="and", engine="seeded", epochs=3))
     assert not isinstance(exc.value, NonFinite)
@@ -422,9 +422,12 @@ def test_mlp_training_runs():
     assert math.isfinite(log.final_loss)
 
 
-# --- the batch engine registry ----------------------------------------------------------
+# --- the engine registry and the batch functions -----------------------------------------
 
 PER_SAMPLE = {"ones": md.grad_ones, "seeded": md.grad_seeded, "backprop": oracle.grad_backprop}
+# The functions that batch: summed per-sample rules and the oracle's own batch loop.
+BATCH = {"ones": trainer.summed(md.grad_ones), "seeded": trainer.summed(md.grad_seeded),
+         "backprop": oracle.grad_backprop_batch}
 
 
 def guarded_perceptron(rng, n):
@@ -453,6 +456,8 @@ def sample_order_mean(grads):
 
 def test_every_engine_has_one_per_sample_rule():
     assert set(trainer.ENGINES) == set(PER_SAMPLE)
+    for name, rule in PER_SAMPLE.items():
+        assert trainer.ENGINES[name].grad is rule, name
 
 
 @pytest.mark.parametrize("name", list(PER_SAMPLE))
@@ -462,7 +467,7 @@ def test_a_batch_is_the_sample_order_mean_of_its_gradients_bit_for_bit(name):
         n = int(rng.integers(1, 7))
         m = guarded_perceptron(rng, n)
         batch = random_batch(rng, n, int(rng.integers(1, 9)))
-        g, skips = trainer.ENGINES[name](m, batch)
+        g, skips = BATCH[name](m, batch)
         want = sample_order_mean([PER_SAMPLE[name](m, s).params for s in batch])
         assert skips == 0 and type(g) is Gradient and g.shapes == m.shapes
         assert [v.hex() for v in g.params] == [v.hex() for v in want]
@@ -485,7 +490,7 @@ def test_a_singular_sample_is_skipped_and_not_counted():
     g, skips = trainer.summed(rule)(m, batch[:2])
     assert skips == 1 and g == md.grad_ones(m, batch[0])
     # a batch of singular samples gives no gradient
-    assert trainer.ENGINES["ones"](singular, batch) == (None, 3)
+    assert trainer.summed(md.grad_ones)(singular, batch) == (None, 3)
 
 
 def test_a_batch_holding_an_overflowing_entry_raises_nonfinite_under_backprop():
@@ -493,10 +498,10 @@ def test_a_batch_holding_an_overflowing_entry_raises_nonfinite_under_backprop():
     # the middle sample's weight entry is 2e200 * 1e200; later adds keep it inf
     batch = [Sample([1.0], 0.0), Sample([1e200], 0.0), Sample([-1.0], 0.5)]
     with pytest.raises(NonFinite, match="gradient entries"):
-        trainer.ENGINES["backprop"](m, batch)
+        oracle.grad_backprop_batch(m, batch)
     with pytest.raises(NonFinite, match="gradient entries"):
         oracle.grad_backprop(m, batch[1])
-    assert trainer.ENGINES["backprop"](m, [batch[0], batch[2]])[0] is not None
+    assert oracle.grad_backprop_batch(m, [batch[0], batch[2]])[0] is not None
 
 
 @pytest.mark.parametrize("n, size", [(1, 1), (3, 5), (7, 8)])
@@ -506,18 +511,18 @@ def test_batch_pass_counts(n, size):
     batch = random_batch(rng, n, size)
     for name, passes in (("ones", size), ("backprop", size), ("seeded", size * (n + 1))):
         md.reset_pass_count()
-        trainer.ENGINES[name](m, batch)
+        BATCH[name](m, batch)
         assert md.pass_count() == passes, name
 
 
 def test_backprop_batch_keeps_the_per_sample_errors():
     m = Perceptron([1.0, 2.0], 0.0)
     with pytest.raises(ValueError, match="expected 2 features, got 3"):
-        trainer.ENGINES["backprop"](m, [Sample([1.0, 2.0], 0.0), Sample([1.0, 2.0, 3.0], 0.0)])
+        oracle.grad_backprop_batch(m, [Sample([1.0, 2.0], 0.0), Sample([1.0, 2.0, 3.0], 0.0)])
     mlp = Mlp([Layer([[1.0], [2.0]], [0.0, 0.0]), Layer([[1.0, 1.0]], [0.0])])
     with pytest.raises(TypeError, match="single-layer"):
-        trainer.ENGINES["backprop"](mlp, [Sample([1.0], 0.0)])
-    assert trainer.ENGINES["backprop"](m, []) == (None, 0)
+        oracle.grad_backprop_batch(mlp, [Sample([1.0], 0.0)])
+    assert oracle.grad_backprop_batch(m, []) == (None, 0)
 
 
 # --- the compiled SGD loop ----------------------------------------------------------------
@@ -525,15 +530,15 @@ def test_backprop_batch_keeps_the_per_sample_errors():
 
 @pytest.fixture
 def generic(monkeypatch):
-    """Each engine registered again as ``<name>-generic``, a bare batch function.
+    """Each engine registered again as ``<name>-generic``, its per-sample rule run stepwise.
 
-    ``trainer.engine`` runs a bare function stepwise, one call per batch,
-    so these runs make exactly the per-sample calls that the compiled loop
-    and the oracle's batch loop replace.
+    ``Engine(rule, stepwise(summed(rule)))`` makes one ``summed`` call per
+    batch, so these runs make exactly the per-sample calls that the
+    compiled loop and the oracle's batch loop replace.
     """
-    monkeypatch.setitem(trainer.ENGINES, "ones-generic", trainer.summed(md.grad_ones))
-    monkeypatch.setitem(trainer.ENGINES, "seeded-generic", trainer.summed(md.grad_seeded))
-    monkeypatch.setitem(trainer.ENGINES, "backprop-generic", trainer.summed(oracle.grad_backprop))
+    for name, rule in PER_SAMPLE.items():
+        stepped = trainer.Engine(rule, trainer.stepwise(trainer.summed(rule)))
+        monkeypatch.setitem(trainer.ENGINES, f"{name}-generic", stepped)
 
 
 def counted(engine, data=None, model=None, **kw):
@@ -553,21 +558,16 @@ def stepped_batch(sgd):
     return inspect.getclosurevars(sgd).nonlocals["batch"]
 
 
-def test_the_forward_mode_engines_train_through_their_compiled_loop(monkeypatch):
+def test_the_forward_mode_engines_train_through_their_compiled_loop():
     assert all(isinstance(e, trainer.Engine) for e in trainer.ENGINES.values())
     for name, ones in (("ones", True), ("seeded", False)):
         sgd = trainer.ENGINES[name].sgd
         assert (sgd.func, sgd.args, sgd.keywords) == (md.run_sgd, (), {"ones": ones})
     backprop = trainer.ENGINES["backprop"]
-    assert backprop.batch is oracle.grad_backprop_batch
+    assert backprop.grad is oracle.grad_backprop
     assert stepped_batch(backprop.sgd) is oracle.grad_backprop_batch
     with pytest.raises(dataclasses.FrozenInstanceError):
         backprop.sgd = None
-    # a bare batch function that a caller registers trains stepwise
-    bare = trainer.summed(md.grad_ones)
-    monkeypatch.setitem(trainer.ENGINES, "bare", bare)
-    found = trainer.engine("bare")
-    assert found.batch is bare and stepped_batch(found.sgd) is bare
 
 
 @pytest.mark.parametrize("name", ["ones", "seeded", "backprop"])
@@ -580,7 +580,7 @@ def test_train_makes_one_sgd_call_per_epoch(name, batch, monkeypatch):
         calls.append(len(batches))
         return real.sgd(m, batches, lr)
 
-    monkeypatch.setitem(trainer.ENGINES, "counting", trainer.Engine(real.batch, sgd))
+    monkeypatch.setitem(trainer.ENGINES, "counting", trainer.Engine(real.grad, sgd))
     kw = dict(dataset="and", batch_mode=batch, shuffle=True, epochs=4, rng_seed=1)
     assert counted("counting", **kw) == counted(name, **kw)
     assert calls == [1 if batch == "full_batch" else 4] * 4
@@ -598,7 +598,8 @@ def test_each_epoch_shuffles_afresh_from_the_run_generator(batch, shuffle, monke
         calls.append([index[id(s)] for s in samples])
         return oracle.grad_backprop_batch(m, samples)
 
-    monkeypatch.setitem(trainer.ENGINES, "recording", recording)  # trains stepwise
+    recorded = trainer.Engine(oracle.grad_backprop, trainer.stepwise(recording))
+    monkeypatch.setitem(trainer.ENGINES, "recording", recorded)
     cfg = TrainConfig(dataset="line2d", engine="recording", batch_mode=batch, shuffle=shuffle,
                       epochs=4, rng_seed=5)
     assert not trainer.train(cfg, data).diverged
@@ -621,7 +622,7 @@ def test_stepwise_returns_the_last_finite_model_and_the_failure():
     # the first step is finite (dW = db = 2); the second gradient's dW overflows
     m = Perceptron([1.0], 0.0, "identity")
     samples = [Sample([1.0], 0.0), Sample([1e200], 0.0)]
-    sgd = trainer.stepwise(trainer.ENGINES["backprop"].batch)
+    sgd = trainer.stepwise(oracle.grad_backprop_batch)
     last, norm, skips, failure = sgd(m, [[s] for s in samples], 1.0)
     assert isinstance(failure, NonFinite)
     assert (last, norm, skips) == (Perceptron([-1.0], -2.0, "identity"), 2.0, 0)
@@ -790,15 +791,26 @@ def _csv_writer_log(log: TrainLog) -> bytes:
     writer = csv.writer(buf)
     writer.writerow(["epoch", "mean_loss", "grad_norm", "wall_ms"])
     for r in log.records:
-        writer.writerow([r.epoch, repr(r.mean_loss), repr(r.grad_norm), repr(r.wall_ms)])
+        writer.writerow([r.epoch, *map(float.__repr__, (r.mean_loss, r.grad_norm, r.wall_ms))])
     return buf.getvalue().encode()
 
 
 def test_log_csv_is_what_csv_writer_writes_byte_for_byte(edge_log, tmp_path):
-    # \r\n line ends and repr floats, none of which csv.writer quotes
+    # \r\n line ends and float repr floats, none of which csv.writer quotes
     path = tmp_path / "log.csv"
     trainer.write_log_csv(edge_log, path)
     assert path.read_bytes() == _csv_writer_log(edge_log)
+
+
+@pytest.mark.parametrize("value", [0.25, 1e16, 1e-05, 5e-324, 1 / 3, -0.0, 1.797e308])
+def test_log_csv_writes_a_numpy_float_as_its_float_repr(value, tmp_path):
+    v = np.float64(value)
+    log = TrainLog(TrainConfig().to_dict(), [EpochRecord(1, v, v, v)])
+    path = tmp_path / "log.csv"
+    trainer.write_log_csv(log, path)
+    cells = path.read_text().splitlines()[1].split(",")
+    assert cells[1:] == [repr(float(v))] * 3
+    assert [float(c) for c in cells[1:]] == [value] * 3
 
 
 def test_log_csv_columns(tmp_path):
