@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from . import model as _model
 from .dual import NonFinite
@@ -124,30 +125,33 @@ class GradReport:
     tol: float
 
 
-def entry_error(a: float, b: float) -> float:
-    """|a-b| / max(|a|,|b|), falling back to |a-b| when both are tiny."""
-    diff = abs(a - b)
-    scale = max(abs(a), abs(b))
-    if scale < ABS_FALLBACK:
-        return diff
-    return diff / scale
-
-
 def compare(a: AnyGradient, b: AnyGradient, tol: float) -> GradReport:
-    """Worst-entry comparison; passes iff the worst error is within tol."""
-    entries_a = list(a.entries())
-    entries_b = list(b.entries())
-    paths_a = [p for p, _ in entries_a]
-    paths_b = [p for p, _ in entries_b]
-    if paths_a != paths_b:
-        raise ValueError(f"gradient shapes differ: {paths_a} vs {paths_b}")
-    max_abs = 0.0
-    max_rel = 0.0
-    worst = paths_a[0]
-    for (path, va), (_, vb) in zip(entries_a, entries_b):
-        max_abs = max(max_abs, abs(va - vb))
-        err = entry_error(va, vb)
+    """Worst-entry comparison; passes iff the worst error is within tol.
+
+    An entry's error is |a-b| / max(|a|, |b|), or |a-b| when that scale is
+    below ABS_FALLBACK. Both maxima start at 0.0 and move only to a strictly
+    larger value, as the builtin max does: the first of equally bad entries
+    wins, and a nan error is never the maximum. worst_index is the entries()
+    path of the worst entry (of the first entry when every error is 0), the
+    only path built unless the layouts differ; gradients whose paths differ
+    raise ValueError listing both.
+    """
+    if (a.shapes, type(a).entries) != (b.shapes, type(b).entries):
+        paths_a = [p for p, _ in a.entries()]
+        paths_b = [p for p, _ in b.entries()]
+        if paths_a != paths_b:
+            raise ValueError(f"gradient shapes differ: {paths_a} vs {paths_b}")
+    max_abs, max_rel, worst = 0.0, 0.0, 0
+    for k, (va, vb) in enumerate(zip(a.params, b.params)):
+        diff = abs(va - vb)
+        if diff > max_abs:
+            max_abs = diff
+        scale = abs(va)
+        if abs(vb) > scale:
+            scale = abs(vb)
+        err = diff if scale < ABS_FALLBACK else diff / scale
         if err > max_rel:
             max_rel = err
-            worst = path
-    return GradReport(max_abs, max_rel, worst, max_rel <= tol, tol)
+            worst = k
+    path = next(islice(a.entries(), worst, None))[0]
+    return GradReport(max_abs, max_rel, path, max_rel <= tol, tol)

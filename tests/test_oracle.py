@@ -1,6 +1,7 @@
 """Reference gradients and the comparison report."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -159,3 +160,135 @@ def test_compare_worst_index():
 def test_compare_shape_mismatch():
     with pytest.raises(ValueError):
         oracle.compare(Gradient([1.0], 0.0), Gradient([1.0, 2.0], 0.0), 1e-6)
+
+
+def test_compare_mlp_shape_mismatch_message():
+    a = Gradient([1.0, 2.0], 0.0)
+    b = md.MlpGradient([md.LayerGradient([[1.0, 2.0]], [0.0])])
+    want = ("gradient shapes differ: ['w[0]', 'w[1]', 'b'] vs "
+            "['layer[0].w[0][0]', 'layer[0].w[0][1]', 'layer[0].b[0]']")
+    with pytest.raises(ValueError) as err:
+        oracle.compare(a, b, 1e-6)
+    assert str(err.value) == want
+
+
+def test_compare_width_mismatch_message():
+    with pytest.raises(ValueError) as err:
+        oracle.compare(Gradient([1.0], 0.0), Gradient([1.0, 2.0], 0.0), 1e-6)
+    assert str(err.value) == "gradient shapes differ: ['w[0]', 'b'] vs ['w[0]', 'w[1]', 'b']"
+
+
+# --- compare against the per-entry loop it replaced ----------------------------------
+
+
+def _reference_entry_error(a: float, b: float) -> float:
+    """|a-b| / max(|a|,|b|), falling back to |a-b| when both are tiny."""
+    diff = abs(a - b)
+    scale = max(abs(a), abs(b))
+    if scale < oracle.ABS_FALLBACK:
+        return diff
+    return diff / scale
+
+
+def _reference_compare(a, b, tol: float) -> oracle.GradReport:
+    """Worst-entry comparison; passes iff the worst error is within tol."""
+    entries_a = list(a.entries())
+    entries_b = list(b.entries())
+    paths_a = [p for p, _ in entries_a]
+    paths_b = [p for p, _ in entries_b]
+    if paths_a != paths_b:
+        raise ValueError(f"gradient shapes differ: {paths_a} vs {paths_b}")
+    max_abs = 0.0
+    max_rel = 0.0
+    worst = paths_a[0]
+    for (path, va), (_, vb) in zip(entries_a, entries_b):
+        max_abs = max(max_abs, abs(va - vb))
+        err = _reference_entry_error(va, vb)
+        if err > max_rel:
+            max_rel = err
+            worst = path
+    return oracle.GradReport(max_abs, max_rel, worst, max_rel <= tol, tol)
+
+
+def _fields(report: oracle.GradReport) -> tuple:
+    return (report.max_abs_err.hex(), report.max_rel_err.hex(), report.worst_index,
+            report.passed, report.tol.hex())
+
+
+# ±0.0, entries around the absolute fallback, extremes and ordinary values
+_POOL = [0.0, -0.0, 1e-9, -1e-9, 1e-8, -1e-8, 2e-8, -2e-8, 1e300, -1e300,
+         5e-324, -5e-324, 0.5, -0.25, 1.0, 3.0, -7.5]
+_TOLS = [0.0, 1e-10, 1e-6, 0.5, 1.0]
+
+
+def _raw_gradient(like, values):
+    """A gradient over like's layout holding values as given, unchecked."""
+    out = object.__new__(type(like))
+    out.params, out.shapes = list(values), like.shapes
+    return out
+
+
+def _random_layout(rng):
+    """None for a perceptron Gradient, else the (in, out) shapes of a 1-3 layer MlpGradient."""
+    if rng.random() < 0.25:
+        return None
+    widths = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))] + [1]
+    return tuple(zip(widths, widths[1:]))
+
+
+def _gradient_pair(rng, pool):
+    layout = _random_layout(rng)
+    if layout is None:
+        template = Gradient([0.0] * rng.randint(1, 6), 0.0)
+    else:
+        template = md.MlpGradient([md.LayerGradient([[0.0] * n_in for _ in range(n_out)], [0.0] * n_out)
+                                   for n_in, n_out in layout])
+    size = len(template.params)
+    a = [rng.choice(pool) for _ in range(size)]
+    b = [rng.choice(pool) if rng.random() < 0.5 else v for v in a]
+    if rng.random() < 0.5:
+        # copies of the worst entry's pair, before and after it: the first copy must win
+        paths = [p for p, _ in template.entries()]
+        worst = _reference_compare(_raw_gradient(template, a), _raw_gradient(template, b), 0.0).worst_index
+        j = paths.index(worst)
+        for k in rng.sample(range(size), rng.randint(1, size)):
+            a[k], b[k] = a[j], b[j]
+    return _raw_gradient(template, a), _raw_gradient(template, b)
+
+
+@pytest.mark.parametrize("pool", [_POOL, _POOL + [math.inf, -math.inf, math.nan]],
+                         ids=["finite", "with-inf-nan"])
+def test_compare_matches_the_per_entry_reference(pool):
+    rng = random.Random(19)
+    for _ in range(3000):
+        a, b = _gradient_pair(rng, pool)
+        tol = rng.choice(_TOLS)
+        assert _fields(oracle.compare(a, b, tol)) == _fields(_reference_compare(a, b, tol)), (a, b, tol)
+
+
+def test_compare_first_of_equal_errors_wins():
+    a = Gradient([1.0, 2.0, 1.0, 2.0], 4.0)
+    b = Gradient([1.0, 3.0, 1.0, 3.0], 6.0)  # errors 0, 1/3, 0, 1/3, 1/3
+    assert oracle.compare(a, b, 1.0).worst_index == "w[1]"
+    assert oracle.compare(Gradient([1.0, 2.0], 3.0), Gradient([1.0, 2.0], 3.0), 0.0).worst_index == "w[0]"
+
+
+@pytest.mark.parametrize("k", [0, 1, 63, 127, 128])
+def test_compare_draws_only_up_to_the_worst_entry(monkeypatch, k):
+    drawn = {}
+    entries = Gradient.entries
+
+    def counting(self):
+        for item in entries(self):
+            drawn[id(self)] = drawn.get(id(self), 0) + 1
+            yield item
+
+    monkeypatch.setattr(Gradient, "entries", counting)
+    a = Gradient([0.5] * 128, 0.5)
+    values = [0.5] * 129
+    values[k] = 0.75
+    b = Gradient(values[:-1], values[-1])
+    report = oracle.compare(a, b, 1e-10)
+    assert report.worst_index == ("b" if k == 128 else f"w[{k}]")
+    assert drawn.get(id(a), 0) <= k + 1
+    assert drawn.get(id(b), 0) == 0
