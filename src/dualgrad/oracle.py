@@ -136,6 +136,7 @@ def compare(a: AnyGradient, b: AnyGradient, tol: float) -> GradReport:
     only path built unless the layouts differ; gradients whose paths differ
     raise ValueError listing both.
     """
+    # one layout named by one entries() rule gives one path list; build it only to report a mismatch
     if (a.shapes, type(a).entries) != (b.shapes, type(b).entries):
         paths_a = [p for p, _ in a.entries()]
         paths_b = [p for p, _ in b.entries()]
