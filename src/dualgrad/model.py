@@ -54,7 +54,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from . import functions as fn
 from .dual import Dual, NonFinite
 
 ACTIVATIONS = ("sigmoid", "tanh", "identity")
@@ -321,15 +320,18 @@ def loss(yhat: float, y: float) -> float:
 # How many layouts keep their compiled kernel at once.
 KERNEL_CACHE_SIZE = 64
 
-# Per activation tag: the line of a unit's activation a{u} from its
-# pre-activation r{u}, the lines of its derivative rule's factors, and its
+# Per activation tag: the lines of a unit's activation a{u} from its
+# pre-activation r{u} (the sigmoid inline, with fn.sigmoid_real's operations
+# branch by branch), the lines of its derivative rule's factors, and its
 # tangent from its dual part z{u}. The rules are those of fn.sigmoid
 # (factors s and 1 - s) and fn.tanh (1 - t*t and 1.0); identity's factors
 # are 1.0 twice. A product with 1.0 is exact, so it is left out.
 _ACT_SOURCE = {
-    "sigmoid": (("a{u} = fn.sigmoid_real(r{u})", "g{u} = 1.0 - a{u}"), "z{u} * a{u} * g{u}"),
-    "tanh": (("a{u} = math.tanh(r{u})", "f{u} = 1.0 - a{u} * a{u}"), "z{u} * f{u}"),
-    "identity": (("a{u} = r{u}",), "z{u}"),
+    "sigmoid": (("if r{u} >= 0.0:", "    a{u} = 1.0 / (1.0 + exp(-r{u}))", "else:",
+                 "    a{u} = exp(r{u})", "    a{u} = a{u} / (1.0 + a{u})"),
+                ("g{u} = 1.0 - a{u}",), "z{u} * a{u} * g{u}"),
+    "tanh": (("a{u} = tanh(r{u})",), ("f{u} = 1.0 - a{u} * a{u}",), "z{u} * f{u}"),
+    "identity": (("a{u} = r{u}",), (), "z{u}"),
 }
 
 
@@ -384,7 +386,7 @@ def _kernel(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
 
     A tangent pass walks every weight of every layer, so each pass costs
     O(P). Per unit it takes the ring's float operations in the ring's
-    order: 0.0 for the bias, plus ``w * d`` per input, plus the seed, then
+    order: 0.0 for the bias, plus ``w * dx`` per input, plus the seed, then
     ``zd * f * g``. The ring also adds ``+ 0.0`` to a product's dual part
     and the unseeded weights' ``0.0 * r``; both are left out, as they only
     turn a -0.0 into +0.0, which changes no bit of a sum that starts at
@@ -412,26 +414,30 @@ def _kernel(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
     for every v, so the first sample's entries are copied bit for bit, as
     ``summed`` copies them. The guard depends only on the weights, which
     do not change within a batch, so a batch is skipped whole or not at
-    all, as sample-by-sample checking would skip it. The entries, the
-    scaled entries and the new parameters are checked for finiteness
-    with the ``v * 0.0`` sum, and a failure raises ``_finite``'s
-    NonFinite, as ``_grad_like`` and ``_model_like`` check them. The
-    running norm takes ``max`` over the same values in the same order as
-    ``max(norm, *map(abs, g.params))``. So a run through the loop is
-    bit-identical to one through ``grad_ones``/``grad_seeded``, ``summed``
-    and ``sgd_step``, and counts the same passes.
+    all, as sample-by-sample checking would skip it; its chained
+    comparison is ``abs(seed_sum) < ONES_SEED_GUARD`` on every float. The
+    entries, the scaled entries and the new parameters are checked for
+    finiteness with the ``v * 0.0`` sum, and a failure raises
+    ``_finite``'s NonFinite, as ``_grad_like`` and ``_model_like`` check
+    them. The norm moves to an entry's ``c`` or ``-c`` only when that is
+    larger; the entries are finite and the norm is never -0.0, so it ends
+    as ``max(norm, *map(abs, g.params))`` bit for bit. So a run through the
+    loop is bit-identical to one through ``grad_ones``/``grad_seeded``,
+    ``summed`` and ``sgd_step``, and counts the same passes.
 
     The source is built only from integers and the fixed fragments of
-    ``_ACT_SOURCE``; activations are looked up at run time as
-    ``fn.sigmoid_real`` and ``math.tanh``.
+    ``_ACT_SOURCE``, with ``math``'s ``exp`` and ``tanh``, and makes no
+    Python call per unit or step. The one input tangent ``dx`` is bound
+    first, so its local slot is below 256 and no ``w * dx`` takes an
+    ``EXTENDED_ARG``.
     """
     sweep, factors, passes, units, values = _pass_lines(shapes, acts, "len(yds)")
     n, k, out = shapes[0][0], len(units), units[-1]
-    input_tangents = " = ".join(f"d{j}" for j in range(n))
     unpack_params = f"{''.join(f'w{j}, ' for j in range(k))}= p"
     unpack_inputs = f"{''.join(f'x{j}, ' for j in range(n))}= "
     lines = [
         "def kernel(p, x, ones):",
+        "    dx = 1.0 if ones else 0.0",  # the input tangent, in a low local slot
         f"    {unpack_params}",
         f"    {unpack_inputs}x",
         *(f"    {line}" for line in sweep),
@@ -439,10 +445,8 @@ def _kernel(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
         f"        return a{out}",
         *(f"    {line}" for line in factors),
         "    if ones:",  # one pass; its seed adds 0.0 to unit 0
-        f"        {input_tangents} = 1.0",
         "        seeds = ((0, 0.0),)",
         "    else:",
-        f"        {input_tangents} = 0.0",
         f"        seeds = zip({tuple(units)}, ({''.join(f'{v}, ' for v in values)}))",
         f"    sd = [0.0] * {out + 1}",
         "    yds = []",
@@ -471,7 +475,7 @@ def _kernel(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
 
 def _compile(lines: list[str]) -> dict:
     """The namespace that running the source ``lines`` leaves, holding their functions."""
-    namespace = {"fn": fn, "math": math, "count_forward_pass": count_forward_pass,
+    namespace = {"exp": math.exp, "tanh": math.tanh, "count_forward_pass": count_forward_pass,
                  "_unit_failure": _unit_failure, "_finite": _finite, "NonFinite": NonFinite,
                  "ONES_SEED_GUARD": ONES_SEED_GUARD}
     exec(compile("\n".join(lines), "<dualgrad kernel>", "exec"), namespace)
@@ -493,24 +497,25 @@ def _pass_lines(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], done
     ``sweep`` sets each unit's pre-activation real ``r{u}`` and activation
     ``a{u}`` from the inputs ``x{j}``; ``factors`` sets its derivative
     factors and each layer's real check term ``rb{l}``; ``passes`` is one
-    tangent pass from the input tangents ``d{j}`` and the seeds ``sd``,
-    which ends at the output tangent ``t{u}``. ``units`` and ``values``
-    name, per parameter in layout order, the unit ``seeded`` seeds and the
-    seed. A failing pass counts ``done``, the passes before it.
+    tangent pass from the input tangent ``dx``, which every input shares,
+    and the seeds ``sd``; it ends at the output tangent ``t{u}``.
+    ``units`` and ``values`` name, per parameter in layout order, the unit
+    ``seeded`` seeds and the seed. A failing pass counts ``done``, the
+    passes before it.
     """
     n = shapes[0][0]
     hr = [f"x{j}" for j in range(n)]  # the layer's input reals
-    hd = [f"d{j}" for j in range(n)]  # and their tangents
+    hd = ["dx"] * n  # and their tangents, all equal
     sweep, factors, passes, units, values = [], [], [], [], []
     k = u0 = 0  # the layer's first weight and first unit
     for l, ((n_in, n_out), act) in enumerate(zip(shapes, acts)):
-        (activation, *factor), tangent = _ACT_SOURCE[act]
+        activation, factor, tangent = _ACT_SOURCE[act]
         b0 = k + n_in * n_out
         layer = range(u0, u0 + n_out)
         for i, u in enumerate(layer):
             row = range(k + i * n_in, k + (i + 1) * n_in)
             sweep += _chain(f"r{u}", [f"w{b0 + i}", *(f"w{j} * {h}" for j, h in zip(row, hr))])
-            sweep.append(activation.format(u=u))
+            sweep += [line.format(u=u) for line in activation]
             factors += [line.format(u=u) for line in factor]
             passes += _chain(f"z{u}", ["0.0", *(f"w{j} * {d}" for j, d in zip(row, hd)), f"sd[{u}]"])
             units += [u] * n_in
@@ -574,14 +579,14 @@ def _sgd_loop(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], ones: 
         ]
     guard = [
         f"seed_sum = sum(({''.join(f'w{j}, ' for j in range(n))}))",
-        "if abs(seed_sum) < ONES_SEED_GUARD:",
+        "if -ONES_SEED_GUARD < seed_sum < ONES_SEED_GUARD:",
         "    skips += len(batch)",
         "    continue",
     ] if ones else []
     lines = [
         "def loop(p, batches, lr):",
         f"    {''.join(f'{w}, ' for w in params)}= p",
-        f"    {' = '.join(f'd{j}' for j in range(n))} = {1.0 if ones else 0.0}",
+        f"    dx = {1.0 if ones else 0.0}",
         f"    sd = [0.0] * {out + 1}",
         "    norm = 0.0",
         "    skips = passes = 0",
@@ -599,7 +604,8 @@ def _sgd_loop(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], ones: 
         "                scale = 1.0 / len(batch)",
         *(f"                {c} = scale * {c}" for c in sums),
         *(f"                {line}" for line in _finite_check("gs", sums, "gradient entries")),
-        f"            norm = max(norm, {', '.join(f'abs({c})' for c in sums)})",
+        *(f"            {line}" for c in sums
+          for line in (f"if {c} > norm:", f"    norm = {c}", f"elif -{c} > norm:", f"    norm = -{c}")),
         *(f"            {m} = {w} - lr * {c}" for m, w, c in zip(steps, params, sums)),
         *(f"            {line}" for line in _finite_check("ps", steps, "parameters")),
         *(f"            {w} = {m}" for w, m in zip(params, steps)),

@@ -637,21 +637,64 @@ def test_mean_loss_runs_the_kernel_a_gradient_compiled():
         trainer.mean_loss(m, trainer.Dataset("wide", 3, [Sample([1.0, 0.0, 2.0], 1.0)]))
 
 
+# --- the inline activations ------------------------------------------------------------
+
+ACT_SPEC = {"sigmoid": fn.sigmoid_real, "tanh": math.tanh, "identity": lambda r: r}
+
+
+def assert_compiled_activations_are_the_specs(w, x, y=0.25):
+    """forward and mean_loss of Perceptron([w], -0.0) on x, bit for bit, against
+    the spec activations of its pre-activation r = -0.0 + w * x."""
+    r = -0.0 + w * x
+    for act, spec in ACT_SPEC.items():
+        m = Perceptron([w], -0.0, act)
+        assert m.forward([x]).hex() == spec(r).hex(), (act, r)
+        got = trainer.mean_loss(m, trainer.Dataset("r", 1, [Sample([x], y)]))
+        assert got.hex() == md.loss(spec(r), y).hex(), (act, r)
+
+
+def test_the_compiled_activations_are_the_specs_at_their_edges():
+    # the sigmoid's branch point at ±0.0 (bias -0.0 keeps a -0.0 product),
+    # exp's overflow near ±709.78 and underflow past ±745.2, huge reals
+    for r in (0.0, -0.0, 709.78, -709.78, 745.2, -745.2, 1e300, -1e300, 1.0, -1.0):
+        assert_compiled_activations_are_the_specs(1.0, r)
+    for w in (1e300, -1e300):  # a product that overflows to ±inf
+        assert_compiled_activations_are_the_specs(w, 1e300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(-800.0, 800.0), st.floats(allow_nan=False, allow_infinity=False)))
+def test_the_compiled_activations_are_the_specs_bit_for_bit(r):
+    assert_compiled_activations_are_the_specs(1.0, r)
+
+
 # --- one real sweep per seeded gradient -------------------------------------------------
 
 
-def test_seeded_computes_each_activation_once_per_gradient(monkeypatch):
-    # the P passes share one real sweep: each unit's sigmoid is evaluated
-    # once per gradient, not once per pass
-    calls = 0
-    sigmoid_real = fn.sigmoid_real
+@pytest.fixture
+def counting_exp(monkeypatch):
+    """``math.exp`` counting its calls in kernels compiled from here on.
+
+    A kernel binds ``math.exp`` when it is compiled, so the cache is
+    cleared before and after: no kernel compiled with the counter outlives
+    the test.
+    """
+    calls = [0]
+    exp = math.exp
 
     def counting(z):
-        nonlocal calls
-        calls += 1
-        return sigmoid_real(z)
+        calls[0] += 1
+        return exp(z)
 
-    monkeypatch.setattr(fn, "sigmoid_real", counting)
+    monkeypatch.setattr(math, "exp", counting)
+    md._kernel.cache_clear()
+    yield calls
+    md._kernel.cache_clear()
+
+
+def test_seeded_computes_each_activation_once_per_gradient(counting_exp):
+    # the P passes share one real sweep: each unit's sigmoid, one exp in
+    # either branch, is evaluated once per gradient, not once per pass
     rng = np.random.default_rng(38)
     xor_net = Mlp([
         Layer([[float(v) for v in rng.uniform(-1, 1, 2)] for _ in range(4)],
@@ -660,10 +703,10 @@ def test_seeded_computes_each_activation_once_per_gradient(monkeypatch):
     ])
     for m, s, units in ((xor_net, Sample([1.0, 0.0], 1.0), 5),
                         (random_perceptron(rng, 128), random_sample(rng, 128), 1)):
-        calls = 0
+        counting_exp[0] = 0
         md.reset_pass_count()
         md.grad_seeded(m, s)
-        assert (calls, md.pass_count()) == (units, len(m.params))
+        assert (counting_exp[0], md.pass_count()) == (units, len(m.params))
 
 
 def test_seeded_reports_a_late_nonfinite_tangent_at_its_pass_and_unit():

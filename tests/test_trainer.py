@@ -676,6 +676,57 @@ def test_the_compiled_loop_keeps_singular_skips_and_signed_zeros(batch, generic)
     assert math.copysign(1.0, log.final_model["W"][0]) == 1.0
 
 
+def near_guard_sums():
+    """±ONES_SEED_GUARD, 3 nextafter steps either side of each, and ±0.0."""
+    for edge in (md.ONES_SEED_GUARD, -md.ONES_SEED_GUARD):
+        t = edge
+        for _ in range(3):
+            t = math.nextafter(t, 0.0)
+        for _ in range(7):
+            yield t
+            t = math.nextafter(t, 2 * edge)
+    yield from (0.0, -0.0)
+
+
+@pytest.mark.parametrize("batch", trainer.BATCH_MODES)
+def test_the_compiled_loop_keeps_the_guard_and_the_norm_at_their_boundaries(batch, generic):
+    # the first sample's largest |entry| is its negative weight entry; at
+    # lr 1e-300 the steps leave sum(W) as it was, so every sample meets the guard
+    data = Dataset("guard", 2, [Sample([-3.0, 0.5], 0.0), Sample([1.0, 2.0], 1.0),
+                                Sample([0.25, -1.5], 1.0)])
+    sums = list(near_guard_sums())
+    assert len(set(sums)) == 15 and sums.count(md.ONES_SEED_GUARD) == 1
+    for t in sums:
+        m = Perceptron([t, -0.0], 0.0)
+        assert sum(m.W) == t
+        g = md.grad_seeded(m, data.samples[0]).params
+        assert -min(g) > max(g)
+        for rule, lr in itertools.product(("ones", "seeded"), (1e-300, 0.5)):
+            kw = dict(dataset="guard", batch_mode=batch, learning_rate=lr, epochs=3)
+            assert counted(rule, data, m, **kw) == counted(f"{rule}-generic", data, m, **kw), (t, kw)
+        cfg = TrainConfig(engine="ones", batch_mode=batch, learning_rate=1e-300, epochs=3)
+        skips = trainer.train(cfg, data, m).singular_skips
+        assert skips == (9 if abs(t) < md.ONES_SEED_GUARD else 0), t
+
+
+def test_the_compiled_loops_call_no_python_function_per_unit_or_step():
+    layouts = [(((n, 1),), (act,)) for n in (1, 3) for act in md.ACTIVATIONS]
+    layouts.append((((2, 4), (4, 1)), ("tanh", "sigmoid")))
+    for shapes, acts in layouts:
+        kernel = md._kernel(shapes, acts)
+        codes = [kernel.__code__, kernel.loss_sum.__code__]
+        codes += [md._sgd_loop(shapes, acts, False).__code__]
+        if len(shapes) == 1:
+            codes.append(md._sgd_loop(shapes, acts, True).__code__)
+        for code in codes:
+            assert not {"abs", "max", "fn", "sigmoid_real"} & set(code.co_names), code.co_names
+    # the input tangent of a width-128 perceptron sits in a one-byte local slot
+    wide = ((128, 1),), ("sigmoid",)
+    for code in (md._kernel(*wide).__code__, md._sgd_loop(*wide, False).__code__,
+                 md._sgd_loop(*wide, True).__code__):
+        assert code.co_varnames.index("dx") < 256
+
+
 def test_an_mlp_trained_with_ones_still_raises_the_shared_seed_error():
     and_ = trainer.builtin_dataset("and")
     mlp = Mlp([Layer([[0.5, 0.25], [0.1, -0.3]], [0.0, 0.1]), Layer([[1.0, 0.5]], [0.0])])

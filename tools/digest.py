@@ -1,16 +1,23 @@
-"""One digest of ``train``'s logs and pass counts over a fixed grid of configs.
+"""Two digests: ``train``'s logs over a fixed grid of configs, and the model API on random nets.
 
 Run it on two checkouts and compare the lines: a change that moves any bit
-of a log (``wall_ms`` aside) or any pass count moves the digest. The
-digest is not a golden value, because ``math.exp``, ``math.tanh`` and,
-from Python 3.12 on, the builtin ``sum`` over floats differ between
+of a log (``wall_ms`` aside), of a model result or any pass count moves a
+digest. The train half hashes each config's log and pass count. The model
+half draws ``NETS`` 1–3-layer nets with ``random`` from a fixed seed, with
+entries from a pool of ±0.0, ±1e300, 5e-324, ±710 and ±745 or ordinary
+reals, and hashes the ``.hex()`` values of ``forward``, ``grad_seeded``,
+``grad_ones`` (perceptrons) and ``run_sgd`` on per-sample and full
+batches, with each call's exception type and message and pass count.
+
+The digests are not golden values, because ``math.exp``, ``math.tanh``
+and, from Python 3.12 on, the builtin ``sum`` over floats differ between
 interpreters and libm builds; compare two trees on one interpreter.
 
     python tools/digest.py
 
-prints one JSON line, ``{"configs": N, "sha256": "..."}``. The package is
-imported from the ``src/`` next to this file, so the digest is the tree's
-own.
+prints one JSON line, ``{"configs": N, "sha256": "...", "nets": M,
+"model_sha256": "..."}``. The package is imported from the ``src/`` next
+to this file, so the digests are the tree's own.
 """
 
 from __future__ import annotations
@@ -18,17 +25,20 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dualgrad import model, trainer  # noqa: E402
-from dualgrad.model import Perceptron  # noqa: E402
+from dualgrad.model import Layer, Mlp, Perceptron, Sample  # noqa: E402
 from dualgrad.trainer import TrainConfig  # noqa: E402
 
 ENGINES = ("ones", "seeded", "backprop")
 LRS = (0.5, 1e6)  # 1e6 makes the identity runs diverge mid-epoch
+NETS = 2000
+POOL = (0.0, -0.0, 1e300, -1e300, 5e-324, 710.0, -710.0, 745.0, -745.0)
 
 
 def grid():
@@ -46,7 +56,7 @@ def grid():
                           rng_seed=3), Perceptron([0.5, -0.5], 0.0)
 
 
-def main() -> None:
+def train_digest() -> tuple[int, str]:
     digest = hashlib.sha256()
     count = 0
     for cfg, m in grid():
@@ -56,7 +66,65 @@ def main() -> None:
             del record["wall_ms"]
         digest.update(f"{doc!r} {model.pass_count()}\n".encode())
         count += 1
-    print(json.dumps({"configs": count, "sha256": digest.hexdigest()}))
+    return count, digest.hexdigest()
+
+
+def entries(rng: random.Random, k: int) -> list[float]:
+    return [rng.choice(POOL) if rng.random() < 0.3 else rng.uniform(-3.0, 3.0) for _ in range(k)]
+
+
+def random_net(rng: random.Random):
+    """A perceptron or a 2–3-layer Mlp, widths 1–4, activations drawn per layer."""
+    widths = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))] + [1]
+    acts = [rng.choice(model.ACTIVATIONS) for _ in widths[1:]]
+    if len(widths) == 2:
+        return Perceptron(entries(rng, widths[0]), entries(rng, 1)[0], acts[0])
+    return Mlp([Layer([entries(rng, n_in) for _ in range(n_out)], entries(rng, n_out), act)
+                for n_in, n_out, act in zip(widths, widths[1:], acts)])
+
+
+def outcome(call) -> str:
+    """The call's result as .hex() values, or its exception, and the passes it counted."""
+    model.reset_pass_count()
+    try:
+        result = call()
+    except Exception as exc:  # noqa: BLE001 -- the exception is part of the digest
+        result = f"{type(exc).__name__}: {exc}"
+    if isinstance(result, float):
+        result = result.hex()
+    elif isinstance(result, model.MlpGradient):
+        result = [v.hex() for v in result.params]
+    elif isinstance(result, tuple):  # run_sgd's (model, norm, skips, failure)
+        last, norm, skips, failure = result
+        failure = failure and f"{type(failure).__name__}: {failure}"
+        result = [v.hex() for v in last.params], norm.hex(), skips, failure
+    return f"{result} {model.pass_count()}"
+
+
+def model_digest() -> tuple[int, str]:
+    digest = hashlib.sha256()
+    rng = random.Random(7)
+    for _ in range(NETS):
+        m = random_net(rng)
+        samples = [Sample(entries(rng, m.width), entries(rng, 1)[0])
+                   for _ in range(rng.randint(1, 4))]
+        lr = rng.choice((0.5, 1e-3, 1e6))
+        calls = [lambda s=s: m.forward(s.x) for s in samples]
+        calls += [lambda s=s: model.grad_seeded(m, s) for s in samples]
+        rules = (True, False) if isinstance(m, Perceptron) else (False,)
+        if isinstance(m, Perceptron):
+            calls += [lambda s=s: model.grad_ones(m, s) for s in samples]
+        for ones, batches in itertools.product(rules, ([[s] for s in samples], [samples])):
+            calls.append(lambda ones=ones, batches=batches: model.run_sgd(m, batches, lr, ones))
+        digest.update(f"{[outcome(call) for call in calls]}\n".encode())
+    return NETS, digest.hexdigest()
+
+
+def main() -> None:
+    configs, train_sha = train_digest()
+    nets, model_sha = model_digest()
+    print(json.dumps({"configs": configs, "sha256": train_sha, "nets": nets,
+                      "model_sha256": model_sha}))
 
 
 if __name__ == "__main__":
