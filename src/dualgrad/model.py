@@ -427,9 +427,9 @@ def _kernel(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
 
     The source is built only from integers and the fixed fragments of
     ``_ACT_SOURCE``, with ``math``'s ``exp`` and ``tanh``, and makes no
-    Python call per unit or step. The one input tangent ``dx`` is bound
-    first, so its local slot is below 256 and no ``w * dx`` takes an
-    ``EXTENDED_ARG``.
+    Python call per unit or step. The one input tangent ``dx`` is the
+    kernel's first local, so no ``w * dx`` there takes an ``EXTENDED_ARG``;
+    the loop binds it right after the parameters.
     """
     sweep, factors, passes, units, values = _pass_lines(shapes, acts, "len(yds)")
     n, k, out = shapes[0][0], len(units), units[-1]

@@ -83,12 +83,12 @@ def random_net(rng: random.Random):
                 for n_in, n_out, act in zip(widths, widths[1:], acts)])
 
 
-def outcome(call) -> str:
-    """The call's result as .hex() values, or its exception, and the passes it counted."""
+def outcome(f, *args) -> str:
+    """f(*args) as .hex() values, or its exception, and the passes it counted."""
     model.reset_pass_count()
     try:
-        result = call()
-    except Exception as exc:  # noqa: BLE001 -- the exception is part of the digest
+        result = f(*args)
+    except (ArithmeticError, ValueError) as exc:  # SingularSeed, NonFinite and bad inputs
         result = f"{type(exc).__name__}: {exc}"
     if isinstance(result, float):
         result = result.hex()
@@ -109,14 +109,15 @@ def model_digest() -> tuple[int, str]:
         samples = [Sample(entries(rng, m.width), entries(rng, 1)[0])
                    for _ in range(rng.randint(1, 4))]
         lr = rng.choice((0.5, 1e-3, 1e6))
-        calls = [lambda s=s: m.forward(s.x) for s in samples]
-        calls += [lambda s=s: model.grad_seeded(m, s) for s in samples]
-        rules = (True, False) if isinstance(m, Perceptron) else (False,)
-        if isinstance(m, Perceptron):
-            calls += [lambda s=s: model.grad_ones(m, s) for s in samples]
+        perceptron = isinstance(m, Perceptron)
+        outcomes = [outcome(m.forward, s.x) for s in samples]
+        outcomes += [outcome(model.grad_seeded, m, s) for s in samples]
+        if perceptron:
+            outcomes += [outcome(model.grad_ones, m, s) for s in samples]
+        rules = (True, False) if perceptron else (False,)
         for ones, batches in itertools.product(rules, ([[s] for s in samples], [samples])):
-            calls.append(lambda ones=ones, batches=batches: model.run_sgd(m, batches, lr, ones))
-        digest.update(f"{[outcome(call) for call in calls]}\n".encode())
+            outcomes.append(outcome(model.run_sgd, m, batches, lr, ones))
+        digest.update(f"{outcomes}\n".encode())
     return NETS, digest.hexdigest()
 
 
