@@ -20,7 +20,17 @@ from .model import (
     loss,
 )
 from .oracle import GradReport, compare, grad_backprop, grad_finite_diff
-from .trainer import Dataset, TrainConfig, TrainLog, builtin_dataset, sgd_step, train
+
+# ``trainer`` needs numpy; its names load on first use, so ``model`` and ``oracle`` need none.
+_TRAINER = ("Dataset", "TrainConfig", "TrainLog", "builtin_dataset", "sgd_step", "train")
+
+
+def __getattr__(name: str):
+    if name not in _TRAINER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import trainer
+    return getattr(trainer, name)
+
 
 __all__ = [
     "Dual",

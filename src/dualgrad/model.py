@@ -8,43 +8,25 @@ layout check, ``_flatten``; they add ``W``/``b``/``dW``/``db`` views.
 
 Two forward-mode gradients are provided:
 
-* ``grad_ones`` seeds every input x_i with the same eps in a single dual
-  pass. The dual part of the output is then sum(W) * act'(z), so dividing
-  by sum(W) recovers act'(z) and with it the full gradient. The division
-  makes the rule undefined when sum(W) is (near) zero, which raises
-  :class:`SingularSeed`.
-
+* ``grad_ones`` seeds every input x_i with the same eps in one dual pass,
+  whose dual part sum(W) * act'(z) it divides by sum(W); it raises
+  :class:`SingularSeed` where sum(W) is (near) zero.
 * ``grad_seeded`` runs one dual pass per scalar parameter, seeding only
-  that parameter. No division, no singularity, and it extends unchanged
-  to multilayer networks, at the cost of P passes for P parameters.
+  that parameter: no division, and any layout, at P passes.
 
-Both rules run the same dual pass and differ only in the tangent they
-seed. No seed changes a real part, so one real sweep computes every real
-part once per gradient; a tangent pass then computes the dual parts from
-the input tangents and the seeded parameter. ``ones`` runs one tangent
-pass with every input tangent 1.0 and no parameter seeded; ``seeded`` runs
-one per parameter with zero input tangents.
-
-The pass is generated once per layout: ``_kernel(shapes, acts)`` writes
-the source of one straight-line function for that layout, with the
-parameters unpacked into locals and each unit's sum written as one
-left-to-right expression, compiles it and keeps it in an ``lru_cache`` of
-``KERNEL_CACHE_SIZE`` layouts, so the many gradients of a training run
-share one compile. ``Mlp.forward`` runs the same kernel's real sweep, and
-the trainer's ``mean_loss`` runs that sweep in one compiled loop over the
-samples, so a layout compiles on its first evaluation of any kind. No
-``Dual`` is built: each dual value is held as its real and
-dual parts in plain floats, and the float operations are the ring's, in
-the ring's order, so the results are bit-identical to the same passes
-written with ``Dual`` and the lifts in ``functions``. ``Dual`` stays the
-public ring and the spec the passes are tested against.
-
-``run_sgd``, the ``sgd`` of the trainer's ``ones`` and ``seeded``, runs an
-epoch's batches under either rule, per-sample gradients, batch means and
-updates included, as one more compiled function per layout and rule
-(``_sgd_loop``), built from the kernel's lines on the layout's first
-``train`` use. A run through it is bit-identical to one through
-``trainer.stepwise`` over the rule wrapped by ``trainer.summed``.
+Each rule is one record in ``_RULES``: its input tangent, guard, lines
+from the dual pass to the gradient entries, and precondition. The pass is
+Python source that ``_pass_lines`` writes per layout over parameters
+unpacked into locals. A record's lines give two functions per layout,
+each compiled on its first use and kept in an ``lru_cache`` of
+``KERNEL_CACHE_SIZE`` layouts: the per-sample gradient (``_grad``) and
+``train``'s SGD loop (``_sgd_loop``, run by ``run_sgd``). ``Mlp.forward``,
+``forward_dual_ones`` and the trainer's ``mean_loss`` run ``_kernel``.
+No ``Dual`` is built: a dual value is two plain floats, and the float
+operations are the ring's, in the ring's order, so the results are
+bit-identical to the same passes written with ``Dual`` and the lifts in
+``functions``, and a loop's run to ``trainer.stepwise`` over the rule
+wrapped by ``trainer.summed``. ``Dual`` stays the public ring and the spec.
 """
 
 from __future__ import annotations
@@ -52,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .dual import Dual, NonFinite
 
@@ -195,13 +177,13 @@ class Mlp:
         return self.shapes[0][0]
 
     def forward(self, x: Sequence[float]) -> float:
-        """Plain float evaluation: the real sweep of the gradient rules' kernel.
+        """Plain float evaluation: the real sweep of the layout's ``_kernel``.
 
         It counts no pass. A layout's first evaluation compiles the kernel,
-        which costs more than one evaluation: 0.7 s against 0.8 ms for a
-        20,000-wide perceptron.
+        0.9 s against 1.2 ms per later call for a 20,000-wide perceptron.
         """
-        return _run_kernel(self, x, None)
+        _check(self, None, x)
+        return _kernel(self.shapes, self.acts)(self.params, x)
 
 
 class Perceptron(Mlp):
@@ -317,7 +299,8 @@ def loss(yhat: float, y: float) -> float:
 
 # --- the dual pass: one compiled kernel per layout -------------------------------
 
-# How many layouts keep their compiled kernel at once.
+# How many layouts keep their compiled kernel at once; the same bound holds
+# each rule's compiled gradient and SGD loop.
 KERNEL_CACHE_SIZE = 64
 
 # Per activation tag: the lines of a unit's activation a{u} from its
@@ -364,99 +347,43 @@ def _unit_failure(passes: int, layer: int, units) -> NonFinite:
             )
 
 
+def _singular(seed_sum: float) -> SingularSeed:
+    """The error of a ``grad_ones`` call whose seed sum fails the guard."""
+    return SingularSeed(f"|sum(W)| = {abs(seed_sum):.3e} is below {ONES_SEED_GUARD:g}; the "
+                        "shared-seed division is undefined here, use grad_seeded instead")
+
+
 @functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _kernel(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
-    """The dual pass over one layout as one compiled straight-line function.
+    """One layout's real sweep and ``ones`` pass as compiled straight-line functions.
 
-    ``kernel(params, x, ones)`` unpacks the parameters and inputs into
-    locals and runs the real sweep once: per unit, the bias plus ``w * r``
-    per input, summed left to right, then the activation. With ``ones``
-    None it returns the output there, which is ``Mlp.forward``. No seed
-    changes a real part, so the sweep is shared by every tangent pass.
-    With ``ones`` true it runs one tangent pass with every input tangent
-    1.0 and no parameter seeded; if false, one pass per parameter, in
-    layout order, with zero input tangents and that parameter seeded. It
-    returns the output's real part and the list of its dual parts, one per
-    pass, and counts the passes.
-
-    ``kernel.loss_sum(params, samples)`` runs the same real sweep once per
-    sample, in one loop, and returns the sum of the samples' losses in
-    sample order: ``d = y - yhat``, then ``total += d * d`` from 0.0, the
-    operations of summing ``loss(forward(x), y)``. It counts no pass.
-
-    A tangent pass walks every weight of every layer, so each pass costs
-    O(P). Per unit it takes the ring's float operations in the ring's
-    order: 0.0 for the bias, plus ``w * dx`` per input, plus the seed, then
-    ``zd * f * g``. The ring also adds ``+ 0.0`` to a product's dual part
-    and the unseeded weights' ``0.0 * r``; both are left out, as they only
-    turn a -0.0 into +0.0, which changes no bit of a sum that starts at
-    +0.0 and so is never -0.0. The seed, 1.0 for a bias and the input real
-    for a weight, is added after the row sum, which is +0.0 at the seeded
-    unit because nothing before a seeded parameter carries a tangent; every
-    other unit adds 0.0, which changes no bit either. So the results are
-    bit-identical to the same pass over ``Dual`` values.
-
-    After each layer, one check sees whether a unit's ``zr`` or ``zd`` is
-    not finite (``v * 0.0`` is 0.0 exactly for finite v and nan
-    otherwise), and ``_unit_failure`` then raises NonFinite at the first
-    such unit: sums and products never make an inf or nan finite again, so
-    the pass over ``Dual`` values fails there too. Each term of the check
-    is 0.0 or nan, so its sum is nan at the same units in any order.
-
-    ``_sgd_loop`` writes ``train``'s SGD loop for ``ones`` or ``seeded``
-    from the same sweep, factor and pass lines, so each sample's output
-    real and tangents are those the kernel returns. Around them it takes
-    the rules' and ``trainer.summed``'s float operations in their order:
-    ``sum`` over the weights as ``grad_ones`` calls it, the gradient
-    entries, then per batch a sum per entry in sample order and the
-    1/contributing scale when more than one sample contributes, then
-    ``p - lr * g``. Each batch's sums start at -0.0, and ``-0.0 + v`` is v
-    for every v, so the first sample's entries are copied bit for bit, as
-    ``summed`` copies them. The guard depends only on the weights, which
-    do not change within a batch, so a batch is skipped whole or not at
-    all, as sample-by-sample checking would skip it; its chained
-    comparison is ``abs(seed_sum) < ONES_SEED_GUARD`` on every float. The
-    entries, the scaled entries and the new parameters are checked for
-    finiteness with the ``v * 0.0`` sum, and a failure raises
-    ``_finite``'s NonFinite, as ``_grad_like`` and ``_model_like`` check
-    them. The norm moves to an entry's ``c`` or ``-c`` only when that is
-    larger; the entries are finite and the norm is never -0.0, so it ends
-    as ``max(norm, *map(abs, g.params))`` bit for bit. So a run through the
-    loop is bit-identical to one through ``grad_ones``/``grad_seeded``,
-    ``summed`` and ``sgd_step``, and counts the same passes.
-
-    The source is built only from integers and the fixed fragments of
-    ``_ACT_SOURCE``, with ``math``'s ``exp`` and ``tanh``, and makes no
-    Python call per unit or step. The one input tangent ``dx`` is the
-    kernel's first local, so no ``w * dx`` there takes an ``EXTENDED_ARG``;
-    the loop binds it right after the parameters.
+    ``kernel(params, x)`` is ``Mlp.forward``: it unpacks the parameters and
+    inputs into locals, then per unit sums the bias plus ``w * r`` per input
+    left to right and takes the activation. ``kernel.dual_ones(params, x)``
+    adds the ``ones`` rule's tangent pass, returns the output's real and
+    dual parts and counts one pass. ``kernel.loss_sum(params, samples)``
+    runs the sweep per sample and sums ``d * d`` (``d = y - yhat``) from 0.0
+    in sample order, as summing ``loss(forward(x), y)`` does; it counts no
+    pass. No gradient is compiled here.
     """
-    sweep, factors, passes, units, values = _pass_lines(shapes, acts, "len(yds)")
+    sweep, factors, passes, units, _ = _pass_lines(shapes, acts, "0")
     n, k, out = shapes[0][0], len(units), units[-1]
     unpack_params = f"{''.join(f'w{j}, ' for j in range(k))}= p"
     unpack_inputs = f"{''.join(f'x{j}, ' for j in range(n))}= "
     lines = [
-        "def kernel(p, x, ones):",
-        "    dx = 1.0 if ones else 0.0",  # the input tangent, in a low local slot
+        "def kernel(p, x):",
         f"    {unpack_params}",
         f"    {unpack_inputs}x",
         *(f"    {line}" for line in sweep),
-        "    if ones is None:",
-        f"        return a{out}",
-        *(f"    {line}" for line in factors),
-        "    if ones:",  # one pass; its seed adds 0.0 to unit 0
-        "        seeds = ((0, 0.0),)",
-        "    else:",
-        f"        seeds = zip({tuple(units)}, ({''.join(f'{v}, ' for v in values)}))",
+        f"    return a{out}",
+        "def dual_ones(p, x):",
+        f"    dx = {_RULES['ones'].dx}",
+        f"    {unpack_params}",
+        f"    {unpack_inputs}x",
         f"    sd = [0.0] * {out + 1}",
-        "    yds = []",
-        "    for u, v in seeds:",
-        "        sd[u] = v",
-        *(f"        {line}" for line in passes),
-        f"        yds.append(t{out})",
-        "        sd[u] = 0.0",
-        "    count_forward_pass(len(yds))",
-        f"    return a{out}, yds",
+        *(f"    {line}" for line in [*sweep, *factors, *passes]),
+        "    count_forward_pass(1)",
+        f"    return a{out}, t{out}",
         "def loss_sum(p, samples):",
         f"    {unpack_params}",
         "    total = 0.0",
@@ -469,6 +396,7 @@ def _kernel(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
     ]
     namespace = _compile(lines)
     kernel = namespace["kernel"]
+    kernel.dual_ones = namespace["dual_ones"]
     kernel.loss_sum = namespace["loss_sum"]
     return kernel
 
@@ -476,8 +404,8 @@ def _kernel(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
 def _compile(lines: list[str]) -> dict:
     """The namespace that running the source ``lines`` leaves, holding their functions."""
     namespace = {"exp": math.exp, "tanh": math.tanh, "count_forward_pass": count_forward_pass,
-                 "_unit_failure": _unit_failure, "_finite": _finite, "NonFinite": NonFinite,
-                 "ONES_SEED_GUARD": ONES_SEED_GUARD}
+                 "_unit_failure": _unit_failure, "_singular": _singular, "_finite": _finite,
+                 "NonFinite": NonFinite, "ONES_SEED_GUARD": ONES_SEED_GUARD}
     exec(compile("\n".join(lines), "<dualgrad kernel>", "exec"), namespace)
     return namespace
 
@@ -492,16 +420,36 @@ def _finite_check(target: str, names: list[str], what: str) -> list[str]:
 
 
 def _pass_lines(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], done: str):
-    """The lines of one layout's dual pass, shared by ``_kernel`` and ``_sgd_loop``.
+    """The lines of one layout's dual pass, shared by ``_kernel`` and every rule.
 
     ``sweep`` sets each unit's pre-activation real ``r{u}`` and activation
     ``a{u}`` from the inputs ``x{j}``; ``factors`` sets its derivative
     factors and each layer's real check term ``rb{l}``; ``passes`` is one
     tangent pass from the input tangent ``dx``, which every input shares,
-    and the seeds ``sd``; it ends at the output tangent ``t{u}``.
-    ``units`` and ``values`` name, per parameter in layout order, the unit
-    ``seeded`` seeds and the seed. A failing pass counts ``done``, the
-    passes before it.
+    and the seeds ``sd``, ending at the output tangent ``t{u}``. ``units``
+    and ``values`` name, per parameter in layout order, the unit ``seeded``
+    seeds and the seed. A failing pass counts ``done``, the passes before it.
+
+    A tangent pass costs O(P) and takes, per unit, the ring's float
+    operations in the ring's order: 0.0 for the bias, plus ``w * dx`` per
+    input, plus the seed, then ``zd * f * g``. The ring also adds ``+ 0.0``
+    to a product's dual part and the unseeded weights' ``0.0 * r``; both
+    are left out, as they only turn a -0.0 into +0.0, which changes no bit
+    of a sum that starts at +0.0 and so is never -0.0. The seed, 1.0 for a
+    bias and the input real for a weight, is added after the row sum, which
+    is +0.0 at the seeded unit because nothing before a seeded parameter
+    carries a tangent; every other unit adds 0.0, which changes no bit
+    either. No seed changes a real part, so one real sweep serves every
+    pass. So the results are bit-identical to the same pass over ``Dual``
+    values. After each layer, one check sees whether a unit's ``zr`` or
+    ``zd`` is not finite (``v * 0.0`` is 0.0 for finite v and nan
+    otherwise; each term is 0.0 or nan, so the sum is nan in any order),
+    and ``_unit_failure`` then raises NonFinite at the first such unit:
+    sums and products never make an inf or nan finite again, so the pass
+    over ``Dual`` values fails there too. The source uses only integers,
+    ``_ACT_SOURCE``'s fragments and ``math``'s ``exp`` and ``tanh``, and
+    makes no Python call per unit or step; ``dx`` is bound first, so no
+    ``w * dx`` takes an ``EXTENDED_ARG``.
     """
     n = shapes[0][0]
     hr = [f"x{j}" for j in range(n)]  # the layer's input reals
@@ -537,67 +485,133 @@ def _pass_lines(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], done
     return sweep, factors, passes, units, values
 
 
+# --- the gradient rules: one record each -------------------------------------------
+
+
+class _Rule(NamedTuple):
+    """One forward-mode gradient rule, as the lines of its compiled code.
+
+    ``dx`` is every input's tangent, ``done`` the passes a failing pass
+    counts before it; a ``single_layer`` rule takes perceptrons only.
+    ``lines(n, pass_, units, values)`` returns the guard (``seed_sum`` and
+    an ``if`` true where the rule is undefined, or no lines) and the
+    gradient: the passes on sample ``s``, added to ``passes``, and the
+    entries ``e{j}``.
+    """
+
+    dx: float
+    done: str
+    single_layer: bool
+    lines: Callable[..., tuple[list[str], list[str]]]
+
+
+def _ones_lines(n: int, pass_: list[str], units: list[int], values: list[str]):
+    """One pass, every input tangent 1.0, entries ``q * x_j`` and ``q``.
+
+    The guard sums W left to right from the int 0, the builtin ``sum`` of
+    Python 3.10-3.11 on every interpreter; its chained comparison is
+    ``abs(seed_sum) < ONES_SEED_GUARD`` on every float, nan included.
+    """
+    out = units[-1]
+    guard = [*_chain("seed_sum", ["0", *(f"w{j}" for j in range(n))]),
+             "if -ONES_SEED_GUARD < seed_sum < ONES_SEED_GUARD:"]
+    return guard, [*pass_, "passes += 1", f"q = 2.0 * (a{out} - s.y) * t{out} / seed_sum",
+                   *(f"e{j} = q * x{j}" for j in range(n)), f"e{n} = q"]
+
+
+def _seeded_lines(n: int, pass_: list[str], units: list[int], values: list[str]):
+    """One pass per parameter seeded, zero input tangents; entry j is pass j's power rule."""
+    k, out = len(units), units[-1]
+    return [], [
+        "yds = []",
+        f"for u, v in zip({tuple(units)}, ({''.join(f'{v}, ' for v in values)})):",
+        "    sd[u] = v",
+        *(f"    {line}" for line in pass_),
+        f"    yds.append(t{out})",
+        "    sd[u] = 0.0",
+        f"passes += {k}",
+        f"{''.join(f'yd{j}, ' for j in range(k))}= yds",
+        f"d = s.y - a{out}",
+        *(f"e{j} = 2 * d * (0.0 - yd{j})" for j in range(k)),
+    ]
+
+
+# The forward-mode rules by name: ``grad_ones``/``grad_seeded`` and ``run_sgd``'s rule.
+_RULES = {
+    "ones": _Rule(1.0, "0", True, _ones_lines),
+    "seeded": _Rule(0.0, "len(yds)", False, _seeded_lines),
+}
+
+
+def _rule_source(shapes, acts, rule: str, singular: list[str]):
+    """The lines that a rule's ``_grad`` and ``_sgd_loop`` share, for one layout.
+
+    They are the head, which binds ``dx`` first, the guard running
+    ``singular``, and the sample lines; the parameter count comes last.
+    """
+    r = _RULES[rule]
+    sweep, factors, pass_, units, values = _pass_lines(shapes, acts, r.done)
+    n, k = shapes[0][0], len(units)
+    guard, gradient = r.lines(n, pass_, units, values)
+    head = [f"dx = {r.dx}", f"{''.join(f'w{j}, ' for j in range(k))}= p",
+            f"sd = [0.0] * {units[-1] + 1}", "passes = 0"]
+    guard = guard and [*guard, *(f"    {line}" for line in singular)]
+    sample = [f"{''.join(f'x{j}, ' for j in range(n))}= s.x", *sweep, *factors, *gradient]
+    return head, guard, sample, k
+
+
 @functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
-def _sgd_loop(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], ones: bool):
-    """``train``'s SGD loop under ``ones`` (if true) or ``seeded``, compiled for one layout.
+def _grad(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], rule: str):
+    """``grad(params, s)``: a rule's gradient entries on sample s, compiled for one layout.
+
+    A guard that holds raises ``_singular``'s SingularSeed before any pass;
+    the passes run are counted. No other rule, loop or kernel compiles here.
+    """
+    head, guard, sample, k = _rule_source(shapes, acts, rule, ["raise _singular(seed_sum)"])
+    body = [*head, *guard, *sample, "count_forward_pass(passes)",
+            f"return [{', '.join(f'e{j}' for j in range(k))}]"]
+    return _compile(["def grad(p, s):", *(f"    {line}" for line in body)])["grad"]
+
+
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _sgd_loop(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], rule: str):
+    """``train``'s SGD loop under a rule, compiled for one layout.
 
     ``loop(params, batches, lr)`` takes one SGD step per nonempty batch,
     on the mean gradient of the batch's samples, and returns the last
     finite parameters, the largest |entry| of the steps' gradients, the
     singular skips and, if a value left the finite numbers, the NonFinite
-    that stopped it, else None. It counts the passes that the rule's
-    per-sample calls count. ``_kernel``'s docstring holds the argument
-    that it is bit-identical to them. It is compiled on a layout's first
-    ``train`` use, so the gradient rules alone never pay for it.
+    that stopped it, else None. It is compiled on a layout's first
+    ``train`` use. Its per-sample lines are ``_grad``'s, so each sample's
+    entries and passes are ``_grad``'s too. Around them it takes
+    ``trainer.summed``'s float operations in order: per batch a sum per
+    entry in sample order, the 1/contributing scale when more than one
+    sample contributes, then ``p - lr * g``. The sums start at -0.0, and
+    ``-0.0 + v`` is v for every v, so the first sample's entries are copied
+    bit for bit, as ``summed`` copies them. The guard reads only the
+    weights, which a batch does not change, so a batch is skipped whole or
+    not at all, as sample-by-sample checking would skip it. The entries,
+    scaled entries and new parameters are checked with the ``v * 0.0``
+    sum and raise ``_finite``'s NonFinite, as ``_grad_like`` and
+    ``_model_like`` do. The norm moves to ``c`` or ``-c`` only when that is
+    larger; the entries are finite and the norm is never -0.0, so it ends
+    as ``max(norm, *map(abs, g.params))`` bit for bit. So a run is
+    bit-identical to one through the rule's public gradient, ``summed``
+    and ``sgd_step``, and counts the same passes.
     """
-    sweep, factors, passes, units, values = _pass_lines(shapes, acts, "0" if ones else "len(yds)")
-    n, k, out = shapes[0][0], len(units), units[-1]
-    params = [f"w{j}" for j in range(k)]
-    entries = [f"e{j}" for j in range(k)]
-    sums = [f"c{j}" for j in range(k)]
-    steps = [f"n{j}" for j in range(k)]
-    if ones:  # one pass, every input tangent 1.0 and no seed
-        gradient = [
-            *passes,
-            "passes += 1",
-            f"q = 2.0 * (a{out} - s.y) * t{out} / seed_sum",
-            *(f"e{j} = q * x{j}" for j in range(n)),
-            f"e{n} = q",
-        ]
-    else:  # one pass per parameter, zero input tangents
-        gradient = [
-            "yds = []",
-            f"for u, v in zip({tuple(units)}, ({''.join(f'{v}, ' for v in values)})):",
-            "    sd[u] = v",
-            *(f"    {line}" for line in passes),
-            f"    yds.append(t{out})",
-            "    sd[u] = 0.0",
-            f"passes += {k}",
-            f"{''.join(f'yd{j}, ' for j in range(k))}= yds",
-            f"d = s.y - a{out}",
-            *(f"e{j} = 2 * d * (0.0 - yd{j})" for j in range(k)),
-        ]
-    guard = [
-        f"seed_sum = sum(({''.join(f'w{j}, ' for j in range(n))}))",
-        "if -ONES_SEED_GUARD < seed_sum < ONES_SEED_GUARD:",
-        "    skips += len(batch)",
-        "    continue",
-    ] if ones else []
+    head, guard, sample, k = _rule_source(
+        shapes, acts, rule, ["skips += len(batch)", "continue"])
+    params, entries, sums, steps = ([f"{v}{j}" for j in range(k)] for v in "wecn")
     lines = [
         "def loop(p, batches, lr):",
-        f"    {''.join(f'{w}, ' for w in params)}= p",
-        f"    dx = {1.0 if ones else 0.0}",
-        f"    sd = [0.0] * {out + 1}",
-        "    norm = 0.0",
-        "    skips = passes = 0",
-        "    failure = None",
+        *(f"    {line}" for line in head),
+        "    norm, skips, failure = 0.0, 0, None",
         "    try:",
         "        for batch in batches:",
         *(f"            {line}" for line in guard),
         f"            {' = '.join(sums)} = -0.0",
         "            for s in batch:",
-        f"                {''.join(f'x{j}, ' for j in range(n))}= s.x",
-        *(f"                {line}" for line in [*sweep, *factors, *gradient]),
+        *(f"                {line}" for line in sample),
         *(f"                {line}" for line in _finite_check("ge", entries, "gradient entries")),
         *(f"                {c} = {c} + {e}" for c, e in zip(sums, entries)),
         "            if len(batch) > 1:",
@@ -618,20 +632,12 @@ def _sgd_loop(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], ones: 
     return _compile(lines)["loop"]
 
 
-def _run_kernel(m: Mlp, x: Sequence[float], ones: bool | None):
-    """m's kernel on x, in the mode ``ones`` selects (see ``_kernel``)."""
-    if len(x) != m.width:
-        raise ValueError(f"expected {m.width} features, got {len(x)}")
-    return _kernel(m.shapes, m.acts)(m.params, x, ones)
-
-
-# --- the ones-seeded rule -----------------------------------------------------
-
-
-def _single_layer(m: Mlp) -> Perceptron:
-    if not isinstance(m, Perceptron):
+def _check(m: Mlp, rule: str | None, x: Sequence[float] | None = None) -> None:
+    """Raise unless m meets ``rule``'s precondition and x, if given, has m's width."""
+    if rule and _RULES[rule].single_layer and not isinstance(m, Perceptron):
         raise TypeError("the shared-seed rule is single-layer; use grad_seeded for Mlp")
-    return m
+    if x is not None and len(x) != m.width:
+        raise ValueError(f"expected {m.width} features, got {len(x)}")
 
 
 def forward_dual_ones(m: Perceptron, x: Sequence[float]) -> Dual:
@@ -640,8 +646,9 @@ def forward_dual_ones(m: Perceptron, x: Sequence[float]) -> Dual:
     The result's dual part equals sum(W) * act'(W.x + b): all input
     perturbations share one eps, so their first-order effects add up.
     """
-    yr, (yd,) = _run_kernel(_single_layer(m), [float(xi) for xi in x], True)
-    return Dual(yr, yd)
+    x = [float(xi) for xi in x]
+    _check(m, "ones", x)
+    return Dual(*_kernel(m.shapes, m.acts).dual_ones(m.params, x))
 
 
 def grad_ones(m: Perceptron, s: Sample) -> Gradient:
@@ -649,50 +656,33 @@ def grad_ones(m: Perceptron, s: Sample) -> Gradient:
 
     dW_i = 2*(R(yhat_eps) - y) * E(yhat_eps) / sum(W) * x_i, and db is the
     same scalar factor without the x_i product. Requires |sum(W)| >=
-    ONES_SEED_GUARD; raises SingularSeed otherwise.
+    ONES_SEED_GUARD, checked after the model and the width; raises
+    SingularSeed otherwise.
     """
-    seed_sum = sum(_single_layer(m).W)
-    if abs(seed_sum) < ONES_SEED_GUARD:
-        raise SingularSeed(
-            f"|sum(W)| = {abs(seed_sum):.3e} is below {ONES_SEED_GUARD:g}; the shared-seed "
-            "division is undefined here, use grad_seeded instead"
-        )
-    yr, (yd,) = _run_kernel(m, s.x, True)
-    g0 = 2.0 * (yr - s.y) * yd / seed_sum
-    return _grad_like(m, [g0 * xi for xi in s.x] + [g0])
-
-
-# --- per-parameter seeding ----------------------------------------------------
+    _check(m, "ones", s.x)
+    return _grad_like(m, _grad(m.shapes, m.acts, "ones")(m.params, s))
 
 
 def grad_seeded(m: Model, s: Sample) -> AnyGradient:
     """Gradient via one dual pass per scalar parameter, in layout order.
 
-    Works for any weight configuration and for multilayer models; the cost
-    is exactly one forward pass per parameter. The passes share one real
-    sweep and one list of zero input tangents. The loss (y - yhat)**2
-    takes the ring's power rule, 2*d*(0 - yhat.du) with d = y - yhat.re.
-    Like ``grad_ones`` and ``grad_backprop`` it never evaluates the loss,
-    so only an overflowing gradient entry raises NonFinite, not d**2.
+    Works for any weight configuration and for multilayer models, at one
+    pass per parameter over one shared real sweep. The loss takes the
+    ring's power rule, 2*d*(0 - yhat.du) with d = y - yhat.re; like every
+    rule it is never evaluated, so only an overflowing entry raises NonFinite.
     """
-    yr, yds = _run_kernel(m, s.x, False)
-    d = s.y - yr
-    return _grad_like(m, [2 * d * (0.0 - yd) for yd in yds])
+    _check(m, "seeded", s.x)
+    return _grad_like(m, _grad(m.shapes, m.acts, "seeded")(m.params, s))
 
 
-# --- train's SGD loop ---------------------------------------------------------------
-
-
-def run_sgd(m: Model, batches, lr: float, ones: bool):
-    """SGD over nonempty batches with ``grad_ones`` (if ``ones``) or ``grad_seeded``.
+def run_sgd(m: Model, batches, lr: float, rule: str):
+    """SGD over nonempty batches with ``rule``'s gradient, ``"ones"`` or ``"seeded"``.
 
     Each batch's step is ``p - lr * g`` on the sample-order mean of its
-    gradients; under ``ones`` a singular batch is skipped. The loop runs as
-    one call of the layout's compiled ``_sgd_loop``. Returns the model
-    after the last finite step, the largest |gradient entry| of the steps,
-    the singular skips and the NonFinite that stopped the loop, or None.
+    gradients, in one call of the compiled ``_sgd_loop``; a singular batch
+    is skipped. Returns the model after the last finite step, the largest
+    |gradient entry|, the singular skips and the NonFinite that stopped it, or None.
     """
-    if ones:
-        _single_layer(m)
-    params, norm, skips, failure = _sgd_loop(m.shapes, m.acts, ones)(m.params, batches, lr)
+    _check(m, rule)
+    params, norm, skips, failure = _sgd_loop(m.shapes, m.acts, rule)(m.params, batches, lr)
     return _model_like(m, params), norm, skips, failure

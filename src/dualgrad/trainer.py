@@ -7,13 +7,13 @@ trajectory whichever engine is selected (wall-clock timings aside).
 Every engine is one ``Engine(grad, sgd)`` record. ``grad(m, s)`` is its
 public per-sample rule (``model.grad_ones``, ``model.grad_seeded``,
 ``oracle.grad_backprop``). ``sgd(m, batches, lr)`` runs an epoch's
-batches, updates included: ``ones`` and ``seeded`` carry the model's
-compiled ``run_sgd`` for their rule, ``backprop`` ``stepwise`` over the
-oracle's batch loop, one batch call and one ``sgd_step`` per batch. A
-per-sample rule registers as ``Engine(rule, stepwise(summed(rule)))``.
-Each loop sums in sample order, so the logs agree bit for bit. ``train``
-makes one ``sgd`` call per epoch under every engine. The epoch loss is
-one call of the layout's compiled loss loop.
+batches, updates included: ``ones`` and ``seeded`` carry ``run_sgd`` with
+their rule's name, a loop compiled from the rule record their ``grad``
+runs; ``backprop`` ``stepwise`` over the oracle's batch loop, one batch
+call and one ``sgd_step`` per batch. A per-sample rule registers as
+``Engine(rule, stepwise(summed(rule)))``. Each loop sums in sample order,
+so the logs agree bit for bit. ``train`` makes one ``sgd`` call per epoch
+under every engine; the epoch loss is one compiled loss loop call.
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ def stepwise(batch):
 
 # The one name -> engine registry; bench and cli import it.
 ENGINES = {
-    "ones": Engine(_model.grad_ones, functools.partial(_model.run_sgd, ones=True)),
-    "seeded": Engine(_model.grad_seeded, functools.partial(_model.run_sgd, ones=False)),
+    "ones": Engine(_model.grad_ones, functools.partial(_model.run_sgd, rule="ones")),
+    "seeded": Engine(_model.grad_seeded, functools.partial(_model.run_sgd, rule="seeded")),
     "backprop": Engine(_oracle.grad_backprop, stepwise(_oracle.grad_backprop_batch)),
 }
 

@@ -1,6 +1,8 @@
 """Perceptron/MLP evaluation and the two forward-mode gradient rules."""
 
+import functools
 import math
+import operator
 
 import hypothesis.strategies as st
 import numpy as np
@@ -196,12 +198,35 @@ def test_grad_ones_near_the_guard(data):
     act = data.draw(st.sampled_from(md.ACTIVATIONS))
     m = Perceptron(rest + [target - sum(rest)], data.draw(unit), act)
     s = Sample([data.draw(unit) for _ in range(n)], data.draw(st.floats(0.0, 1.0)))
-    if abs(sum(m.W)) < md.ONES_SEED_GUARD:
+    if abs(functools.reduce(operator.add, m.W, 0)) < md.ONES_SEED_GUARD:
         with pytest.raises(md.SingularSeed):
             md.grad_ones(m, s)
     else:
         report = oracle.compare(md.grad_ones(m, s), oracle.grad_backprop(m, s), 1e-10)
         assert report.passed, report
+
+
+def test_grad_ones_sums_the_seed_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16, so the left-to-right sum is 0.0; a
+    # compensated sum (the builtin sum from Python 3.12 on) gives 1.0
+    m = Perceptron([1e16, 1.0, -1e16], 0.0)
+    assert functools.reduce(operator.add, m.W, 0) == 0.0
+    s = Sample([1.0, 2.0, 3.0], 0.5)
+    with pytest.raises(md.SingularSeed, match=r"\|sum\(W\)\| = 0\.000e\+00"):
+        md.grad_ones(m, s)
+    md.reset_pass_count()
+    last, norm, skips, failure = md.run_sgd(m, [[s], [s, s]], 0.5, "ones")
+    assert (last.params, norm, skips, failure, md.pass_count()) == (m.params, 0.0, 3, None, 0)
+
+
+def test_grad_ones_checks_the_model_then_the_width_then_the_guard():
+    singular = [0.5, -0.5]
+    with pytest.raises(TypeError, match="single-layer"):
+        md.grad_ones(Mlp([Layer([singular], [0.0])]), Sample([1.0, 2.0, 3.0], 0.0))
+    with pytest.raises(ValueError, match="expected 2 features, got 3"):
+        md.grad_ones(Perceptron(singular, 0.0), Sample([1.0, 2.0, 3.0], 0.0))
+    with pytest.raises(md.SingularSeed):
+        md.grad_ones(Perceptron(singular, 0.0), Sample([1.0, 2.0], 0.0))
 
 
 def test_grad_ones_error_names_remedy():
@@ -438,8 +463,8 @@ def assert_ones_matches_the_dual_spec(m, x, y):
     assert (got.re.hex(), got.du.hex()) == (want.re.hex(), want.du.hex())
     assert md.pass_count() == 1
 
-    # grad_ones divides the same pass's output by sum(W)
-    seed_sum = sum(m.W)
+    # grad_ones divides the same pass's output by sum(W), taken left to right from 0
+    seed_sum = functools.reduce(operator.add, m.W, 0)
     if abs(seed_sum) >= md.ONES_SEED_GUARD:
         s = Sample(x, y)
         g0 = 2.0 * (want.re - s.y) * want.du / seed_sum
@@ -516,9 +541,11 @@ def test_a_3000_wide_layer_compiles_and_matches_the_dual_spec():
     assert m.forward(x).hex() == spec_forward(m, x).re.hex()
     assert md.pass_count() == 0
     want = spec_forward(m, x, dx=1.0)
-    yr, (yd,) = md._kernel(m.shapes, m.acts)(m.params, x, True)
+    yr, yd = md._kernel(m.shapes, m.acts).dual_ones(m.params, x)
     assert (yr.hex(), yd.hex()) == (want.re.hex(), want.du.hex())
     assert md.pass_count() == 1
+    # the per-parameter rule's gradient compiles at this width too
+    md._grad(m.shapes, m.acts, "seeded")
 
 
 def test_one_kernel_is_compiled_per_layout():
@@ -530,28 +557,33 @@ def test_one_kernel_is_compiled_per_layout():
     ])
     s = Sample([1.0, 0.0], 1.0)
     md._kernel.cache_clear()
+    md._grad.cache_clear()
     g = md.grad_seeded(m, s)
-    assert md._kernel.cache_info()[:2] == (0, 1)  # (hits, misses)
+    assert md._grad.cache_info()[:2] == (0, 1)  # (hits, misses)
     # a second gradient, and one on the successor of an SGD step, compile nothing
     md.grad_seeded(m, s)
     md.grad_seeded(trainer.sgd_step(m, g, 0.5), s)
-    assert md._kernel.cache_info()[:2] == (2, 1)
-    # the same shapes with other activations get their own kernel
+    assert md._grad.cache_info()[:2] == (2, 1)
+    # the same shapes with other activations get their own gradient
     other = Mlp([Layer(lay.W, lay.b, "tanh") for lay in m.layers])
     md.grad_seeded(other, s)
-    assert md._kernel.cache_info()[:2] == (2, 2)
-    assert md._kernel(m.shapes, m.acts) is not md._kernel(other.shapes, other.acts)
-    # the single-pass rule and per-parameter seeding share a perceptron's kernel
+    assert md._grad.cache_info()[:2] == (2, 2)
+    assert md._grad(m.shapes, m.acts, "seeded") is not md._grad(other.shapes, other.acts, "seeded")
+    # each rule compiles its own gradient for a perceptron, on its first call only
     p = random_perceptron(rng, 5, guarded=True)
-    md.grad_ones(p, random_sample(rng, 5))
-    md.grad_seeded(p, random_sample(rng, 5))
+    for _ in range(2):
+        md.grad_ones(p, random_sample(rng, 5))
+        md.grad_seeded(p, random_sample(rng, 5))
+    assert md._grad.cache_info()[:2] == (6, 4)
+    # no gradient compiles the kernel; plain evaluation and the ones pass share one per layout
+    assert md._kernel.cache_info()[:2] == (0, 0)
     md.forward_dual_ones(p, [0.5] * 5)
-    assert md._kernel.cache_info()[:2] == (6, 3)
-    # plain evaluation runs the kernel the rules compiled for its layout
-    m.forward(s.x)
     p.forward([0.5] * 5)
-    assert md._kernel.cache_info()[:2] == (8, 3)
-    assert md._kernel.cache_info().maxsize == md.KERNEL_CACHE_SIZE
+    m.forward(s.x)
+    m.forward(s.x)
+    assert md._kernel.cache_info()[:2] == (2, 2)
+    assert md._grad.cache_info()[:2] == (6, 4)
+    assert md._kernel.cache_info().maxsize == md._grad.cache_info().maxsize == md.KERNEL_CACHE_SIZE
 
 
 def test_dual_allocations_per_pass(monkeypatch):
@@ -625,14 +657,16 @@ def test_mean_loss_is_the_sample_order_mean_of_forward_losses_bit_for_bit():
     assert kinds == {"finite", "inf", "nan"}
 
 
-def test_mean_loss_runs_the_kernel_a_gradient_compiled():
+def test_mean_loss_runs_the_kernel_forward_compiled():
     m = Mlp([Layer([[0.5, -0.25], [1.0, 0.75]], [0.1, -0.1], "tanh"),
              Layer([[0.3, -0.6]], [0.2], "sigmoid")])
     ds = trainer.Dataset("d", 2, [Sample([1.0, 0.0], 1.0), Sample([0.5, 2.0], 0.0)])
     md._kernel.cache_clear()
-    md.grad_seeded(m, ds.samples[0])
+    md._grad.cache_clear()
+    m.forward(ds.samples[0].x)
     trainer.mean_loss(m, ds)
     assert md._kernel.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert md._grad.cache_info()[:2] == (0, 0)  # and no gradient is compiled
     with pytest.raises(ValueError, match="expected 2 features, got 3"):
         trainer.mean_loss(m, trainer.Dataset("wide", 3, [Sample([1.0, 0.0, 2.0], 1.0)]))
 
@@ -673,11 +707,11 @@ def test_the_compiled_activations_are_the_specs_bit_for_bit(r):
 
 @pytest.fixture
 def counting_exp(monkeypatch):
-    """``math.exp`` counting its calls in kernels compiled from here on.
+    """``math.exp`` counting its calls in code compiled from here on.
 
-    A kernel binds ``math.exp`` when it is compiled, so the cache is
-    cleared before and after: no kernel compiled with the counter outlives
-    the test.
+    The kernel and the rules' gradients bind ``math.exp`` when they are
+    compiled, so their caches are cleared before and after: no code
+    compiled with the counter outlives the test.
     """
     calls = [0]
     exp = math.exp
@@ -688,8 +722,10 @@ def counting_exp(monkeypatch):
 
     monkeypatch.setattr(math, "exp", counting)
     md._kernel.cache_clear()
+    md._grad.cache_clear()
     yield calls
     md._kernel.cache_clear()
+    md._grad.cache_clear()
 
 
 def test_seeded_computes_each_activation_once_per_gradient(counting_exp):

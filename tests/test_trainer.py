@@ -560,9 +560,9 @@ def stepped_batch(sgd):
 
 def test_the_forward_mode_engines_train_through_their_compiled_loop():
     assert all(isinstance(e, trainer.Engine) for e in trainer.ENGINES.values())
-    for name, ones in (("ones", True), ("seeded", False)):
+    for name in ("ones", "seeded"):
         sgd = trainer.ENGINES[name].sgd
-        assert (sgd.func, sgd.args, sgd.keywords) == (md.run_sgd, (), {"ones": ones})
+        assert (sgd.func, sgd.args, sgd.keywords) == (md.run_sgd, (), {"rule": name})
     backprop = trainer.ENGINES["backprop"]
     assert backprop.grad is oracle.grad_backprop
     assert stepped_batch(backprop.sgd) is oracle.grad_backprop_batch
@@ -714,16 +714,16 @@ def test_the_compiled_loops_call_no_python_function_per_unit_or_step():
     layouts.append((((2, 4), (4, 1)), ("tanh", "sigmoid")))
     for shapes, acts in layouts:
         kernel = md._kernel(shapes, acts)
-        codes = [kernel.__code__, kernel.loss_sum.__code__]
-        codes += [md._sgd_loop(shapes, acts, False).__code__]
-        if len(shapes) == 1:
-            codes.append(md._sgd_loop(shapes, acts, True).__code__)
+        codes = [kernel.__code__, kernel.dual_ones.__code__, kernel.loss_sum.__code__]
+        for rule in ("ones", "seeded") if len(shapes) == 1 else ("seeded",):
+            codes += [md._grad(shapes, acts, rule).__code__, md._sgd_loop(shapes, acts, rule).__code__]
         for code in codes:
-            assert not {"abs", "max", "fn", "sigmoid_real"} & set(code.co_names), code.co_names
+            assert not {"abs", "max", "sum", "fn", "sigmoid_real"} & set(code.co_names), code.co_names
     # the input tangent of a width-128 perceptron sits in a one-byte local slot
     wide = ((128, 1),), ("sigmoid",)
-    for code in (md._kernel(*wide).__code__, md._sgd_loop(*wide, False).__code__,
-                 md._sgd_loop(*wide, True).__code__):
+    codes = [md._kernel(*wide).dual_ones.__code__]
+    codes += [f(*wide, rule).__code__ for f in (md._grad, md._sgd_loop) for rule in ("ones", "seeded")]
+    for code in codes:
         assert code.co_varnames.index("dx") < 256
 
 

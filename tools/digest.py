@@ -9,15 +9,16 @@ reals, and hashes the ``.hex()`` values of ``forward``, ``grad_seeded``,
 ``grad_ones`` (perceptrons) and ``run_sgd`` on per-sample and full
 batches, with each call's exception type and message and pass count.
 
-The digests are not golden values, because ``math.exp``, ``math.tanh``
-and, from Python 3.12 on, the builtin ``sum`` over floats differ between
-interpreters and libm builds; compare two trees on one interpreter.
+The digests are not golden values, because ``math.exp`` and ``math.tanh``
+may differ between libm builds; compare two trees on one machine.
 
     python tools/digest.py
 
 prints one JSON line, ``{"configs": N, "sha256": "...", "nets": M,
 "model_sha256": "..."}``. The package is imported from the ``src/`` next
-to this file, so the digests are the tree's own.
+to this file, so the digests are the tree's own. Only the train half
+imports ``trainer``, and with it numpy, so ``model_digest()`` runs where
+numpy is missing.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dualgrad import model, trainer  # noqa: E402
+from dualgrad import model  # noqa: E402
 from dualgrad.model import Layer, Mlp, Perceptron, Sample  # noqa: E402
-from dualgrad.trainer import TrainConfig  # noqa: E402
 
 ENGINES = ("ones", "seeded", "backprop")
 LRS = (0.5, 1e6)  # 1e6 makes the identity runs diverge mid-epoch
@@ -43,6 +43,9 @@ POOL = (0.0, -0.0, 1e300, -1e300, 5e-324, 710.0, -710.0, 745.0, -745.0)
 
 def grid():
     """(config, model or None) pairs; None trains the config's own initial model."""
+    from dualgrad import trainer
+    from dualgrad.trainer import TrainConfig
+
     for dataset, engine, act, batch, shuffle, lr in itertools.product(
         ("and", "or", "line2d"), ENGINES, model.ACTIVATIONS, trainer.BATCH_MODES, (False, True), LRS
     ):
@@ -57,6 +60,8 @@ def grid():
 
 
 def train_digest() -> tuple[int, str]:
+    from dualgrad import trainer
+
     digest = hashlib.sha256()
     count = 0
     for cfg, m in grid():
@@ -114,9 +119,9 @@ def model_digest() -> tuple[int, str]:
         outcomes += [outcome(model.grad_seeded, m, s) for s in samples]
         if perceptron:
             outcomes += [outcome(model.grad_ones, m, s) for s in samples]
-        rules = (True, False) if perceptron else (False,)
-        for ones, batches in itertools.product(rules, ([[s] for s in samples], [samples])):
-            outcomes.append(outcome(model.run_sgd, m, batches, lr, ones))
+        rules = ("ones", "seeded") if perceptron else ("seeded",)
+        for rule, batches in itertools.product(rules, ([[s] for s in samples], [samples])):
+            outcomes.append(outcome(model.run_sgd, m, batches, lr, rule))
         digest.update(f"{outcomes}\n".encode())
     return NETS, digest.hexdigest()
 
