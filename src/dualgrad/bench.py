@@ -112,15 +112,11 @@ def run_bench(
 
 
 def linear_fit_r2(xs, ys) -> tuple[float, float, float]:
-    """Least-squares line fit; returns (slope, intercept, r_squared)."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2
+    """Least-squares line fit: (slope, intercept, r_squared), r_squared 1.0 if every y is equal."""
+    xs, ys = [float(v) for v in xs], [float(v) for v in ys]
+    slope, intercept = statistics.linear_regression(xs, ys)
+    r2 = 1.0 if len(set(ys)) == 1 else statistics.correlation(xs, ys) ** 2
+    return slope, intercept, r2
 
 
 def environment() -> dict:

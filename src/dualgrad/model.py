@@ -20,13 +20,13 @@ Python source that ``_pass_lines`` writes per layout over parameters
 unpacked into locals. A record's lines give two functions per layout,
 each compiled on its first use and kept in an ``lru_cache`` of
 ``KERNEL_CACHE_SIZE`` layouts: the per-sample gradient (``_grad``) and
-``train``'s SGD loop (``_sgd_loop``, run by ``run_sgd``). ``Mlp.forward``,
-``forward_dual_ones`` and the trainer's ``mean_loss`` run ``_kernel``.
-No ``Dual`` is built: a dual value is two plain floats, and the float
-operations are the ring's, in the ring's order, so the results are
-bit-identical to the same passes written with ``Dual`` and the lifts in
-``functions``, and a loop's run to ``trainer.stepwise`` over the rule
-wrapped by ``trainer.summed``. ``Dual`` stays the public ring and the spec.
+``train``'s SGD loop (``_sgd_loop``, run by ``run_sgd``). No ``Dual`` is
+built there: a dual value is two plain floats, and the float operations
+are the ring's, in the ring's order, so the results are bit-identical to
+the same passes with ``Dual`` and ``functions``, the public ring and the
+spec, and a loop's run to ``trainer.stepwise(trainer.summed(rule))``.
+``_kernel`` compiles the real sweep alone, for ``Mlp.forward`` and the
+trainer's ``mean_loss``; ``forward_dual_ones`` runs on the ring itself.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
+from . import functions
 from .dual import Dual, NonFinite
 
 ACTIVATIONS = ("sigmoid", "tanh", "identity")
@@ -84,6 +85,12 @@ def _check_act(act: str) -> str:
     if act not in ACTIVATIONS:
         raise ValueError(f"unknown activation {act!r}, expected one of {ACTIVATIONS}")
     return act
+
+
+def _check_positive(value: float, what: str) -> float:
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{what} must be positive and finite, got {value}")
+    return value
 
 
 def _check_rows(rows: list[list[float]], biases: list[float], what: str) -> None:
@@ -180,7 +187,7 @@ class Mlp:
         """Plain float evaluation: the real sweep of the layout's ``_kernel``.
 
         It counts no pass. A layout's first evaluation compiles the kernel,
-        0.9 s against 1.2 ms per later call for a 20,000-wide perceptron.
+        0.4 s against 1.5 ms per later call for a 20,000-wide perceptron.
         """
         _check(self, None, x)
         return _kernel(self.shapes, self.acts)(self.params, x)
@@ -355,50 +362,37 @@ def _singular(seed_sum: float) -> SingularSeed:
 
 @functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _kernel(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
-    """One layout's real sweep and ``ones`` pass as compiled straight-line functions.
+    """One layout's real sweep as compiled straight-line functions.
 
     ``kernel(params, x)`` is ``Mlp.forward``: it unpacks the parameters and
     inputs into locals, then per unit sums the bias plus ``w * r`` per input
-    left to right and takes the activation. ``kernel.dual_ones(params, x)``
-    adds the ``ones`` rule's tangent pass, returns the output's real and
-    dual parts and counts one pass. ``kernel.loss_sum(params, samples)``
-    runs the sweep per sample and sums ``d * d`` (``d = y - yhat``) from 0.0
-    in sample order, as summing ``loss(forward(x), y)`` does; it counts no
-    pass. No gradient is compiled here.
+    left to right and takes the activation. ``kernel.loss_sum(params,
+    samples)`` runs the sweep per sample and sums ``d * d`` (``d = y -
+    yhat``) from 0.0 in sample order, as summing ``loss(forward(x), y)``
+    does. Neither counts a pass; no tangent pass or gradient compiles here.
     """
-    sweep, factors, passes, units, _ = _pass_lines(shapes, acts, "0")
-    n, k, out = shapes[0][0], len(units), units[-1]
-    unpack_params = f"{''.join(f'w{j}, ' for j in range(k))}= p"
-    unpack_inputs = f"{''.join(f'x{j}, ' for j in range(n))}= "
+    sweep, _, _, units, _ = _pass_lines(shapes, acts, "0")
+    unpack_params = f"{''.join(f'w{j}, ' for j in range(len(units)))}= p"
+    unpack_inputs = f"{''.join(f'x{j}, ' for j in range(shapes[0][0]))}= "
     lines = [
         "def kernel(p, x):",
         f"    {unpack_params}",
         f"    {unpack_inputs}x",
         *(f"    {line}" for line in sweep),
-        f"    return a{out}",
-        "def dual_ones(p, x):",
-        f"    dx = {_RULES['ones'].dx}",
-        f"    {unpack_params}",
-        f"    {unpack_inputs}x",
-        f"    sd = [0.0] * {out + 1}",
-        *(f"    {line}" for line in [*sweep, *factors, *passes]),
-        "    count_forward_pass(1)",
-        f"    return a{out}, t{out}",
+        f"    return a{units[-1]}",
         "def loss_sum(p, samples):",
         f"    {unpack_params}",
         "    total = 0.0",
         "    for s in samples:",
         f"        {unpack_inputs}s.x",
         *(f"        {line}" for line in sweep),
-        f"        d = s.y - a{out}",
+        f"        d = s.y - a{units[-1]}",
         "        total += d * d",
         "    return total",
     ]
     namespace = _compile(lines)
-    kernel = namespace["kernel"]
-    kernel.dual_ones = namespace["dual_ones"]
-    kernel.loss_sum = namespace["loss_sum"]
-    return kernel
+    namespace["kernel"].loss_sum = namespace["loss_sum"]
+    return namespace["kernel"]
 
 
 def _compile(lines: list[str]) -> dict:
@@ -420,7 +414,7 @@ def _finite_check(target: str, names: list[str], what: str) -> list[str]:
 
 
 def _pass_lines(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], done: str):
-    """The lines of one layout's dual pass, shared by ``_kernel`` and every rule.
+    """The lines of one layout's dual pass: every rule's, and ``_kernel``'s real sweep.
 
     ``sweep`` sets each unit's pre-activation real ``r{u}`` and activation
     ``a{u}`` from the inputs ``x{j}``; ``factors`` sets its derivative
@@ -625,6 +619,8 @@ def _sgd_loop(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], rule: 
         *(f"            {w} = {m}" for w, m in zip(params, steps)),
         "    except NonFinite as exc:",
         "        failure = exc",
+        "    except ValueError:  # from unpacking an s.x of another width",
+        f"        raise ValueError(f'expected {shapes[0][0]} features, got {{len(s.x)}}') from None",
         "    finally:",
         "        count_forward_pass(passes)",
         f"    return [{', '.join(params)}], norm, skips, failure",
@@ -645,10 +641,14 @@ def forward_dual_ones(m: Perceptron, x: Sequence[float]) -> Dual:
 
     The result's dual part equals sum(W) * act'(W.x + b): all input
     perturbations share one eps, so their first-order effects add up.
+    One counted pass on the ring: b plus ``(x_i + eps) * w_i`` left to right,
+    then the lift in ``functions``; a non-finite part raises NonFinite.
     """
-    x = [float(xi) for xi in x]
     _check(m, "ones", x)
-    return Dual(*_kernel(m.shapes, m.acts).dual_ones(m.params, x))
+    z = sum((Dual(xi, 1.0) * w for w, xi in zip(m.W, x)), Dual(m.b))
+    z = z if m.act == "identity" else getattr(functions, m.act)(z)  # sigmoid or tanh
+    count_forward_pass(1)
+    return z
 
 
 def grad_ones(m: Perceptron, s: Sample) -> Gradient:
@@ -680,9 +680,13 @@ def run_sgd(m: Model, batches, lr: float, rule: str):
 
     Each batch's step is ``p - lr * g`` on the sample-order mean of its
     gradients, in one call of the compiled ``_sgd_loop``; a singular batch
-    is skipped. Returns the model after the last finite step, the largest
-    |gradient entry|, the singular skips and the NonFinite that stopped it, or None.
+    is skipped before its samples are read. Returns the model after the
+    last finite step, the largest |gradient entry|, the singular skips and
+    the NonFinite that stopped it, or None. A learning rate that is not
+    positive and finite raises before any pass; a sample of another width
+    raises ``_check``'s ValueError when it is reached.
     """
+    _check_positive(lr, "learning rate")
     _check(m, rule)
     params, norm, skips, failure = _sgd_loop(m.shapes, m.acts, rule)(m.params, batches, lr)
     return _model_like(m, params), norm, skips, failure

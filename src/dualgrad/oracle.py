@@ -88,8 +88,7 @@ def grad_backprop(m: Perceptron, s: Sample) -> Gradient:
 
 def grad_finite_diff(m: Model, s: Sample, h: float = DEFAULT_FD_STEP) -> AnyGradient:
     """Central differences (L(p+h) - L(p-h)) / 2h over every parameter."""
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"step must be positive and finite, got {h}")
+    _model._check_positive(h, "step")
     if len(s.x) != m.width:
         raise ValueError(f"expected {m.width} features, got {len(s.x)}")
 

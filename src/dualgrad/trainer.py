@@ -102,9 +102,13 @@ class Engine:
 
 
 def stepwise(batch):
-    """The ``sgd`` of a batch function: one ``batch`` call and one ``sgd_step`` per batch."""
+    """The ``sgd`` of a batch function: one ``batch`` call and one ``sgd_step`` per batch.
+
+    The learning rate is checked as ``sgd_step`` checks it, before any batch.
+    """
 
     def sgd(m: Model, batches, lr: float):
+        _model._check_positive(lr, "learning rate")
         norm, skips = 0.0, 0
         try:
             for samples in batches:
@@ -167,18 +171,15 @@ class TrainConfig:
         engine(self.engine)
         if self.batch_mode not in BATCH_MODES:
             raise ValueError(f"unknown batch mode {self.batch_mode!r}, expected one of {BATCH_MODES}")
-        self.learning_rate = _real(self.learning_rate, "learning rate")
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
+        self.learning_rate = _model._check_positive(_real(self.learning_rate, "learning rate"),
+                                                    "learning rate")
         self.epochs = _integer(self.epochs, "epochs")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         self.rng_seed = _integer(self.rng_seed, "rng seed")
         if self.rng_seed < 0:
             raise ValueError(f"rng seed must be >= 0, got {self.rng_seed}")
-        self.init_range = _real(self.init_range, "init range")
-        if not (self.init_range > 0 and math.isfinite(self.init_range)):
-            raise ValueError(f"init range must be positive and finite, got {self.init_range}")
+        self.init_range = _model._check_positive(_real(self.init_range, "init range"), "init range")
         _model._check_act(self.activation)
         try:
             widths = iter(self.hidden)
@@ -356,8 +357,7 @@ def init_model(cfg: TrainConfig, feature_width: int, rng: np.random.Generator) -
 
 def sgd_step(m: Model, g, lr: float) -> Model:
     """p <- p - lr * dp for every parameter; returns a new model."""
-    if not (lr > 0 and math.isfinite(lr)):
-        raise ValueError(f"learning rate must be positive and finite, got {lr}")
+    _model._check_positive(lr, "learning rate")
     if g.shapes != m.shapes:
         raise ValueError(f"gradient shape {g.shapes} does not match model {m.shapes}")
     return _model._model_like(m, [p - lr * d for p, d in zip(m.params, g.params)])

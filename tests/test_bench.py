@@ -91,11 +91,28 @@ def test_the_sweep_times_each_engines_per_sample_gradient():
     assert all(g is trainer.ENGINES[tag].grad for g, tag in zip(grads, trainer.ENGINES, strict=True))
 
 
+def numpy_fit_r2(xs, ys):
+    """The least-squares fit and r^2 = 1 - ss_res / ss_tot through np.polyfit."""
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    return float(slope), float(intercept), 1.0 - ss_res / ss_tot
+
+
 def test_linear_fit_recovers_exact_line():
     slope, intercept, r2 = bench.linear_fit_r2([1, 2, 3, 4], [3, 5, 7, 9])
     assert slope == pytest.approx(2.0)
     assert intercept == pytest.approx(1.0)
     assert r2 == pytest.approx(1.0)
+    assert bench.linear_fit_r2([8, 16, 32], [5.0, 5.0, 5.0]) == (0.0, 5.0, 1.0)
+    # random sweeps: distinct widths, timings up to 1e4 ns
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        k = int(rng.integers(2, 9))
+        xs = sorted(int(v) for v in rng.choice(np.arange(1, 4097), k, replace=False))
+        ys = [float(v) for v in rng.uniform(0.0, 1e4, k)]
+        assert bench.linear_fit_r2(xs, ys) == pytest.approx(numpy_fit_r2(xs, ys), rel=1e-9, abs=1e-9)
 
 
 def test_table_output():

@@ -527,9 +527,8 @@ def test_long_kernels_are_bit_identical_to_the_dual_spec(net):
 
 
 def test_a_3000_wide_layer_compiles_and_matches_the_dual_spec():
-    # each finiteness check of the wide layer sums 3,001 terms, more than
-    # CPython before 3.13 compiles as one chain of +; a single tangent pass
-    # keeps the test fast at P = 12,001
+    # the wide layer's unit sums and finiteness checks take 3,001 terms,
+    # more than CPython before 3.13 compiles as one chain of +
     rng = np.random.default_rng(43)
     m = Mlp([
         Layer([[float(v) for v in rng.uniform(-1, 1, 2)] for _ in range(3000)],
@@ -540,12 +539,21 @@ def test_a_3000_wide_layer_compiles_and_matches_the_dual_spec():
     md.reset_pass_count()
     assert m.forward(x).hex() == spec_forward(m, x).re.hex()
     assert md.pass_count() == 0
-    want = spec_forward(m, x, dx=1.0)
-    yr, yd = md._kernel(m.shapes, m.acts).dual_ones(m.params, x)
-    assert (yr.hex(), yd.hex()) == (want.re.hex(), want.du.hex())
-    assert md.pass_count() == 1
     # the per-parameter rule's gradient compiles at this width too
     md._grad(m.shapes, m.acts, "seeded")
+    # a 300-wide layer's tangent check sums 301 terms, more than one statement
+    # holds; at P = 1,201 passes a spread of entries is held to the spec
+    m = Mlp([
+        Layer([[float(v) for v in rng.uniform(-1, 1, 2)] for _ in range(300)],
+              long_values(rng, 300, 1.0), "tanh"),
+        Layer([long_values(rng, 300, 0.05)], [0.25], "sigmoid"),
+    ])
+    s = Sample([0.7, -1.3], 0.5)
+    md.reset_pass_count()
+    got = md.grad_seeded(m, s).params
+    assert md.pass_count() == len(m.params) == 1201
+    for k in (0, 1, 2, 299, 599, 600, 750, 899, 900, 1050, 1199, 1200):
+        assert got[k].hex() == spec_loss_dual(m, s, k).du.hex(), k
 
 
 def test_one_kernel_is_compiled_per_layout():
@@ -575,15 +583,39 @@ def test_one_kernel_is_compiled_per_layout():
         md.grad_ones(p, random_sample(rng, 5))
         md.grad_seeded(p, random_sample(rng, 5))
     assert md._grad.cache_info()[:2] == (6, 4)
-    # no gradient compiles the kernel; plain evaluation and the ones pass share one per layout
-    assert md._kernel.cache_info()[:2] == (0, 0)
+    # neither a gradient nor the ones pass compiles the kernel; plain evaluation does, once per layout
     md.forward_dual_ones(p, [0.5] * 5)
+    assert md._kernel.cache_info()[:2] == (0, 0)
     p.forward([0.5] * 5)
     m.forward(s.x)
     m.forward(s.x)
-    assert md._kernel.cache_info()[:2] == (2, 2)
+    assert md._kernel.cache_info()[:2] == (1, 2)
     assert md._grad.cache_info()[:2] == (6, 4)
     assert md._kernel.cache_info().maxsize == md._grad.cache_info().maxsize == md.KERNEL_CACHE_SIZE
+
+
+def test_the_kernel_compiles_no_tangent_pass():
+    layouts = [(((n, 1),), (act,)) for n in (1, 3) for act in md.ACTIVATIONS]
+    layouts.append((((2, 4), (4, 1)), ("tanh", "sigmoid")))
+    layouts.append((((3, 5), (5, 2), (2, 1)), ("sigmoid", "identity", "tanh")))
+    for shapes, acts in layouts:
+        # every function the kernel's source defines lives in its namespace
+        namespace = md._kernel(shapes, acts).__globals__
+        codes = [f.__code__ for f in namespace.values()
+                 if getattr(f, "__code__", None) and f.__code__.co_filename == "<dualgrad kernel>"]
+        assert sorted(c.co_name for c in codes) == ["kernel", "loss_sum"]
+        for code in codes:
+            names = {*code.co_names, *code.co_varnames}
+            assert not {"dx", "sd", "count_forward_pass"} & names, (shapes, acts, names)
+
+
+def test_forward_dual_ones_raises_nonfinite_on_an_overflowing_perceptron():
+    for act in md.ACTIVATIONS:
+        m = Perceptron([1e308, 1e308], 0.0, act)
+        md.reset_pass_count()
+        with pytest.raises(NonFinite, match="must be finite"):
+            md.forward_dual_ones(m, [10.0, 10.0])
+        assert md.pass_count() == 0
 
 
 def test_dual_allocations_per_pass(monkeypatch):
@@ -610,9 +642,11 @@ def test_dual_allocations_per_pass(monkeypatch):
         assert md.pass_count() == len(m.params)
         assert made <= 4 * len(m.params)
 
+    # the ones pass runs on the ring: b, then per input the seeded x_i, w_i,
+    # their product and the sum, then the activation
     made = 0
     md.forward_dual_ones(random_perceptron(rng, 8), [0.5] * 8)
-    assert made == 1
+    assert made == 4 * 8 + 2
 
     made = 0
     md.grad_ones(random_perceptron(rng, 8, guarded=True), random_sample(rng, 8))

@@ -213,6 +213,27 @@ def test_sgd_step_rejects_bad_learning_rate_as_a_bad_argument(lr):
     assert not isinstance(exc.value, NonFinite)  # train would read NonFinite as divergence
 
 
+@pytest.mark.parametrize("name", trainer.ENGINES)
+def test_every_engines_sgd_refuses_what_sgd_step_refuses(name):
+    sgd = trainer.ENGINES[name].sgd
+    m = Perceptron([0.3, -0.2], 0.1)  # sum(W) = 0.1: the ones rule is defined
+    good = Sample([1.0, 0.5], 1.0)
+
+    def refused(batches, lr, text):
+        with pytest.raises(ValueError) as exc:
+            sgd(m, batches, lr)
+        assert type(exc.value) is ValueError and str(exc.value) == text  # no NonFinite: no divergence
+
+    for lr in (0.0, -1.0, math.nan, math.inf):
+        md.reset_pass_count()
+        refused([[good], [good]], lr, f"learning rate must be positive and finite, got {lr}")
+        assert md.pass_count() == 0  # refused before any pass
+    for width in (1, 3):
+        wrong = Sample([0.5] * width, 1.0)
+        for batches in ([[good], [wrong]], [[good, wrong]]):
+            refused(batches, 0.5, f"expected 2 features, got {width}")
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
 def test_step_sizes_name_the_condition_they_fail(bad):
     m = Perceptron([0.1, 0.2], 0.0)
@@ -714,15 +735,14 @@ def test_the_compiled_loops_call_no_python_function_per_unit_or_step():
     layouts.append((((2, 4), (4, 1)), ("tanh", "sigmoid")))
     for shapes, acts in layouts:
         kernel = md._kernel(shapes, acts)
-        codes = [kernel.__code__, kernel.dual_ones.__code__, kernel.loss_sum.__code__]
+        codes = [kernel.__code__, kernel.loss_sum.__code__]
         for rule in ("ones", "seeded") if len(shapes) == 1 else ("seeded",):
             codes += [md._grad(shapes, acts, rule).__code__, md._sgd_loop(shapes, acts, rule).__code__]
         for code in codes:
             assert not {"abs", "max", "sum", "fn", "sigmoid_real"} & set(code.co_names), code.co_names
     # the input tangent of a width-128 perceptron sits in a one-byte local slot
     wide = ((128, 1),), ("sigmoid",)
-    codes = [md._kernel(*wide).dual_ones.__code__]
-    codes += [f(*wide, rule).__code__ for f in (md._grad, md._sgd_loop) for rule in ("ones", "seeded")]
+    codes = [f(*wide, rule).__code__ for f in (md._grad, md._sgd_loop) for rule in ("ones", "seeded")]
     for code in codes:
         assert code.co_varnames.index("dx") < 256
 
