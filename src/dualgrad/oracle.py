@@ -4,7 +4,8 @@
 is a central-difference probe of the actual loss. Together they give two
 independent answers to check the forward-mode engines against. The closed
 form is written once, as ``grad_backprop_batch``, the trainer's
-``backprop`` engine; ``grad_backprop`` is its batch of one.
+``backprop`` engine; ``grad_backprop`` is its batch of one. The batch
+copies the first sample's entries and adds each later sample's in place.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ def _act_value_deriv(tag: str, z: float) -> tuple[float, float]:
 def grad_backprop_batch(m: Perceptron, samples) -> tuple[Gradient | None, int]:
     """Mean analytic gradient over a batch, and 0 singular skips.
 
-    Per sample, dW = 2*(yhat - y)*act'(z)*x and db likewise. The entries
-    are summed in sample order and scaled by 1/len(samples) when the batch
-    holds more than one sample; an empty batch gives None. The gradient
+    Per sample, dW = 2*(yhat - y)*act'(z)*x and db likewise. The first
+    sample's entries are copied and each later sample's added in place, in
+    sample order; the sums are scaled by 1/len(samples) when the batch
+    holds more than one sample, and an empty batch gives None. The gradient
     is checked for finiteness once: a non-finite entry keeps every later
     sum non-finite (inf - inf is nan, and nan absorbs every add), and so
     does the positive scale, so this raises NonFinite exactly when
@@ -69,7 +71,8 @@ def grad_backprop_batch(m: Perceptron, samples) -> tuple[Gradient | None, int]:
         if dW is None:
             dW, db = [g0 * xi for xi in x], g0
         else:
-            dW = [a + g0 * xi for a, xi in zip(dW, x)]
+            for j, xi in enumerate(x):
+                dW[j] += g0 * xi
             db += g0
     if dW is None:
         return None, 0
