@@ -538,12 +538,37 @@ def test_batch_pass_counts(n, size):
 
 def test_backprop_batch_keeps_the_per_sample_errors():
     m = Perceptron([1.0, 2.0], 0.0)
+    md.reset_pass_count()
     with pytest.raises(ValueError, match="expected 2 features, got 3"):
         oracle.grad_backprop_batch(m, [Sample([1.0, 2.0], 0.0), Sample([1.0, 2.0, 3.0], 0.0)])
+    assert md.pass_count() == 0
     mlp = Mlp([Layer([[1.0], [2.0]], [0.0, 0.0]), Layer([[1.0, 1.0]], [0.0])])
     with pytest.raises(TypeError, match="single-layer"):
         oracle.grad_backprop_batch(mlp, [Sample([1.0], 0.0)])
     assert oracle.grad_backprop_batch(m, []) == (None, 0)
+
+
+def test_the_backprop_batch_sum_keeps_a_negative_zero():
+    # the first sample's -0.0 is copied, and -0.0 + -0.0 stays -0.0; a sum started at +0.0 would not
+    m = Perceptron([0.0], 0.0, "identity")
+    g, skips = oracle.grad_backprop_batch(m, [Sample([0.0], 1.0), Sample([0.0], 1.0)])
+    assert skips == 0
+    assert g.dW[0].hex() == (-0.0).hex()
+    assert g.db == -2.0
+
+
+def test_the_backprop_batch_sum_writes_into_no_sample():
+    ds = trainer.builtin_dataset("line2d")
+    before = [list(s.x) for s in ds.samples]
+    m = trainer.init_model(TrainConfig(dataset="line2d"), ds.feature_width, np.random.default_rng(0))
+    g, _ = oracle.grad_backprop_batch(m, ds.samples)
+    assert all(g.params is not s.x for s in ds.samples)
+    assert [list(s.x) for s in ds.samples] == before
+    one, _ = oracle.grad_backprop_batch(m, ds.samples[:1])
+    assert one.params is not ds.samples[0].x
+    cfg = TrainConfig(dataset="line2d", engine="backprop", batch_mode="full_batch", epochs=3)
+    assert len(trainer.train(cfg, ds).records) == 3
+    assert [list(s.x) for s in ds.samples] == before
 
 
 # --- the compiled SGD loop ----------------------------------------------------------------
