@@ -54,7 +54,7 @@ class SingularSeed(ArithmeticError):
 _pass_count = 0
 
 
-def count_forward_pass(n: int = 1) -> None:
+def count_forward_pass(n: int) -> None:
     global _pass_count
     _pass_count += n
 
@@ -309,6 +309,8 @@ def loss(yhat: float, y: float) -> float:
 # How many layouts keep their compiled kernel at once; the same bound holds
 # each rule's compiled gradient and SGD loop.
 KERNEL_CACHE_SIZE = 64
+# The most terms ``_chain`` sums in one statement: CPython refuses ~3,000 ``+`` in one chain.
+CHAIN_TERMS = 256
 
 # Per activation tag: the lines of a unit's activation a{u} from its
 # pre-activation r{u} (the sigmoid inline, with fn.sigmoid_real's operations
@@ -325,16 +327,15 @@ _ACT_SOURCE = {
 }
 
 
-def _chain(target: str, terms: list[str], chain: int = 256) -> list[str]:
+def _chain(target: str, terms: list[str]) -> list[str]:
     """Statements setting ``target`` to the left-to-right sum of ``terms``.
 
-    CPython refuses a chain of ~3,000 ``+``, so each statement sums at most
-    ``chain`` terms and the next continues as ``target = target + ...``:
-    the adds and their order, and so every bit, are those of one chain.
+    Each statement sums at most ``CHAIN_TERMS`` terms, and each later one
+    continues as ``target = target + ...``: the adds, in order, are one chain's.
     """
-    lines = [f"{target} = {' + '.join(terms[:chain])}"]
-    for i in range(chain, len(terms), chain - 1):
-        lines.append(f"{target} = {' + '.join([target, *terms[i:i + chain - 1]])}")
+    lines = [f"{target} = {' + '.join(terms[:CHAIN_TERMS])}"]
+    for i in range(CHAIN_TERMS, len(terms), CHAIN_TERMS - 1):
+        lines.append(f"{target} = {' + '.join([target, *terms[i:i + CHAIN_TERMS - 1]])}")
     return lines
 
 

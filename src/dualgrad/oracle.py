@@ -92,15 +92,12 @@ def grad_backprop(m: Perceptron, s: Sample) -> Gradient:
 def grad_finite_diff(m: Model, s: Sample, h: float = DEFAULT_FD_STEP) -> AnyGradient:
     """Central differences (L(p+h) - L(p-h)) / 2h over every parameter."""
     _model._check_positive(h, "step")
-    if len(s.x) != m.width:
-        raise ValueError(f"expected {m.width} features, got {len(s.x)}")
-
-    # Perturb a private copy of the parameters in place, one entry at a time.
-    probe = _model._model_like(m, list(m.params))
-    p = probe.params
+    _model._check(m, None, s.x)
+    kernel = _model._kernel(m.shapes, m.acts)  # Mlp.forward's evaluation, looked up once
+    p = list(m.params)  # perturbed in place, one entry at a time
 
     def loss_now() -> float:
-        value = _model.loss(probe.forward(s.x), s.y)
+        value = _model.loss(kernel(p, s.x), s.y)
         if not math.isfinite(value):
             raise NonFinite("loss became non-finite while probing")
         return value
