@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from dualgrad import bench
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,3 +31,12 @@ def test_an_a_a_run_prints_its_keys_and_writes_its_rounds(tmp_path):
     assert list(written["env"]) == ["parent", "change"]
     assert list(written["env"]["parent"]) == list(bench.environment())
     assert written["env"]["parent"]["src_sha256"] == written["env"]["change"]["src_sha256"]
+
+
+@pytest.mark.parametrize("workload", ["train_seeded_xor", "grad_seeded_128"])
+def test_the_seeded_workloads_run_in_an_a_a(workload):
+    done = subprocess.run([sys.executable, "tools/ab.py", "src", "src", workload, "--rounds", "2"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120, check=True)
+    summary = json.loads(done.stdout)
+    assert (summary["workload"], summary["rounds"]) == (workload, 2)
+    assert 0 <= summary["wins"] <= 2 and math.isfinite(summary["median_ratio"])

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and file outputs."""
 
+import csv
 import json
 import os
 import re
@@ -36,6 +37,14 @@ def test_gradcheck_ones_vs_backprop(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["pass"] is True and report["trials"] == 100
+    # the default pair is ones against backprop
+    assert run(["gradcheck", "--trials", "5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["engine_a"], report["engine_b"], report["pass"]) == ("ones", "backprop", True)
+    # both forward rules, each through its registry entry's per-sample grad
+    assert run(["gradcheck", "--trials", "5", "--engine-a", "ones", "--engine-b", "seeded"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["engine_a"], report["engine_b"], report["pass"]) == ("ones", "seeded", True)
 
 
 def test_gradcheck_zero_tolerance_fails(capsys):
@@ -46,6 +55,15 @@ def test_gradcheck_zero_tolerance_fails(capsys):
     assert code == 1
     report = json.loads(capsys.readouterr().out)
     assert report["pass"] is False and report["max_rel_err"] > 0
+
+
+def test_gradcheck_at_the_wide_width_passes_and_names_one_entry(capsys):
+    # compare builds one path, the worst entry's, from its index
+    assert run(["gradcheck", "--n", "128", "--trials", "3", "--engine-a", "seeded",
+                "--engine-b", "backprop"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is True and (report["n"], report["trials"]) == (128, 3)
+    assert re.fullmatch(r"w\[\d+\]|b", report["worst_index"]), report
 
 
 def test_gradcheck_reports_the_last_of_equally_bad_trials(capsys):
@@ -113,6 +131,9 @@ def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run(["gradcheck", "--frobnicate", "1"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["bench", "--out", "x.csv"])  # the CSV output is gone; --json is bench's only file
+    assert exc.value.code == 2
 
 
 # --- train ------------------------------------------------------------------------
@@ -129,6 +150,27 @@ def test_train_writes_logs(tmp_path, capsys):
     assert blob["config"]["engine"] == "ones"
     assert len(blob["records"]) == 50
     assert "final_loss=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("engine", ["ones", "seeded", "backprop"])
+@pytest.mark.parametrize("batch", trainer.BATCH_MODES)
+def test_train_on_line2d_writes_its_logs_under_every_engine_and_batch_mode(engine, batch, tmp_path,
+                                                                           capsys):
+    out = tmp_path / "run"
+    assert run(["train", "--dataset", "line2d", "--engine", engine, "--batch", batch,
+                "--epochs", "5", "--out", str(out)]) == 0
+    # log.json is json.dumps(..., indent=2) of the log byte for byte
+    data = (out / "log.json").read_bytes()
+    log = json.loads(data)
+    assert len(log["records"]) == 5 and not log["diverged"]
+    assert data == (json.dumps(log, indent=2) + "\n").encode()
+    # log.csv ends each of its 6 lines in \r\n; its epochs parse with int, every cell with float
+    lines = (out / "log.csv").read_bytes().splitlines(keepends=True)
+    assert len(lines) == 6 and all(line.endswith(b"\r\n") for line in lines)
+    rows = list(csv.reader(line.decode() for line in lines[1:]))
+    assert [len(row) for row in rows] == [4] * 5
+    values = [[float(cell) for cell in row] for row in rows]
+    assert [int(row[0]) for row in rows] == [v[0] for v in values] == [1, 2, 3, 4, 5]
 
 
 def test_train_defaults_come_from_train_config(tmp_path, capsys):
@@ -217,6 +259,7 @@ def test_bench_small_sweep(tmp_path, capsys):
     points = json.loads(out.read_text())["points"]
     assert [(p["engine"], p["width"]) for p in points] == [  # 2 widths x 2 engines
         ("backprop", 4), ("backprop", 8), ("seeded", 4), ("seeded", 8)]
+    assert [p["passes"] for p in points] == [1, 1, 5, 9]  # seeded: P + 1
     assert "ns/param" in capsys.readouterr().out
 
 

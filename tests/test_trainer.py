@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dualgrad import model as md
-from dualgrad import oracle, trainer
+from dualgrad import cli, oracle, trainer
 from dualgrad.dual import NonFinite
 from dualgrad.model import Gradient, Layer, LayerGradient, Mlp, MlpGradient, Perceptron, Sample
 from dualgrad.trainer import Dataset, EpochRecord, TrainConfig, TrainLog
@@ -401,6 +401,12 @@ def test_a_nonfinite_epoch_loss_is_divergence_and_not_recorded(tmp_path):
         trainer.write_log_json(log, tmp_path / "log.json")
         doc = json.loads((tmp_path / "log.json").read_text(), parse_constant=_reject_constant)
         docs[engine] = {k: v for k, v in doc.items() if k != "config"}
+        # dualgrad train exits 1 on that run and writes the same strict log
+        out = tmp_path / engine
+        argv = ["train", "--dataset", str(csv_path), "--engine", engine, "--epochs", "3", "--out", str(out)]
+        assert cli.main(argv) == cli.CHECK_FAILED == 1
+        written = json.loads((out / "log.json").read_text(), parse_constant=_reject_constant)
+        assert {k: v for k, v in written.items() if k != "config"} == docs[engine]
     assert docs["ones"] == docs["seeded"] == docs["backprop"]
 
 

@@ -68,11 +68,24 @@ def backprop_batch(pkg):
     return run
 
 
-def grad_backprop_128(pkg):
-    """125 calls of ``grad_backprop`` on each of 16 width-128 (perceptron, sample) pairs."""
+def train_seeded_xor(pkg):
+    """An in-process 150-epoch ``train`` of a 2-4-1 MLP on XOR under ``seeded``."""
+    tr = pkg.trainer
+    cfg = tr.TrainConfig(dataset="xor", engine="seeded", learning_rate=0.5, hidden=(4,), epochs=150)
+    xor = [pkg.model.Sample([a, b], float(a != b)) for a in (0.0, 1.0) for b in (0.0, 1.0)]
+    dataset = tr.Dataset("xor", 2, xor)
+    return lambda: tr.train(cfg, dataset)
+
+
+def wide_pairs(pkg):
+    """16 width-128 (perceptron, sample) pairs from ``bench``, drawn from seed 0."""
     rng = np.random.default_rng(0)
-    pairs = [(pkg.bench.guarded_perceptron(128, rng), pkg.bench.random_sample(128, rng)) for _ in range(16)]
-    grad = pkg.oracle.grad_backprop
+    return [(pkg.bench.guarded_perceptron(128, rng), pkg.bench.random_sample(128, rng)) for _ in range(16)]
+
+
+def grad_backprop_128(pkg):
+    """125 calls of ``grad_backprop`` on each of the 16 wide pairs."""
+    pairs, grad = wide_pairs(pkg), pkg.oracle.grad_backprop
 
     def run():
         for _ in range(125):
@@ -81,11 +94,23 @@ def grad_backprop_128(pkg):
     return run
 
 
+def grad_seeded_128(pkg):
+    """One ``grad_seeded`` call (129 passes) on each of the 16 wide pairs."""
+    pairs, grad = wide_pairs(pkg), pkg.model.grad_seeded
+
+    def run():
+        for m, s in pairs:
+            grad(m, s)
+    return run
+
+
 WORKLOADS = {
     "backprop_batch": backprop_batch,
     "grad_backprop_128": grad_backprop_128,
+    "grad_seeded_128": grad_seeded_128,
     "train_backprop_full_batch": line2d_train("backprop", "full_batch"),
     "train_ones_per_sample": line2d_train("ones", "per_sample"),
+    "train_seeded_xor": train_seeded_xor,
 }
 
 
