@@ -515,26 +515,26 @@ def _ones_lines(n: int, pass_: list[str], units: list[int], values: list[str]):
 
 
 def _seeded_lines(n: int, pass_: list[str], units: list[int], values: list[str]):
-    """One pass per parameter seeded, zero input tangents; entry j is pass j's power rule."""
+    """One pass per parameter seeded, zero input tangents, in one stage: ``d`` is taken
+    first, and pass j appends entry j, its power rule, to ``es`` as it ends."""
     k, out = len(units), units[-1]
     return [], [
-        "yds = []",
+        f"d = s.y - a{out}",
+        "es = []",
         f"for u, v in zip({tuple(units)}, ({''.join(f'{v}, ' for v in values)})):",
         "    sd[u] = v",
         *(f"    {line}" for line in pass_),
-        f"    yds.append(t{out})",
+        f"    es.append(2 * d * (0.0 - t{out}))",
         "    sd[u] = 0.0",
         f"passes += {k}",
-        f"{''.join(f'yd{j}, ' for j in range(k))}= yds",
-        f"d = s.y - a{out}",
-        *(f"e{j} = 2 * d * (0.0 - yd{j})" for j in range(k)),
+        f"{''.join(f'e{j}, ' for j in range(k))}= es",
     ]
 
 
 # The forward-mode rules by name: ``grad_ones``/``grad_seeded`` and ``run_sgd``'s rule.
 _RULES = {
     "ones": _Rule(1.0, "0", True, _ones_lines),
-    "seeded": _Rule(0.0, "len(yds)", False, _seeded_lines),
+    "seeded": _Rule(0.0, "len(es)", False, _seeded_lines),
 }
 
 

@@ -28,7 +28,7 @@ import operator
 import re
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -455,8 +455,7 @@ def write_log_json(log: TrainLog, path: str | Path) -> None:
         if not all(map(_plain, log.records)):
             json.dump(log.to_dict(), fh, indent=2)
         else:
-            head = json.dumps({"config": log.config, "records": [], "final_model": log.final_model,
-                               "singular_skips": log.singular_skips, "diverged": log.diverged}, indent=2)
+            head = json.dumps(asdict(replace(log, records=[])), indent=2)
             if log.records:
                 before, after = head.split(_NO_RECORDS, 1)
                 rows = map(_record_fields, log.records)

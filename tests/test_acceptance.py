@@ -20,6 +20,7 @@ from dualgrad import model as md
 from dualgrad.dual import Dual
 from dualgrad.model import Mlp, Layer, Perceptron, Sample, SingularSeed
 from dualgrad.trainer import Dataset, TrainConfig
+from helpers import assert_grads_close, close, dnorm, dual_close, relerr
 
 ZERO_BITS = struct.pack("<d", 0.0)
 
@@ -35,34 +36,6 @@ def criterion(num: int, desc: str, budget_s: float):
         print(f"FAIL  criterion {num:>2}: {desc}")
         raise
     print(f"PASS  criterion {num:>2}: {desc} [{elapsed:.2f}s]")
-
-
-def relerr(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b))
-    if scale < 1e-8:
-        return abs(a - b)
-    return abs(a - b) / scale
-
-
-def dnorm(d: Dual) -> float:
-    return max(1.0, abs(d.re), abs(d.du))
-
-
-def dual_close(a: Dual, b: Dual, tol: float, scale: float) -> bool:
-    # ring identities are compared relative to the operand scale: partial
-    # cancellation makes flat per-component relative error meaningless
-    return abs(a.re - b.re) <= tol * scale and abs(a.du - b.du) <= tol * scale
-
-
-def close(a: float, b: float, rtol: float, atol: float = 1e-8) -> bool:
-    return abs(a - b) <= atol + rtol * max(abs(a), abs(b))
-
-
-def grads_close(got, want, rtol: float, atol: float = 1e-8) -> bool:
-    return all(
-        close(a, b, rtol, atol)
-        for (_, a), (_, b) in zip(got.entries(), want.entries())
-    )
 
 
 def test_01_ring_axioms():
@@ -146,25 +119,18 @@ def test_03_lifting_suite():
             assert relerr(out.du, math.cos(a)) <= 1e-12
 
 
-def _guarded(rng, n: int) -> Perceptron:
-    while True:
-        W = [float(v) for v in rng.uniform(-2, 2, n)]
-        if abs(sum(W)) >= 1e-3:
-            return Perceptron(W, float(rng.uniform(-2, 2)), "sigmoid")
-
-
 def test_04_shared_seed_rule_equals_backprop():
     with criterion(4, "shared-seed gradient == analytic backprop (1e-10) and FD (1e-6)", 10.0):
         rng = np.random.default_rng(104)
         for n in (2, 4, 8, 16, 64):
             for _ in range(2000):
-                m = _guarded(rng, n)
-                s = Sample([float(v) for v in rng.uniform(-2, 2, n)], float(rng.uniform(0, 1)))
+                m = bench.guarded_perceptron(n, rng)
+                s = bench.random_sample(n, rng)
                 g_ones = md.grad_ones(m, s)
                 g_bp = oracle.grad_backprop(m, s)
                 report = oracle.compare(g_ones, g_bp, 1e-10)
                 assert report.passed, (n, report.worst_index, report.max_rel_err)
-                assert grads_close(g_ones, oracle.grad_finite_diff(m, s), rtol=1e-6)
+                assert_grads_close(g_ones, oracle.grad_finite_diff(m, s), rtol=1e-6)
 
 
 def test_05_singular_seed_behavior():
@@ -175,10 +141,10 @@ def test_05_singular_seed_behavior():
             W = [float(v) for v in rng.uniform(-2, 2, n - 1)]
             W.append(-sum(W))
             m = Perceptron(W, float(rng.uniform(-2, 2)), "sigmoid")
-            s = Sample([float(v) for v in rng.uniform(-2, 2, n)], float(rng.uniform(0, 1)))
+            s = bench.random_sample(n, rng)
             with pytest.raises(SingularSeed):
                 md.grad_ones(m, s)
-            assert grads_close(md.grad_seeded(m, s), oracle.grad_finite_diff(m, s), rtol=1e-6)
+            assert_grads_close(md.grad_seeded(m, s), oracle.grad_finite_diff(m, s), rtol=1e-6)
 
 
 def test_06_multilayer_seeded_gradients():
@@ -197,7 +163,7 @@ def test_06_multilayer_seeded_gradients():
                       [float(rng.uniform(-1, 1))]),
             ])
             s = Sample([float(v) for v in rng.uniform(-1, 1, n_in)], float(rng.uniform(0, 1)))
-            assert grads_close(md.grad_seeded(mlp, s), oracle.grad_finite_diff(mlp, s), rtol=1e-5)
+            assert_grads_close(md.grad_seeded(mlp, s), oracle.grad_finite_diff(mlp, s), rtol=1e-5)
 
 
 def test_07_engine_equivalent_training():

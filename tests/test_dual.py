@@ -9,16 +9,10 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from dualgrad.dual import Dual, NonFinite
+from helpers import dnorm, dual_close, relerr
 
 parts = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 duals = st.builds(Dual, parts, parts)
-
-
-def relerr(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b))
-    if scale < 1e-8:
-        return abs(a - b)
-    return abs(a - b) / scale
 
 
 def dual_relerr(x: Dual, y: Dual) -> float:
@@ -157,15 +151,6 @@ def test_additive_associativity_continuous():
     for _ in range(2000):
         x, y, z = (Dual(*rng.uniform(-10, 10, 2)) for _ in range(3))
         assert dual_relerr((x + y) + z, x + (y + z)) <= 1e-12
-
-
-def dnorm(d: Dual) -> float:
-    return max(1.0, abs(d.re), abs(d.du))
-
-
-def dual_close(a: Dual, b: Dual, tol: float, scale: float) -> bool:
-    # identities with cancelling terms are judged against the operand scale
-    return abs(a.re - b.re) <= tol * scale and abs(a.du - b.du) <= tol * scale
 
 
 def test_multiplicative_associativity():

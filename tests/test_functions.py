@@ -7,6 +7,7 @@ import pytest
 
 from dualgrad import functions as fn
 from dualgrad.dual import Dual
+from helpers import close
 
 FD_STEP = 1e-6
 
@@ -23,12 +24,6 @@ NAMED_LIFTS = [
 
 def central_diff(f, a: float, h: float = FD_STEP) -> float:
     return (f(a + h) - f(a - h)) / (2.0 * h)
-
-
-def close(a: float, b: float, rtol: float, atol: float = 1e-8) -> bool:
-    # relative comparison with an absolute fallback below the finite
-    # difference noise floor
-    return abs(a - b) <= atol + rtol * max(abs(a), abs(b))
 
 
 # --- the generic lifting rule -----------------------------------------------------

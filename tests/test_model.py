@@ -11,33 +11,14 @@ from hypothesis import given, settings
 
 from dualgrad import functions as fn
 from dualgrad import model as md
-from dualgrad import oracle, trainer
+from dualgrad import bench, oracle, trainer
 from dualgrad.dual import Dual, NonFinite
 from dualgrad.model import Layer, Mlp, Perceptron, Sample
+from helpers import assert_grads_close, relerr
 
 
-def relerr(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b))
-    if scale < 1e-8:
-        return abs(a - b)
-    return abs(a - b) / scale
-
-
-def assert_grads_close(got, want, rtol, atol=1e-8):
-    # atol absorbs the finite-difference noise floor on tiny entries
-    for (path, a), (_, b) in zip(got.entries(), want.entries()):
-        assert abs(a - b) <= atol + rtol * max(abs(a), abs(b)), (path, a, b)
-
-
-def random_perceptron(rng, n, act="sigmoid", guarded=False):
-    while True:
-        W = [float(v) for v in rng.uniform(-2, 2, n)]
-        if not guarded or abs(sum(W)) >= 1e-3:
-            return Perceptron(W, float(rng.uniform(-2, 2)), act)
-
-
-def random_sample(rng, n):
-    return Sample([float(v) for v in rng.uniform(-2, 2, n)], float(rng.uniform(0, 1)))
+def random_perceptron(rng, n, act="sigmoid"):
+    return Perceptron([float(v) for v in rng.uniform(-2, 2, n)], float(rng.uniform(-2, 2)), act)
 
 
 # --- validation -----------------------------------------------------------------
@@ -251,7 +232,7 @@ def test_grad_seeded_linear_closed_form():
     for _ in range(100):
         n = int(rng.integers(1, 6))
         m = random_perceptron(rng, n, "identity")
-        s = random_sample(rng, n)
+        s = bench.random_sample(n, rng)
         g = md.grad_seeded(m, s)
         resid = 2.0 * (m.forward(s.x) - s.y)
         for gw, xi in zip(g.dW, s.x):
@@ -266,7 +247,7 @@ def test_grad_seeded_handles_zero_weight_sum():
         W = [float(v) for v in rng.uniform(-2, 2, n - 1)]
         W.append(-sum(W))
         m = Perceptron(W, float(rng.uniform(-1, 1)))
-        s = random_sample(rng, n)
+        s = bench.random_sample(n, rng)
         assert_grads_close(md.grad_seeded(m, s), oracle.grad_finite_diff(m, s), rtol=1e-6)
 
 
@@ -281,14 +262,14 @@ def test_grad_seeded_mlp_matches_finite_differences():
             Layer([[float(v) for v in rng.uniform(-1, 1, n_hid)]],
                   [float(rng.uniform(-1, 1))]),
         ])
-        s = random_sample(rng, n_in)
+        s = bench.random_sample(n_in, rng)
         assert_grads_close(md.grad_seeded(mlp, s), oracle.grad_finite_diff(mlp, s), rtol=1e-5)
 
 
 def test_gradient_shapes_mirror_model():
     rng = np.random.default_rng(35)
     m = random_perceptron(rng, 5)
-    g = md.grad_seeded(m, random_sample(rng, 5))
+    g = md.grad_seeded(m, bench.random_sample(5, rng))
     assert len(g.dW) == 5 and isinstance(g.db, float)
     paths = [p for p, _ in g.entries()]
     assert paths == [f"w[{i}]" for i in range(5)] + ["b"]
@@ -326,8 +307,8 @@ def test_single_layer_rules_reject_mlp():
 
 def test_pass_counts_per_engine():
     rng = np.random.default_rng(36)
-    m = random_perceptron(rng, 7, guarded=True)
-    s = random_sample(rng, 7)
+    m = bench.guarded_perceptron(7, rng)
+    s = bench.random_sample(7, rng)
 
     md.reset_pass_count()
     md.grad_ones(m, s)
@@ -422,14 +403,6 @@ def spec_loss_dual(m, s, k):
     return (Dual(s.y) - spec_forward(m, s.x, k)) ** 2
 
 
-def spec_forward_dual_ones(m, x):
-    """The perceptron with every input seeded as x_i + eps, over Dual values."""
-    z = Dual(m.b)
-    for w, xi in zip(m.W, x):
-        z = z + Dual(xi, 1.0) * w
-    return _spec_act(m.act, z)
-
-
 values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0))
 
 
@@ -457,7 +430,8 @@ def assert_seeded_matches_the_dual_spec(m, s):
 
 
 def assert_ones_matches_the_dual_spec(m, x, y):
-    want = spec_forward_dual_ones(m, x)
+    # the spec that forward and grad_seeded meet, every input x_i + eps, no parameter seeded
+    want = spec_forward(m, x, dx=1.0)
     md.reset_pass_count()
     got = md.forward_dual_ones(m, x)
     assert (got.re.hex(), got.du.hex()) == (want.re.hex(), want.du.hex())
@@ -578,10 +552,10 @@ def test_one_kernel_is_compiled_per_layout():
     assert md._grad.cache_info()[:2] == (2, 2)
     assert md._grad(m.shapes, m.acts, "seeded") is not md._grad(other.shapes, other.acts, "seeded")
     # each rule compiles its own gradient for a perceptron, on its first call only
-    p = random_perceptron(rng, 5, guarded=True)
+    p = bench.guarded_perceptron(5, rng)
     for _ in range(2):
-        md.grad_ones(p, random_sample(rng, 5))
-        md.grad_seeded(p, random_sample(rng, 5))
+        md.grad_ones(p, bench.random_sample(5, rng))
+        md.grad_seeded(p, bench.random_sample(5, rng))
     assert md._grad.cache_info()[:2] == (6, 4)
     # neither a gradient nor the ones pass compiles the kernel; plain evaluation does, once per layout
     md.forward_dual_ones(p, [0.5] * 5)
@@ -635,7 +609,7 @@ def test_dual_allocations_per_pass(monkeypatch):
         Layer([[float(v) for v in rng.uniform(-1, 1, 4)]], [float(rng.uniform(-1, 1))]),
     ])
     for m, s in ((xor_net, Sample([1.0, 0.0], 1.0)),
-                 (random_perceptron(rng, 128), random_sample(rng, 128))):
+                 (random_perceptron(rng, 128), bench.random_sample(128, rng))):
         made = 0
         md.reset_pass_count()
         md.grad_seeded(m, s)
@@ -649,7 +623,7 @@ def test_dual_allocations_per_pass(monkeypatch):
     assert made == 4 * 8 + 2
 
     made = 0
-    md.grad_ones(random_perceptron(rng, 8, guarded=True), random_sample(rng, 8))
+    md.grad_ones(bench.guarded_perceptron(8, rng), bench.random_sample(8, rng))
     assert made == 0
 
 
@@ -772,7 +746,7 @@ def test_seeded_computes_each_activation_once_per_gradient(counting_exp):
         Layer([[float(v) for v in rng.uniform(-1, 1, 4)]], [float(rng.uniform(-1, 1))]),
     ])
     for m, s, units in ((xor_net, Sample([1.0, 0.0], 1.0), 5),
-                        (random_perceptron(rng, 128), random_sample(rng, 128), 1)):
+                        (random_perceptron(rng, 128), bench.random_sample(128, rng), 1)):
         counting_exp[0] = 0
         md.reset_pass_count()
         md.grad_seeded(m, s)

@@ -7,14 +7,10 @@ import numpy as np
 import pytest
 
 from dualgrad import model as md
-from dualgrad import oracle
+from dualgrad import bench, oracle
 from dualgrad.dual import NonFinite
 from dualgrad.model import Gradient, Layer, Mlp, Perceptron, Sample
-
-
-def assert_grads_close(got, want, rtol, atol=1e-8):
-    for (path, a), (_, b) in zip(got.entries(), want.entries()):
-        assert abs(a - b) <= atol + rtol * max(abs(a), abs(b)), (path, a, b)
+from helpers import assert_grads_close
 
 
 # --- analytic backprop -----------------------------------------------------------
@@ -103,12 +99,8 @@ def test_three_way_agreement_on_guarded_models():
     rng = np.random.default_rng(41)
     for _ in range(200):
         n = int(rng.integers(1, 9))
-        while True:
-            W = [float(v) for v in rng.uniform(-2, 2, n)]
-            if abs(sum(W)) >= 1e-3:
-                break
-        m = Perceptron(W, float(rng.uniform(-2, 2)))
-        s = Sample([float(v) for v in rng.uniform(-2, 2, n)], float(rng.uniform(0, 1)))
+        m = bench.guarded_perceptron(n, rng)
+        s = bench.random_sample(n, rng)
         analytic = oracle.grad_backprop(m, s)
         assert oracle.compare(md.grad_ones(m, s), analytic, 1e-10).passed
         assert oracle.compare(md.grad_seeded(m, s), analytic, 1e-10).passed

@@ -776,6 +776,9 @@ def test_the_compiled_loops_call_no_python_function_per_unit_or_step():
     codes = [f(*wide, rule).__code__ for f in (md._grad, md._sgd_loop) for rule in ("ones", "seeded")]
     for code in codes:
         assert code.co_varnames.index("dx") < 256
+    # the seeded rule's passes append their entries in one stage, keeping no output tangent
+    for f in (md._grad, md._sgd_loop):
+        assert not [v for v in f(*wide, "seeded").__code__.co_varnames if v.startswith("yd")], f
 
 
 def test_an_mlp_trained_with_ones_still_raises_the_shared_seed_error():
