@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model as _model
-from .model import Perceptron, Sample
+from .model import Layer, Mlp, Perceptron, Sample
 from .trainer import ENGINES, _integer, engine
 
 DEFAULT_WIDTHS = (8, 16, 32, 64, 128, 256)
@@ -46,6 +46,15 @@ def guarded_perceptron(n: int, rng: np.random.Generator) -> Perceptron:
         W = [float(v) for v in rng.uniform(-2.0, 2.0, size=n)]
         if abs(sum(W)) >= 1e-3:
             return Perceptron(W, float(rng.uniform(-2.0, 2.0)), "sigmoid")
+
+
+def random_mlp(widths, rng: np.random.Generator, act: str = "sigmoid") -> Mlp:
+    """Random MLP over ``widths`` (inputs first, 1 last): per layer its rows, then its biases, in [-1, 1)."""
+    layers = []
+    for n_in, n_out in zip(widths, widths[1:]):
+        rows = [[float(v) for v in rng.uniform(-1, 1, n_in)] for _ in range(n_out)]
+        layers.append(Layer(rows, [float(v) for v in rng.uniform(-1, 1, n_out)], act))
+    return Mlp(layers)
 
 
 def random_sample(n: int, rng: np.random.Generator) -> Sample:

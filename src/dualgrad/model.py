@@ -24,7 +24,8 @@ each compiled on its first use and kept in an ``lru_cache`` of
 built there: a dual value is two plain floats, and the float operations
 are the ring's, in the ring's order, so the results are bit-identical to
 the same passes with ``Dual`` and ``functions``, the public ring and the
-spec, and a loop's run to ``trainer.stepwise(trainer.summed(rule))``.
+spec, and a loop's run to ``trainer.stepwise`` over the sample-order mean
+of the rule's gradients.
 ``_kernel`` compiles the real sweep alone, for ``Mlp.forward`` and the
 trainer's ``mean_loss``; ``forward_dual_ones`` runs on the ring itself.
 """
@@ -339,20 +340,26 @@ def _chain(target: str, terms: list[str]) -> list[str]:
     return lines
 
 
-def _unit_failure(passes: int, layer: int, units) -> NonFinite:
-    """The error of a pass that left the finite numbers in ``layer``.
+def _unpack(name: str, count: int, source: str) -> str:
+    """The statement unpacking ``source`` into the locals ``{name}0``, ..., ``{name}{count - 1}``."""
+    return f"{''.join(f'{name}{j}, ' for j in range(count))}= {source}"
 
-    ``passes`` whole passes ran before it and are counted. ``units`` holds
-    each unit's pre-activation real and dual part, at least one of them
-    not finite; the first such unit is named, as checking unit by unit in
-    order would name it.
+
+def _pass_failure(passes: int, layers) -> NonFinite:
+    """The error of a pass that left the finite numbers.
+
+    ``passes`` whole passes ran before it and are counted. ``layers`` holds,
+    per layer, each unit's pre-activation real and dual part, at least one
+    of them not finite; the first such unit of the first such layer is
+    named, as checking layer by layer and unit by unit in order would name it.
     """
     count_forward_pass(passes)
-    for u, (zr, zd) in enumerate(units):
-        if not (math.isfinite(zr) and math.isfinite(zd)):
-            return NonFinite(
-                f"layer {layer} unit {u}: pre-activation {zr!r} + {zd!r}*eps is not finite"
-            )
+    for layer, units in enumerate(layers):
+        for u, (zr, zd) in enumerate(units):
+            if not (math.isfinite(zr) and math.isfinite(zd)):
+                return NonFinite(
+                    f"layer {layer} unit {u}: pre-activation {zr!r} + {zd!r}*eps is not finite"
+                )
 
 
 def _singular(seed_sum: float) -> SingularSeed:
@@ -373,19 +380,18 @@ def _kernel(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
     does. Neither counts a pass; no tangent pass or gradient compiles here.
     """
     sweep, _, _, units, _ = _pass_lines(shapes, acts, "0")
-    unpack_params = f"{''.join(f'w{j}, ' for j in range(len(units)))}= p"
-    unpack_inputs = f"{''.join(f'x{j}, ' for j in range(shapes[0][0]))}= "
+    unpack_params, n = _unpack("w", len(units), "p"), shapes[0][0]
     lines = [
         "def kernel(p, x):",
         f"    {unpack_params}",
-        f"    {unpack_inputs}x",
+        f"    {_unpack('x', n, 'x')}",
         *(f"    {line}" for line in sweep),
         f"    return a{units[-1]}",
         "def loss_sum(p, samples):",
         f"    {unpack_params}",
         "    total = 0.0",
         "    for s in samples:",
-        f"        {unpack_inputs}s.x",
+        f"        {_unpack('x', n, 's.x')}",
         *(f"        {line}" for line in sweep),
         f"        d = s.y - a{units[-1]}",
         "        total += d * d",
@@ -399,7 +405,7 @@ def _kernel(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
 def _compile(lines: list[str]) -> dict:
     """The namespace that running the source ``lines`` leaves, holding their functions."""
     namespace = {"exp": math.exp, "tanh": math.tanh, "count_forward_pass": count_forward_pass,
-                 "_unit_failure": _unit_failure, "_singular": _singular, "_finite": _finite,
+                 "_pass_failure": _pass_failure, "_singular": _singular, "_finite": _finite,
                  "NonFinite": NonFinite, "ONES_SEED_GUARD": ONES_SEED_GUARD}
     exec(compile("\n".join(lines), "<dualgrad kernel>", "exec"), namespace)
     return namespace
@@ -419,11 +425,12 @@ def _pass_lines(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], done
 
     ``sweep`` sets each unit's pre-activation real ``r{u}`` and activation
     ``a{u}`` from the inputs ``x{j}``; ``factors`` sets its derivative
-    factors and each layer's real check term ``rb{l}``; ``passes`` is one
-    tangent pass from the input tangent ``dx``, which every input shares,
-    and the seeds ``sd``, ending at the output tangent ``t{u}``. ``units``
-    and ``values`` name, per parameter in layout order, the unit ``seeded``
-    seeds and the seed. A failing pass counts ``done``, the passes before it.
+    factors and ``rb``, the real check term of every unit; ``passes`` is
+    one tangent pass from the input tangent ``dx``, which every input
+    shares, and each unit's seed ``sd{u}``, ending at the output tangent
+    ``t{u}``. ``units`` and ``values`` name, per parameter in layout order,
+    the unit ``seeded`` seeds and the seed. A failing pass counts ``done``,
+    the passes before it.
 
     A tangent pass costs O(P) and takes, per unit, the ring's float
     operations in the ring's order: 0.0 for the bias, plus ``w * dx`` per
@@ -436,22 +443,30 @@ def _pass_lines(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], done
     carries a tangent; every other unit adds 0.0, which changes no bit
     either. No seed changes a real part, so one real sweep serves every
     pass. So the results are bit-identical to the same pass over ``Dual``
-    values. After each layer, one check sees whether a unit's ``zr`` or
-    ``zd`` is not finite (``v * 0.0`` is 0.0 for finite v and nan
-    otherwise; each term is 0.0 or nan, so the sum is nan in any order),
-    and ``_unit_failure`` then raises NonFinite at the first such unit:
-    sums and products never make an inf or nan finite again, so the pass
-    over ``Dual`` values fails there too. The source uses only integers,
-    ``_ACT_SOURCE``'s fragments and ``math``'s ``exp`` and ``tanh``, and
-    makes no Python call per unit or step; ``dx`` is bound first, so no
-    ``w * dx`` takes an ``EXTENDED_ARG``.
+    values.
+
+    One check per pass, at the output unit, sees whether any unit's real
+    or dual part is not finite: ``z{out} * 0.0 + rb != 0.0``, where ``v *
+    0.0`` is 0.0 for finite v and nan otherwise, so a sum of such terms is
+    nan in any order. Where a real is not finite, ``rb`` is nan. Where
+    every real is finite, so is every ``a`` and ``g`` factor, and a
+    non-finite ``zd`` makes its ``t``, every later ``w * t`` and every
+    later sum non-finite, up to the output's: no product with a finite
+    factor and no sum makes an inf or nan finite again. So the check fails
+    exactly when a check after each layer would, and ``_pass_failure``
+    names the first such unit of the first such layer, where the pass over
+    ``Dual`` values fails too.
+
+    The source uses only integers, ``_ACT_SOURCE``'s fragments and
+    ``math``'s ``exp`` and ``tanh``, and makes no Python call per unit or
+    step; ``dx`` is bound first, so no ``w * dx`` takes an ``EXTENDED_ARG``.
     """
     n = shapes[0][0]
     hr = [f"x{j}" for j in range(n)]  # the layer's input reals
     hd = ["dx"] * n  # and their tangents, all equal
-    sweep, factors, passes, units, values = [], [], [], [], []
+    sweep, factors, passes, units, values, checked = [], [], [], [], [], []
     k = u0 = 0  # the layer's first weight and first unit
-    for l, ((n_in, n_out), act) in enumerate(zip(shapes, acts)):
+    for (n_in, n_out), act in zip(shapes, acts):
         activation, factor, tangent = _ACT_SOURCE[act]
         b0 = k + n_in * n_out
         layer = range(u0, u0 + n_out)
@@ -460,23 +475,20 @@ def _pass_lines(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], done
             sweep += _chain(f"r{u}", [f"w{b0 + i}", *(f"w{j} * {h}" for j, h in zip(row, hr))])
             sweep += [line.format(u=u) for line in activation]
             factors += [line.format(u=u) for line in factor]
-            passes += _chain(f"z{u}", ["0.0", *(f"w{j} * {d}" for j, d in zip(row, hd)), f"sd[{u}]"])
+            passes += _chain(f"z{u}", ["0.0", *(f"w{j} * {d}" for j, d in zip(row, hd)), f"sd{u}"])
             units += [u] * n_in
             values += hr
         units += layer
         values += ["1.0"] * n_out
-        factors += _chain(f"rb{l}", [f"r{u} * 0.0" for u in layer])
-        passes += _chain(f"zb{l}", [f"z{u} * 0.0" for u in layer] + [f"rb{l}"])
-        passes.append(f"if zb{l} != 0.0:")
-        passes.append(
-            f"    raise _unit_failure({done}, {l}, ("
-            + "".join(f"(r{u}, z{u}), " for u in layer) + "))"
-        )
+        checked.append(f"({''.join(f'(r{u}, z{u}), ' for u in layer)})")
         passes += [f"t{u} = " + tangent.format(u=u) for u in layer]
         hr = [f"a{u}" for u in layer]
         hd = [f"t{u}" for u in layer]
         k = b0 + n_out
         u0 += n_out
+    factors += _chain("rb", [f"r{u} * 0.0" for u in range(u0)])
+    passes += [f"if z{u0 - 1} * 0.0 + rb != 0.0:",
+               f"    raise _pass_failure({done}, ({''.join(f'{c}, ' for c in checked)}))"]
     return sweep, factors, passes, units, values
 
 
@@ -515,19 +527,23 @@ def _ones_lines(n: int, pass_: list[str], units: list[int], values: list[str]):
 
 
 def _seeded_lines(n: int, pass_: list[str], units: list[int], values: list[str]):
-    """One pass per parameter seeded, zero input tangents, in one stage: ``d`` is taken
-    first, and pass j appends entry j, its power rule, to ``es`` as it ends."""
+    """One pass per parameter seeded, zero input tangents, in one stage: ``dd = 2 * d``
+    is taken first; pass j sets its unit's seed in ``sd``, unpacks ``sd`` into the
+    seed locals and, as it ends, appends entry j, the power rule ``dd * (0.0 - t)``,
+    to ``es``. ``2 * d * (0.0 - t)`` parses as ``(2 * d) * (0.0 - t)``, so the
+    operations are the same."""
     k, out = len(units), units[-1]
     return [], [
-        f"d = s.y - a{out}",
+        f"dd = 2 * (s.y - a{out})",
         "es = []",
         f"for u, v in zip({tuple(units)}, ({''.join(f'{v}, ' for v in values)})):",
         "    sd[u] = v",
+        f"    {_unpack('sd', out + 1, 'sd')}",
         *(f"    {line}" for line in pass_),
-        f"    es.append(2 * d * (0.0 - t{out}))",
+        f"    es.append(dd * (0.0 - t{out}))",
         "    sd[u] = 0.0",
         f"passes += {k}",
-        f"{''.join(f'e{j}, ' for j in range(k))}= es",
+        _unpack("e", k, "es"),
     ]
 
 
@@ -541,17 +557,18 @@ _RULES = {
 def _rule_source(shapes, acts, rule: str, singular: list[str]):
     """The lines that a rule's ``_grad`` and ``_sgd_loop`` share, for one layout.
 
-    They are the head, which binds ``dx`` first, the guard running
-    ``singular``, and the sample lines; the parameter count comes last.
+    They are the head, which binds ``dx`` first and every unit's seed to
+    0.0, the guard running ``singular``, and the sample lines; the
+    parameter count comes last.
     """
     r = _RULES[rule]
     sweep, factors, pass_, units, values = _pass_lines(shapes, acts, r.done)
-    n, k = shapes[0][0], len(units)
+    n, k, n_units = shapes[0][0], len(units), units[-1] + 1
     guard, gradient = r.lines(n, pass_, units, values)
-    head = [f"dx = {r.dx}", f"{''.join(f'w{j}, ' for j in range(k))}= p",
-            f"sd = [0.0] * {units[-1] + 1}", "passes = 0"]
+    head = [f"dx = {r.dx}", _unpack("w", k, "p"), f"sd = [0.0] * {n_units}",
+            _unpack("sd", n_units, "sd"), "passes = 0"]
     guard = guard and [*guard, *(f"    {line}" for line in singular)]
-    sample = [f"{''.join(f'x{j}, ' for j in range(n))}= s.x", *sweep, *factors, *gradient]
+    sample = [_unpack("x", n, "s.x"), *sweep, *factors, *gradient]
     return head, guard, sample, k
 
 
@@ -578,12 +595,12 @@ def _sgd_loop(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], rule: 
     singular skips and, if a value left the finite numbers, the NonFinite
     that stopped it, else None. It is compiled on a layout's first
     ``train`` use. Its per-sample lines are ``_grad``'s, so each sample's
-    entries and passes are ``_grad``'s too. Around them it takes
-    ``trainer.summed``'s float operations in order: per batch a sum per
-    entry in sample order, the 1/contributing scale when more than one
-    sample contributes, then ``p - lr * g``. The sums start at -0.0, and
-    ``-0.0 + v`` is v for every v, so the first sample's entries are copied
-    bit for bit, as ``summed`` copies them. The guard reads only the
+    entries and passes are ``_grad``'s too. Around them it takes the float
+    operations of a sample-order mean in order: per batch a sum per entry
+    in sample order, the 1/contributing scale when more than one sample
+    contributes, then ``p - lr * g``. The sums start at -0.0, and ``-0.0 +
+    v`` is v for every v, so the first sample's entries are copied bit for
+    bit, as the mean's first term is. The guard reads only the
     weights, which a batch does not change, so a batch is skipped whole or
     not at all, as sample-by-sample checking would skip it. The entries,
     scaled entries and new parameters are checked with the ``v * 0.0``
@@ -591,7 +608,7 @@ def _sgd_loop(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], rule: 
     ``_model_like`` do. The norm moves to ``c`` or ``-c`` only when that is
     larger; the entries are finite and the norm is never -0.0, so it ends
     as ``max(norm, *map(abs, g.params))`` bit for bit. So a run is
-    bit-identical to one through the rule's public gradient, ``summed``
+    bit-identical to one through the rule's public gradient, that mean
     and ``sgd_step``, and counts the same passes.
     """
     head, guard, sample, k = _rule_source(

@@ -11,9 +11,11 @@ batches, updates included: ``ones`` and ``seeded`` carry ``run_sgd`` with
 their rule's name, a loop compiled from the rule record their ``grad``
 runs; ``backprop`` ``stepwise`` over the oracle's batch loop, one batch
 call and one ``sgd_step`` per batch. A per-sample rule registers as
-``Engine(rule, stepwise(summed(rule)))``. Each loop sums in sample order,
-so the logs agree bit for bit. ``train`` makes one ``sgd`` call per epoch
-under every engine; the epoch loss is one compiled loss loop call.
+``Engine(rule, stepwise(batch))``, where ``batch(m, samples)`` returns the
+sample-order mean of the rule's gradients and its SingularSeed skips; the
+tests' ``summed(rule)`` is that batch function. Each loop sums in sample
+order, so the logs agree bit for bit. ``train`` makes one ``sgd`` call per
+epoch under every engine; the epoch loss is one compiled loss loop call.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from . import model as _model
 from . import oracle as _oracle
 from .dual import NonFinite
-from .model import Layer, Mlp, Model, Perceptron, Sample, SingularSeed
+from .model import Layer, Mlp, Model, Perceptron, Sample
 
 BATCH_MODES = ("per_sample", "full_batch")
 BUILTIN_DATASETS = ("and", "or", "nand", "line2d")
@@ -57,36 +59,6 @@ def _real(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
     return float(value)
-
-
-def summed(grad):
-    """The batch function of a per-sample gradient rule.
-
-    ``summed(grad)(m, samples)`` sums the gradients of the samples in
-    sample order and scales the sum by 1/contributing when more than one
-    sample contributes. A sample whose rule raises SingularSeed is a skip
-    and contributes nothing; a batch of skips gives None.
-    """
-
-    def batch(m: Model, samples: list[Sample]):
-        acc = None
-        contributing = skips = 0
-        for s in samples:
-            try:
-                g = grad(m, s)
-            except SingularSeed:
-                skips += 1
-                continue
-            acc = g.params if acc is None else [a + b for a, b in zip(acc, g.params)]
-            contributing += 1
-        if acc is None:
-            return None, skips
-        if contributing > 1:  # with one, g is its gradient and x1.0 would change no bit
-            scale = 1.0 / contributing
-            g = _model._grad_like(m, [scale * v for v in acc])
-        return g, skips
-
-    return batch
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
-"""The comparisons that the tests share: floats, gradients and dual numbers."""
+"""What the tests share: comparisons of floats, gradients and dual numbers, and ``summed``."""
 
+from dualgrad import model as md
 from dualgrad.dual import Dual
+from dualgrad.model import SingularSeed
 
 
 def relerr(a: float, b: float) -> float:
@@ -31,3 +33,33 @@ def dual_close(a: Dual, b: Dual, tol: float, scale: float) -> bool:
     # ring identities are compared relative to the operand scale: partial
     # cancellation makes flat per-component relative error meaningless
     return abs(a.re - b.re) <= tol * scale and abs(a.du - b.du) <= tol * scale
+
+
+def summed(grad):
+    """The batch function of a per-sample gradient rule, the reference for every batch loop.
+
+    ``summed(grad)(m, samples)`` sums the gradients of the samples in
+    sample order and scales the sum by 1/contributing when more than one
+    sample contributes. A sample whose rule raises SingularSeed is a skip
+    and contributes nothing; a batch of skips gives None.
+    """
+
+    def batch(m, samples):
+        acc = None
+        contributing = skips = 0
+        for s in samples:
+            try:
+                g = grad(m, s)
+            except SingularSeed:
+                skips += 1
+                continue
+            acc = g.params if acc is None else [a + b for a, b in zip(acc, g.params)]
+            contributing += 1
+        if acc is None:
+            return None, skips
+        if contributing > 1:  # with one, g is its gradient and x1.0 would change no bit
+            scale = 1.0 / contributing
+            g = md._grad_like(m, [scale * v for v in acc])
+        return g, skips
+
+    return batch

@@ -33,7 +33,7 @@ def test_an_a_a_run_prints_its_keys_and_writes_its_rounds(tmp_path):
     assert written["env"]["parent"]["src_sha256"] == written["env"]["change"]["src_sha256"]
 
 
-@pytest.mark.parametrize("workload", ["train_seeded_xor", "grad_seeded_128"])
+@pytest.mark.parametrize("workload", ["train_seeded_xor", "grad_seeded_128", "grad_seeded_mlp"])
 def test_the_seeded_workloads_run_in_an_a_a(workload):
     done = subprocess.run([sys.executable, "tools/ab.py", "src", "src", workload, "--rounds", "2"],
                           cwd=ROOT, capture_output=True, text=True, timeout=120, check=True)

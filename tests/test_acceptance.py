@@ -18,7 +18,7 @@ from dualgrad import bench, cli, oracle, trainer
 from dualgrad import functions as fn
 from dualgrad import model as md
 from dualgrad.dual import Dual
-from dualgrad.model import Mlp, Layer, Perceptron, Sample, SingularSeed
+from dualgrad.model import Perceptron, Sample, SingularSeed
 from dualgrad.trainer import Dataset, TrainConfig
 from helpers import assert_grads_close, close, dnorm, dual_close, relerr
 
@@ -156,12 +156,7 @@ def test_06_multilayer_seeded_gradients():
                 n_hid = int(rng.integers(1, 9))
                 if (n_in + 1) * n_hid + (n_hid + 1) <= 50:
                     break
-            mlp = Mlp([
-                Layer([[float(v) for v in rng.uniform(-1, 1, n_in)] for _ in range(n_hid)],
-                      [float(v) for v in rng.uniform(-1, 1, n_hid)]),
-                Layer([[float(v) for v in rng.uniform(-1, 1, n_hid)]],
-                      [float(rng.uniform(-1, 1))]),
-            ])
+            mlp = bench.random_mlp([n_in, n_hid, 1], rng)
             s = Sample([float(v) for v in rng.uniform(-1, 1, n_in)], float(rng.uniform(0, 1)))
             assert_grads_close(md.grad_seeded(mlp, s), oracle.grad_finite_diff(mlp, s), rtol=1e-5)
 

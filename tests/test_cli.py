@@ -11,6 +11,7 @@ import pytest
 
 from dualgrad import bench, cli, oracle, trainer
 from dualgrad import model as md
+from helpers import summed
 
 
 def run(argv):
@@ -303,7 +304,7 @@ def test_train_bench_and_cli_share_one_engine_registry(monkeypatch, capsys):
     assert bench.ENGINES is trainer.ENGINES and cli.ENGINES is trainer.ENGINES
     rule = oracle.grad_backprop
     monkeypatch.setitem(trainer.ENGINES, "backprop2",
-                        trainer.Engine(rule, trainer.stepwise(trainer.summed(rule))))
+                        trainer.Engine(rule, trainer.stepwise(summed(rule))))
     assert run(["gradcheck", "--n", "3", "--trials", "5", "--engine-a", "backprop2",
                 "--engine-b", "backprop", "--tol", "0"]) == 0
     assert [r.engine for r in bench.run_bench(widths=(3,), engines=("backprop2",), reps=10)] == [

@@ -256,12 +256,7 @@ def test_grad_seeded_mlp_matches_finite_differences():
     for _ in range(50):
         n_in = int(rng.integers(2, 5))
         n_hid = int(rng.integers(2, 5))
-        mlp = Mlp([
-            Layer([[float(v) for v in rng.uniform(-1, 1, n_in)] for _ in range(n_hid)],
-                  [float(v) for v in rng.uniform(-1, 1, n_hid)]),
-            Layer([[float(v) for v in rng.uniform(-1, 1, n_hid)]],
-                  [float(rng.uniform(-1, 1))]),
-        ])
+        mlp = bench.random_mlp([n_in, n_hid, 1], rng)
         s = bench.random_sample(n_in, rng)
         assert_grads_close(md.grad_seeded(mlp, s), oracle.grad_finite_diff(mlp, s), rtol=1e-5)
 
@@ -532,11 +527,7 @@ def test_a_3000_wide_layer_compiles_and_matches_the_dual_spec():
 
 def test_one_kernel_is_compiled_per_layout():
     rng = np.random.default_rng(42)
-    m = Mlp([
-        Layer([[float(v) for v in rng.uniform(-1, 1, 2)] for _ in range(4)],
-              [float(v) for v in rng.uniform(-1, 1, 4)]),
-        Layer([[float(v) for v in rng.uniform(-1, 1, 4)]], [float(rng.uniform(-1, 1))]),
-    ])
+    m = bench.random_mlp([2, 4, 1], rng)
     s = Sample([1.0, 0.0], 1.0)
     md._kernel.cache_clear()
     md._grad.cache_clear()
@@ -603,11 +594,7 @@ def test_dual_allocations_per_pass(monkeypatch):
 
     monkeypatch.setattr(Dual, "__init__", counting_init)
     rng = np.random.default_rng(37)
-    xor_net = Mlp([
-        Layer([[float(v) for v in rng.uniform(-1, 1, 2)] for _ in range(4)],
-              [float(v) for v in rng.uniform(-1, 1, 4)]),
-        Layer([[float(v) for v in rng.uniform(-1, 1, 4)]], [float(rng.uniform(-1, 1))]),
-    ])
+    xor_net = bench.random_mlp([2, 4, 1], rng)
     for m, s in ((xor_net, Sample([1.0, 0.0], 1.0)),
                  (random_perceptron(rng, 128), bench.random_sample(128, rng))):
         made = 0
@@ -740,11 +727,7 @@ def test_seeded_computes_each_activation_once_per_gradient(counting_exp):
     # the P passes share one real sweep: each unit's sigmoid, one exp in
     # either branch, is evaluated once per gradient, not once per pass
     rng = np.random.default_rng(38)
-    xor_net = Mlp([
-        Layer([[float(v) for v in rng.uniform(-1, 1, 2)] for _ in range(4)],
-              [float(v) for v in rng.uniform(-1, 1, 4)]),
-        Layer([[float(v) for v in rng.uniform(-1, 1, 4)]], [float(rng.uniform(-1, 1))]),
-    ])
+    xor_net = bench.random_mlp([2, 4, 1], rng)
     for m, s, units in ((xor_net, Sample([1.0, 0.0], 1.0), 5),
                         (random_perceptron(rng, 128), bench.random_sample(128, rng), 1)):
         counting_exp[0] = 0
@@ -753,14 +736,45 @@ def test_seeded_computes_each_activation_once_per_gradient(counting_exp):
         assert (counting_exp[0], md.pass_count()) == (units, len(m.params))
 
 
-def test_seeded_reports_a_late_nonfinite_tangent_at_its_pass_and_unit():
+# Passes that leave the finite numbers: the model, the rule, the sample, the
+# NonFinite message and the passes counted before the failing one.
+FAILING_PASSES = {
+    # pass 0 seeds the first weight with 1e308: layer 1's tangent and layer 2's
+    # real both overflow, and layer 1 comes first
+    "tangent-before-real": (
+        Mlp([Layer([[1e-300]], [0.0], "identity"), Layer([[10.0]], [0.0], "identity"),
+             Layer([[1e300]], [0.0], "identity")]),
+        "seeded", Sample([1e308], 0.0),
+        "layer 1 unit 0: pre-activation 1000000000.0 + inf*eps is not finite", 0),
+    # only layer 1's real overflows, at its unit 1; every tangent stays finite
+    "later-real": (
+        Mlp([Layer([[1e300]], [0.0], "identity"), Layer([[0.5], [10.0]], [0.0, 0.0], "identity"),
+             Layer([[1.0, 1.0]], [0.0], "sigmoid")]),
+        "seeded", Sample([1e8], 0.0),
+        "layer 1 unit 1: pre-activation inf + 1000000000.0*eps is not finite", 0),
     # pass 1 seeds the weight whose input is 1e308; its tangent overflows in layer 1
-    m = Mlp([Layer([[1.0, 1e-300]], [0.0], "identity"), Layer([[10.0]], [0.0], "tanh")])
+    "late-tangent": (
+        Mlp([Layer([[1.0, 1e-300]], [0.0], "identity"), Layer([[10.0]], [0.0], "tanh")]),
+        "seeded", Sample([1.0, 1e308], 0.0),
+        "layer 1 unit 0: pre-activation 1000000010.0 + inf*eps is not finite", 1),
+    # the ones pass: the real overflows, the shared tangent stays finite
+    "ones-real": (
+        Perceptron([1e300, 1e300], 0.0, "tanh"), "ones", Sample([1e8, 1e8], 0.0),
+        "layer 0 unit 0: pre-activation inf + 2e+300*eps is not finite", 0),
+}
+
+
+@pytest.mark.parametrize("case", FAILING_PASSES)
+def test_a_failing_pass_is_located_at_its_layer_unit_and_pass(case):
+    m, rule, s, message, passes = FAILING_PASSES[case]
     md.reset_pass_count()
     with pytest.raises(NonFinite) as exc:
-        md.grad_seeded(m, Sample([1.0, 1e308], 0.0))
-    assert str(exc.value) == "layer 1 unit 0: pre-activation 1000000010.0 + inf*eps is not finite"
-    assert md.pass_count() == 1
+        trainer.engine(rule).grad(m, s)
+    assert (str(exc.value), md.pass_count()) == (message, passes)
+    # train's compiled loop stops at the same pass with the same error
+    md.reset_pass_count()
+    failure = trainer.engine(rule).sgd(m, [[s]], 0.5)[3]
+    assert (str(failure), md.pass_count()) == (message, passes)
 
 
 def test_seeded_loss_overflow_is_typed():

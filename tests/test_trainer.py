@@ -17,6 +17,7 @@ from dualgrad import cli, oracle, trainer
 from dualgrad.dual import NonFinite
 from dualgrad.model import Gradient, Layer, LayerGradient, Mlp, MlpGradient, Perceptron, Sample
 from dualgrad.trainer import Dataset, EpochRecord, TrainConfig, TrainLog
+from helpers import summed
 
 
 # --- builtin datasets ---------------------------------------------------------
@@ -453,7 +454,7 @@ def test_mlp_training_runs():
 
 PER_SAMPLE = {"ones": md.grad_ones, "seeded": md.grad_seeded, "backprop": oracle.grad_backprop}
 # The functions that batch: summed per-sample rules and the oracle's own batch loop.
-BATCH = {"ones": trainer.summed(md.grad_ones), "seeded": trainer.summed(md.grad_seeded),
+BATCH = {"ones": summed(md.grad_ones), "seeded": summed(md.grad_seeded),
          "backprop": oracle.grad_backprop_batch}
 
 
@@ -509,15 +510,15 @@ def test_a_singular_sample_is_skipped_and_not_counted():
     def rule(m_, s):  # the middle sample meets the guard
         return md.grad_ones(singular if s is batch[1] else m_, s)
 
-    g, skips = trainer.summed(rule)(m, batch)
+    g, skips = summed(rule)(m, batch)
     want = sample_order_mean([md.grad_ones(m, s).params for s in (batch[0], batch[2])])
     assert skips == 1
     assert [v.hex() for v in g.params] == [v.hex() for v in want]
     # one contributing sample gives its own gradient, unscaled
-    g, skips = trainer.summed(rule)(m, batch[:2])
+    g, skips = summed(rule)(m, batch[:2])
     assert skips == 1 and g == md.grad_ones(m, batch[0])
     # a batch of singular samples gives no gradient
-    assert trainer.summed(md.grad_ones)(singular, batch) == (None, 3)
+    assert summed(md.grad_ones)(singular, batch) == (None, 3)
 
 
 def test_a_batch_holding_an_overflowing_entry_raises_nonfinite_under_backprop():
@@ -589,7 +590,7 @@ def generic(monkeypatch):
     compiled loop and the oracle's batch loop replace.
     """
     for name, rule in PER_SAMPLE.items():
-        stepped = trainer.Engine(rule, trainer.stepwise(trainer.summed(rule)))
+        stepped = trainer.Engine(rule, trainer.stepwise(summed(rule)))
         monkeypatch.setitem(trainer.ENGINES, f"{name}-generic", stepped)
 
 

@@ -68,13 +68,29 @@ def backprop_batch(pkg):
     return run
 
 
+def xor_samples(pkg):
+    """The four XOR samples."""
+    return [pkg.model.Sample([a, b], float(a != b)) for a in (0.0, 1.0) for b in (0.0, 1.0)]
+
+
 def train_seeded_xor(pkg):
     """An in-process 150-epoch ``train`` of a 2-4-1 MLP on XOR under ``seeded``."""
     tr = pkg.trainer
     cfg = tr.TrainConfig(dataset="xor", engine="seeded", learning_rate=0.5, hidden=(4,), epochs=150)
-    xor = [pkg.model.Sample([a, b], float(a != b)) for a in (0.0, 1.0) for b in (0.0, 1.0)]
-    dataset = tr.Dataset("xor", 2, xor)
+    dataset = tr.Dataset("xor", 2, xor_samples(pkg))
     return lambda: tr.train(cfg, dataset)
+
+
+def grad_seeded_mlp(pkg):
+    """250 rounds of one ``grad_seeded`` call (17 passes) per XOR sample, on a seed-0 2-4-1 ``bench.random_mlp``."""
+    m, samples = pkg.bench.random_mlp([2, 4, 1], np.random.default_rng(0)), xor_samples(pkg)
+    grad = pkg.model.grad_seeded
+
+    def run():
+        for _ in range(250):
+            for s in samples:
+                grad(m, s)
+    return run
 
 
 def wide_pairs(pkg):
@@ -108,6 +124,7 @@ WORKLOADS = {
     "backprop_batch": backprop_batch,
     "grad_backprop_128": grad_backprop_128,
     "grad_seeded_128": grad_seeded_128,
+    "grad_seeded_mlp": grad_seeded_mlp,
     "train_backprop_full_batch": line2d_train("backprop", "full_batch"),
     "train_ones_per_sample": line2d_train("ones", "per_sample"),
     "train_seeded_xor": train_seeded_xor,
