@@ -406,18 +406,35 @@ def _compile(lines: list[str]) -> dict:
     """The namespace that running the source ``lines`` leaves, holding their functions."""
     namespace = {"exp": math.exp, "tanh": math.tanh, "count_forward_pass": count_forward_pass,
                  "_pass_failure": _pass_failure, "_singular": _singular, "_finite": _finite,
+                 "_step_failure": _step_failure,
                  "NonFinite": NonFinite, "ONES_SEED_GUARD": ONES_SEED_GUARD}
     exec(compile("\n".join(lines), "<dualgrad kernel>", "exec"), namespace)
     return namespace
 
 
-def _finite_check(target: str, names: list[str], what: str) -> list[str]:
-    """Lines raising ``_finite``'s NonFinite unless every one of ``names`` is finite."""
+def _finite_check(target: str, names: list[str], then: list[str]) -> list[str]:
+    """Lines running ``then`` unless every one of ``names`` is finite."""
     return [
         *_chain(target, [f"{v} * 0.0" for v in names]),
         f"if {target} != 0.0:",
-        f"    _finite([{', '.join(names)}], {what!r})",
+        *(f"    {line}" for line in then),
     ]
+
+
+def _step_failure(norm: float, grad: list[float], params: list[float]):
+    """The norm and the NonFinite of a step ``params = w - lr * grad`` that left the finite numbers.
+
+    They are what checking the gradient entries, then moving the norm to
+    their largest |entry|, then checking the parameters gives: a
+    non-finite entry is named with the norm as it was, and finite entries
+    move the norm before the parameters are named.
+    """
+    try:
+        _finite(grad, "gradient entries")
+        norm = max(norm, *map(abs, grad))
+        _finite(params, "parameters")
+    except NonFinite as exc:
+        return norm, exc
 
 
 def _pass_lines(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], done: str):
@@ -500,10 +517,10 @@ class _Rule(NamedTuple):
 
     ``dx`` is every input's tangent, ``done`` the passes a failing pass
     counts before it; a ``single_layer`` rule takes perceptrons only.
-    ``lines(n, pass_, units, values)`` returns the guard (``seed_sum`` and
-    an ``if`` true where the rule is undefined, or no lines) and the
-    gradient: the passes on sample ``s``, added to ``passes``, and the
-    entries ``e{j}``.
+    ``lines(n, pass_, units, values, entry)`` returns the guard
+    (``seed_sum`` and an ``if`` true where the rule is undefined, or no
+    lines) and the gradient: the passes on sample ``s``, added to
+    ``passes``, and the entries ``{entry}{j}``.
     """
 
     dx: float
@@ -512,7 +529,7 @@ class _Rule(NamedTuple):
     lines: Callable[..., tuple[list[str], list[str]]]
 
 
-def _ones_lines(n: int, pass_: list[str], units: list[int], values: list[str]):
+def _ones_lines(n: int, pass_: list[str], units: list[int], values: list[str], entry: str):
     """One pass, every input tangent 1.0, entries ``q * x_j`` and ``q``.
 
     The guard sums W left to right from the int 0, the builtin ``sum`` of
@@ -523,10 +540,10 @@ def _ones_lines(n: int, pass_: list[str], units: list[int], values: list[str]):
     guard = [*_chain("seed_sum", ["0", *(f"w{j}" for j in range(n))]),
              "if -ONES_SEED_GUARD < seed_sum < ONES_SEED_GUARD:"]
     return guard, [*pass_, "passes += 1", f"q = 2.0 * (a{out} - s.y) * t{out} / seed_sum",
-                   *(f"e{j} = q * x{j}" for j in range(n)), f"e{n} = q"]
+                   *(f"{entry}{j} = q * x{j}" for j in range(n)), f"{entry}{n} = q"]
 
 
-def _seeded_lines(n: int, pass_: list[str], units: list[int], values: list[str]):
+def _seeded_lines(n: int, pass_: list[str], units: list[int], values: list[str], entry: str):
     """One pass per parameter seeded, zero input tangents, in one stage: ``dd = 2 * d``
     is taken first; pass j sets its unit's seed in ``sd``, unpacks ``sd`` into the
     seed locals and, as it ends, appends entry j, the power rule ``dd * (0.0 - t)``,
@@ -543,7 +560,7 @@ def _seeded_lines(n: int, pass_: list[str], units: list[int], values: list[str])
         f"    es.append(dd * (0.0 - t{out}))",
         "    sd[u] = 0.0",
         f"passes += {k}",
-        _unpack("e", k, "es"),
+        _unpack(entry, k, "es"),
     ]
 
 
@@ -554,22 +571,25 @@ _RULES = {
 }
 
 
-def _rule_source(shapes, acts, rule: str, singular: list[str]):
+def _rule_source(shapes, acts, rule: str, singular: list[str], *entries: str):
     """The lines that a rule's ``_grad`` and ``_sgd_loop`` share, for one layout.
 
     They are the head, which binds ``dx`` first and every unit's seed to
-    0.0, the guard running ``singular``, and the sample lines; the
-    parameter count comes last.
+    0.0, the guard running ``singular``, and per prefix in ``entries`` the
+    sample lines setting the entries ``{prefix}{j}``; the parameter count
+    comes last.
     """
     r = _RULES[rule]
     sweep, factors, pass_, units, values = _pass_lines(shapes, acts, r.done)
     n, k, n_units = shapes[0][0], len(units), units[-1] + 1
-    guard, gradient = r.lines(n, pass_, units, values)
     head = [f"dx = {r.dx}", _unpack("w", k, "p"), f"sd = [0.0] * {n_units}",
             _unpack("sd", n_units, "sd"), "passes = 0"]
+    samples = []
+    for entry in entries:
+        guard, gradient = r.lines(n, pass_, units, values, entry)
+        samples.append([_unpack("x", n, "s.x"), *sweep, *factors, *gradient])
     guard = guard and [*guard, *(f"    {line}" for line in singular)]
-    sample = [_unpack("x", n, "s.x"), *sweep, *factors, *gradient]
-    return head, guard, sample, k
+    return head, guard, samples, k
 
 
 @functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -579,7 +599,7 @@ def _grad(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], rule: str)
     A guard that holds raises ``_singular``'s SingularSeed before any pass;
     the passes run are counted. No other rule, loop or kernel compiles here.
     """
-    head, guard, sample, k = _rule_source(shapes, acts, rule, ["raise _singular(seed_sum)"])
+    head, guard, (sample,), k = _rule_source(shapes, acts, rule, ["raise _singular(seed_sum)"], "e")
     body = [*head, *guard, *sample, "count_forward_pass(passes)",
             f"return [{', '.join(f'e{j}' for j in range(k))}]"]
     return _compile(["def grad(p, s):", *(f"    {line}" for line in body)])["grad"]
@@ -595,25 +615,36 @@ def _sgd_loop(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], rule: 
     singular skips and, if a value left the finite numbers, the NonFinite
     that stopped it, else None. It is compiled on a layout's first
     ``train`` use. Its per-sample lines are ``_grad``'s, so each sample's
-    entries and passes are ``_grad``'s too. Around them it takes the float
-    operations of a sample-order mean in order: per batch a sum per entry
-    in sample order, the 1/contributing scale when more than one sample
-    contributes, then ``p - lr * g``. The sums start at -0.0, and ``-0.0 +
-    v`` is v for every v, so the first sample's entries are copied bit for
-    bit, as the mean's first term is. The guard reads only the
+    entries and passes are ``_grad``'s too. The guard reads only the
     weights, which a batch does not change, so a batch is skipped whole or
-    not at all, as sample-by-sample checking would skip it. The entries,
-    scaled entries and new parameters are checked with the ``v * 0.0``
-    sum and raise ``_finite``'s NonFinite, as ``_grad_like`` and
-    ``_model_like`` do. The norm moves to ``c`` or ``-c`` only when that is
+    not at all, as sample-by-sample checking would skip it; an empty batch
+    takes no step and counts no skip.
+
+    A batch of one writes its sample's entries straight into the step's
+    gradient ``c{j}``: the mean of one gradient is that gradient. A larger
+    batch takes the float operations of a sample-order mean in order: a
+    sum per entry from -0.0 in sample order, each sample's entries checked
+    before they are added, then the 1/len(batch) scale. The sums start at
+    -0.0, and ``-0.0 + v`` is v for every v, so the first sample's entries
+    are copied bit for bit, as the mean's first term is. Then ``n{j} =
+    w{j} - lr * c{j}`` is checked once. lr is positive and finite and the
+    weights finite, so a non-finite ``c{j}`` always makes its step
+    non-finite: neither a batch of one's entries nor a larger batch's
+    scaled sums need a check of their own, and on a failing step
+    ``_step_failure`` names the gradient or the parameters and moves the
+    norm as checking the gradient, then the norm, then the parameters
+    does. Each check is the ``v * 0.0`` sum, and its NonFinite is
+    ``_finite``'s, as ``_grad_like`` and ``_model_like`` raise it. After a
+    finite step the norm moves to ``c`` or ``-c`` only when that is
     larger; the entries are finite and the norm is never -0.0, so it ends
     as ``max(norm, *map(abs, g.params))`` bit for bit. So a run is
     bit-identical to one through the rule's public gradient, that mean
     and ``sgd_step``, and counts the same passes.
     """
-    head, guard, sample, k = _rule_source(
-        shapes, acts, rule, ["skips += len(batch)", "continue"])
+    head, guard, (single, each), k = _rule_source(
+        shapes, acts, rule, ["skips += len(batch)", "continue"], "c", "e")
     params, entries, sums, steps = ([f"{v}{j}" for j in range(k)] for v in "wecn")
+
     lines = [
         "def loop(p, batches, lr):",
         *(f"    {line}" for line in head),
@@ -621,19 +652,26 @@ def _sgd_loop(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], rule: 
         "    try:",
         "        for batch in batches:",
         *(f"            {line}" for line in guard),
-        f"            {' = '.join(sums)} = -0.0",
-        "            for s in batch:",
-        *(f"                {line}" for line in sample),
-        *(f"                {line}" for line in _finite_check("ge", entries, "gradient entries")),
-        *(f"                {c} = {c} + {e}" for c, e in zip(sums, entries)),
-        "            if len(batch) > 1:",
+        "            if len(batch) == 1:",
+        "                s, = batch",
+        *(f"                {line}" for line in single),
+        "            elif batch:",
+        f"                {' = '.join(sums)} = -0.0",
+        "                for s in batch:",
+        *(f"                    {line}" for line in each),
+        *(f"                    {line}" for line in _finite_check(
+            "ge", entries, [f"_finite([{', '.join(entries)}], 'gradient entries')"])),
+        *(f"                    {c} = {c} + {e}" for c, e in zip(sums, entries)),
         "                scale = 1.0 / len(batch)",
         *(f"                {c} = scale * {c}" for c in sums),
-        *(f"                {line}" for line in _finite_check("gs", sums, "gradient entries")),
+        "            else:",
+        "                continue",
+        *(f"            {m} = {w} - lr * {c}" for m, w, c in zip(steps, params, sums)),
+        *(f"            {line}" for line in _finite_check("ps", steps, [
+            f"norm, failure = _step_failure(norm, [{', '.join(sums)}], [{', '.join(steps)}])",
+            "break"])),
         *(f"            {line}" for c in sums
           for line in (f"if {c} > norm:", f"    norm = {c}", f"elif -{c} > norm:", f"    norm = -{c}")),
-        *(f"            {m} = {w} - lr * {c}" for m, w, c in zip(steps, params, sums)),
-        *(f"            {line}" for line in _finite_check("ps", steps, "parameters")),
         *(f"            {w} = {m}" for w, m in zip(params, steps)),
         "    except NonFinite as exc:",
         "        failure = exc",
@@ -694,15 +732,16 @@ def grad_seeded(m: Model, s: Sample) -> AnyGradient:
 
 
 def run_sgd(m: Model, batches, lr: float, rule: str):
-    """SGD over nonempty batches with ``rule``'s gradient, ``"ones"`` or ``"seeded"``.
+    """SGD over batches with ``rule``'s gradient, ``"ones"`` or ``"seeded"``.
 
-    Each batch's step is ``p - lr * g`` on the sample-order mean of its
-    gradients, in one call of the compiled ``_sgd_loop``; a singular batch
-    is skipped before its samples are read. Returns the model after the
-    last finite step, the largest |gradient entry|, the singular skips and
-    the NonFinite that stopped it, or None. A learning rate that is not
-    positive and finite raises before any pass; a sample of another width
-    raises ``_check``'s ValueError when it is reached.
+    Each nonempty batch's step is ``p - lr * g`` on the sample-order mean
+    of its gradients, in one call of the compiled ``_sgd_loop``; a singular
+    batch is skipped before its samples are read, and an empty one takes
+    no step. Returns the model after the last finite step, the largest
+    |gradient entry|, the singular skips and the NonFinite that stopped
+    it, or None. A learning rate that is not positive and finite raises
+    before any pass; a sample of another width raises ``_check``'s
+    ValueError when it is reached.
     """
     _check_positive(lr, "learning rate")
     _check(m, rule)

@@ -13,9 +13,11 @@ runs; ``backprop`` ``stepwise`` over the oracle's batch loop, one batch
 call and one ``sgd_step`` per batch. A per-sample rule registers as
 ``Engine(rule, stepwise(batch))``, where ``batch(m, samples)`` returns the
 sample-order mean of the rule's gradients and its SingularSeed skips; the
-tests' ``summed(rule)`` is that batch function. Each loop sums in sample
-order, so the logs agree bit for bit. ``train`` makes one ``sgd`` call per
-epoch under every engine; the epoch loss is one compiled loss loop call.
+tests' ``summed(rule)`` is that batch function. Each loop steps a batch of
+one on its sample's gradient and sums a larger batch in sample order, as
+that mean does, so the logs agree bit for bit. ``train`` makes one ``sgd``
+call per epoch under every engine; the epoch loss is one compiled loss
+loop call.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """tools/ab.py's plumbing: an A/A run prints its summary and writes every round."""
 
+import importlib.util
 import json
 import math
 import subprocess
@@ -11,6 +12,9 @@ import pytest
 from dualgrad import bench
 
 ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
 
 
 def test_an_a_a_run_prints_its_keys_and_writes_its_rounds(tmp_path):
@@ -33,8 +37,8 @@ def test_an_a_a_run_prints_its_keys_and_writes_its_rounds(tmp_path):
     assert written["env"]["parent"]["src_sha256"] == written["env"]["change"]["src_sha256"]
 
 
-@pytest.mark.parametrize("workload", ["train_seeded_xor", "grad_seeded_128", "grad_seeded_mlp"])
-def test_the_seeded_workloads_run_in_an_a_a(workload):
+@pytest.mark.parametrize("workload", ab.WORKLOADS)
+def test_every_workload_runs_in_an_a_a(workload):
     done = subprocess.run([sys.executable, "tools/ab.py", "src", "src", workload, "--rounds", "2"],
                           cwd=ROOT, capture_output=True, text=True, timeout=120, check=True)
     summary = json.loads(done.stdout)

@@ -1,6 +1,7 @@
 """Perceptron/MLP evaluation and the two forward-mode gradient rules."""
 
 import functools
+import hashlib
 import math
 import operator
 
@@ -14,7 +15,7 @@ from dualgrad import model as md
 from dualgrad import bench, oracle, trainer
 from dualgrad.dual import Dual, NonFinite
 from dualgrad.model import Layer, Mlp, Perceptron, Sample
-from helpers import assert_grads_close, relerr
+from helpers import assert_grads_close, relerr, summed
 
 
 def random_perceptron(rng, n, act="sigmoid"):
@@ -775,6 +776,58 @@ def test_a_failing_pass_is_located_at_its_layer_unit_and_pass(case):
     md.reset_pass_count()
     failure = trainer.engine(rule).sgd(m, [[s]], 0.5)[3]
     assert (str(failure), md.pass_count()) == (message, passes)
+
+
+# Steps that leave the finite numbers after finite passes, on the identity
+# perceptron w = 1, b = 0: the samples and the learning rate, and what the
+# failure names. In the first two the first sample steps b alone, by a tiny
+# entry; the second sample's entries overflow, or they are finite and the
+# step overflows. In the third each sample's entries are finite, and so is
+# the first step, but two weight entries of 1.62e308 sum past the largest float.
+FAILING_STEPS = {
+    "entries": ([Sample([0.0], 1e-300), Sample([1e200], 0.0)], 0.5, "gradient entries"),
+    "step": ([Sample([0.0], 1e-300), Sample([1e5], 0.0)], 1e300, "parameters"),
+    "sum": ([Sample([9e153], 0.0)] * 2, 1e-300, "gradient entries"),
+}
+
+
+@pytest.mark.parametrize("batch", trainer.BATCH_MODES)
+@pytest.mark.parametrize("rule", ["ones", "seeded"])
+@pytest.mark.parametrize("case", FAILING_STEPS)
+def test_a_failing_step_stops_as_the_stepwise_spec_does(case, rule, batch):
+    samples, lr, what = FAILING_STEPS[case]
+    m = Perceptron([1.0], 0.0, "identity")
+    batches = [[s] for s in samples] if batch == "per_sample" else [samples]
+    runs = []
+    for sgd in (trainer.engine(rule).sgd, trainer.stepwise(summed(trainer.engine(rule).grad))):
+        md.reset_pass_count()
+        last, norm, skips, failure = sgd(m, batches, lr)
+        runs.append((repr(last.params), repr(norm), skips, str(failure), md.pass_count()))
+    assert runs[0] == runs[1]
+    # the message, and a first finite step per sample only
+    assert runs[0][3].startswith(f"{what} must be finite")
+    assert (runs[0][0] != repr(m.params)) == (batch == "per_sample")
+
+
+# sha256 of each rule's per-sample gradient source, per layout: the SGD loop
+# is compiled from the same rule lines, and changing it moves none of these.
+GRAD_SOURCES = {
+    ("ones", ((3, 1),), ("sigmoid",)): "a14894479878686e3c33187b2ed0850a4903fdc365e20db0523e93eaaff970b7",
+    ("ones", ((2, 1),), ("tanh",)): "ab27cd69a45240838ac5b018635f94b48fa979dff199bd217d6a119202535508",
+    ("seeded", ((3, 1),), ("identity",)): "11a60df2c3ed5daacc9590f2e2ecfda2fde3076f66865a37a38e73651a715618",
+    ("seeded", ((2, 4), (4, 1)), ("tanh", "sigmoid")):
+        "a97a7aebe6b9144efd27691fc1cdf272bde7e8ecf019cae14fc80d01c32d5748",
+}
+
+
+def test_each_rules_gradient_compiles_from_its_pinned_source(monkeypatch):
+    compile_ = md._compile
+    sources = []
+    monkeypatch.setattr(md, "_compile", lambda lines: sources.append("\n".join(lines)) or compile_(lines))
+    for (rule, shapes, acts), digest in GRAD_SOURCES.items():
+        sources.clear()
+        md._grad.__wrapped__(shapes, acts, rule)  # compiled afresh, past the cache
+        assert [hashlib.sha256(s.encode()).hexdigest() for s in sources] == [digest], (rule, shapes)
 
 
 def test_seeded_loss_overflow_is_typed():

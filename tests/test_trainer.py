@@ -729,6 +729,18 @@ def test_the_compiled_loop_keeps_singular_skips_and_signed_zeros(batch, generic)
     assert math.copysign(1.0, log.final_model["W"][0]) == 1.0
 
 
+@pytest.mark.parametrize("name", ["ones", "seeded", "backprop"])
+def test_an_empty_batch_takes_no_step_and_counts_no_skip(name):
+    sgd = trainer.engine(name).sgd
+    last, norm, skips, failure = sgd(Perceptron([-0.0, 0.5], -0.0), [[]], 0.5)
+    assert (repr(last.params), norm, skips, failure) == ("[-0.0, 0.5, -0.0]", 0.0, 0, None)
+    # between nonempty batches it changes nothing, and a singular model skips none of it
+    m, s = Perceptron([0.3, -0.7], 0.1, "tanh"), Sample([1.0, 2.0], 1.0)
+    assert repr(sgd(m, [[s], [], [s, s]], 0.5)) == repr(sgd(m, [[s], [s, s]], 0.5))
+    if name != "backprop":
+        assert sgd(Perceptron([0.5, -0.5], 0.0), [[], [s]], 0.5)[2] == (1 if name == "ones" else 0)
+
+
 def near_guard_sums():
     """±ONES_SEED_GUARD, 3 nextafter steps either side of each, and ±0.0."""
     for edge in (md.ONES_SEED_GUARD, -md.ONES_SEED_GUARD):

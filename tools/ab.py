@@ -4,10 +4,14 @@
 
 loads ``PARENT_SRC/dualgrad`` and ``CHANGE_SRC/dualgrad`` into one process
 as two packages (the package uses only relative imports), so each side keeps
-its own caches and pass counter. Each side builds its own inputs from the
-same seeds and is warmed; then every round times one workload call per
-side, alternating which side goes first. Two processes started apart see
-the CPU at different speeds; two calls in one round mostly see the same.
+its own caches and pass counter. A workload's inputs are drawn once, as
+plain floats, with the change side's generators; each side builds its
+models and samples from them with its own public constructors (``Mlp``,
+``Layer``, ``Perceptron``, ``Sample``, ``Dataset``), so a parent that lacks
+a generator is timed on the same inputs. Each side is warmed; then every
+round times one workload call per side, alternating which side goes
+first. Two processes started apart see the CPU at different speeds; two
+calls in one round mostly see the same.
 
 Prints one JSON line: the median change/parent time ratio over the rounds,
 its quartiles and ``wins``, the rounds where the change was faster. With
@@ -25,6 +29,7 @@ import statistics
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,23 +49,52 @@ def load(src: str, name: str):
     return pkg
 
 
-def line2d_train(engine: str, batch_mode: str):
+class Workload(NamedTuple):
+    """``draw(pkg)``, a workload's inputs as plain floats, and ``build(pkg, inputs)``, its timed call."""
+
+    draw: Callable
+    build: Callable
+
+
+def plain_sample(s) -> tuple:
+    return list(s.x), s.y
+
+
+def samples_of(pkg, plain) -> list:
+    return [pkg.model.Sample(x, y) for x, y in plain]
+
+
+def plain_perceptron(m) -> tuple:
+    return m.W, m.b, m.act
+
+
+def line2d_samples(pkg):
+    """line2d's 64 samples."""
+    return [plain_sample(s) for s in pkg.trainer.resolve_dataset("line2d").samples]
+
+
+def line2d_train(engine: str, batch_mode: str) -> Workload:
     """An in-process 200-epoch line2d ``train`` under one engine and batch mode."""
-    def build(pkg):
+    def build(pkg, samples):
         tr = pkg.trainer
         cfg = tr.TrainConfig(dataset="line2d", engine=engine, batch_mode=batch_mode, epochs=200)
-        dataset = tr.resolve_dataset("line2d")
+        dataset = tr.Dataset("line2d", 2, samples_of(pkg, samples))
         return lambda: tr.train(cfg, dataset)
-    return build
+    return Workload(line2d_samples, build)
 
 
-def backprop_batch(pkg):
-    """500 calls of ``grad_backprop_batch`` on line2d's 64 samples, at the seed-0 init."""
+def draw_line2d_init(pkg):
+    """line2d's samples and its seed-0 initial perceptron."""
     tr = pkg.trainer
-    dataset = tr.resolve_dataset("line2d")
     cfg = tr.TrainConfig(dataset="line2d", batch_mode="full_batch")
-    m = tr.init_model(cfg, dataset.feature_width, np.random.default_rng(cfg.rng_seed))
-    batch, samples = pkg.oracle.grad_backprop_batch, dataset.samples
+    m = tr.init_model(cfg, 2, np.random.default_rng(cfg.rng_seed))
+    return plain_perceptron(m), line2d_samples(pkg)
+
+
+def backprop_batch(pkg, inputs):
+    """500 calls of ``grad_backprop_batch`` on line2d's 64 samples, at the seed-0 init."""
+    m, samples = pkg.model.Perceptron(*inputs[0]), samples_of(pkg, inputs[1])
+    batch = pkg.oracle.grad_backprop_batch
 
     def run():
         for _ in range(500):
@@ -68,23 +102,28 @@ def backprop_batch(pkg):
     return run
 
 
-def xor_samples(pkg):
-    """The four XOR samples."""
-    return [pkg.model.Sample([a, b], float(a != b)) for a in (0.0, 1.0) for b in (0.0, 1.0)]
+XOR_SAMPLES = [([a, b], float(a != b)) for a in (0.0, 1.0) for b in (0.0, 1.0)]
 
 
-def train_seeded_xor(pkg):
+def train_seeded_xor(pkg, samples):
     """An in-process 150-epoch ``train`` of a 2-4-1 MLP on XOR under ``seeded``."""
     tr = pkg.trainer
     cfg = tr.TrainConfig(dataset="xor", engine="seeded", learning_rate=0.5, hidden=(4,), epochs=150)
-    dataset = tr.Dataset("xor", 2, xor_samples(pkg))
+    dataset = tr.Dataset("xor", 2, samples_of(pkg, samples))
     return lambda: tr.train(cfg, dataset)
 
 
-def grad_seeded_mlp(pkg):
-    """250 rounds of one ``grad_seeded`` call (17 passes) per XOR sample, on a seed-0 2-4-1 ``bench.random_mlp``."""
-    m, samples = pkg.bench.random_mlp([2, 4, 1], np.random.default_rng(0)), xor_samples(pkg)
-    grad = pkg.model.grad_seeded
+def draw_xor_mlp(pkg):
+    """A seed-0 2-4-1 ``bench.random_mlp`` as (rows, biases, act) per layer, and the XOR samples."""
+    m = pkg.bench.random_mlp([2, 4, 1], np.random.default_rng(0))
+    return [(lay.W, lay.b, lay.act) for lay in m.layers], XOR_SAMPLES
+
+
+def grad_seeded_mlp(pkg, inputs):
+    """250 rounds of one ``grad_seeded`` call (17 passes) per XOR sample, on the seed-0 2-4-1 net."""
+    md = pkg.model
+    m = md.Mlp([md.Layer(*layer) for layer in inputs[0]])
+    samples, grad = samples_of(pkg, inputs[1]), md.grad_seeded
 
     def run():
         for _ in range(250):
@@ -93,15 +132,20 @@ def grad_seeded_mlp(pkg):
     return run
 
 
-def wide_pairs(pkg):
+def draw_wide_pairs(pkg):
     """16 width-128 (perceptron, sample) pairs from ``bench``, drawn from seed 0."""
     rng = np.random.default_rng(0)
-    return [(pkg.bench.guarded_perceptron(128, rng), pkg.bench.random_sample(128, rng)) for _ in range(16)]
+    pairs = [(pkg.bench.guarded_perceptron(128, rng), pkg.bench.random_sample(128, rng)) for _ in range(16)]
+    return [(plain_perceptron(m), plain_sample(s)) for m, s in pairs]
 
 
-def grad_backprop_128(pkg):
+def wide_pairs(pkg, pairs):
+    return [(pkg.model.Perceptron(*m), pkg.model.Sample(*s)) for m, s in pairs]
+
+
+def grad_backprop_128(pkg, inputs):
     """125 calls of ``grad_backprop`` on each of the 16 wide pairs."""
-    pairs, grad = wide_pairs(pkg), pkg.oracle.grad_backprop
+    pairs, grad = wide_pairs(pkg, inputs), pkg.oracle.grad_backprop
 
     def run():
         for _ in range(125):
@@ -110,9 +154,9 @@ def grad_backprop_128(pkg):
     return run
 
 
-def grad_seeded_128(pkg):
+def grad_seeded_128(pkg, inputs):
     """One ``grad_seeded`` call (129 passes) on each of the 16 wide pairs."""
-    pairs, grad = wide_pairs(pkg), pkg.model.grad_seeded
+    pairs, grad = wide_pairs(pkg, inputs), pkg.model.grad_seeded
 
     def run():
         for m, s in pairs:
@@ -121,13 +165,14 @@ def grad_seeded_128(pkg):
 
 
 WORKLOADS = {
-    "backprop_batch": backprop_batch,
-    "grad_backprop_128": grad_backprop_128,
-    "grad_seeded_128": grad_seeded_128,
-    "grad_seeded_mlp": grad_seeded_mlp,
+    "backprop_batch": Workload(draw_line2d_init, backprop_batch),
+    "grad_backprop_128": Workload(draw_wide_pairs, grad_backprop_128),
+    "grad_seeded_128": Workload(draw_wide_pairs, grad_seeded_128),
+    "grad_seeded_mlp": Workload(draw_xor_mlp, grad_seeded_mlp),
     "train_backprop_full_batch": line2d_train("backprop", "full_batch"),
+    "train_ones_full_batch": line2d_train("ones", "full_batch"),
     "train_ones_per_sample": line2d_train("ones", "per_sample"),
-    "train_seeded_xor": train_seeded_xor,
+    "train_seeded_xor": Workload(lambda pkg: XOR_SAMPLES, train_seeded_xor),
 }
 
 
@@ -149,7 +194,9 @@ def main(argv=None) -> int:
         p.error("--rounds must be at least 2")
 
     sides = {"parent": load(args.parent_src, "ab_parent"), "change": load(args.change_src, "ab_change")}
-    calls = {side: WORKLOADS[args.workload](pkg) for side, pkg in sides.items()}
+    workload = WORKLOADS[args.workload]
+    inputs = workload.draw(sides["change"])
+    calls = {side: workload.build(pkg, inputs) for side, pkg in sides.items()}
     for call in calls.values():
         for _ in range(WARMUP):
             call()
