@@ -517,10 +517,10 @@ class _Rule(NamedTuple):
 
     ``dx`` is every input's tangent, ``done`` the passes a failing pass
     counts before it; a ``single_layer`` rule takes perceptrons only.
-    ``lines(n, pass_, units, values, entry)`` returns the guard
-    (``seed_sum`` and an ``if`` true where the rule is undefined, or no
-    lines) and the gradient: the passes on sample ``s``, added to
-    ``passes``, and the entries ``{entry}{j}``.
+    ``lines(n, pass_, units, values)`` returns the guard (``seed_sum`` and
+    an ``if`` true where the rule is undefined, or no lines) and the
+    gradient: the passes on sample ``s``, added to ``passes``, and the
+    entries ``e0``, ..., ``e{P-1}``, the names every compiled caller reads.
     """
 
     dx: float
@@ -529,7 +529,7 @@ class _Rule(NamedTuple):
     lines: Callable[..., tuple[list[str], list[str]]]
 
 
-def _ones_lines(n: int, pass_: list[str], units: list[int], values: list[str], entry: str):
+def _ones_lines(n: int, pass_: list[str], units: list[int], values: list[str]):
     """One pass, every input tangent 1.0, entries ``q * x_j`` and ``q``.
 
     The guard sums W left to right from the int 0, the builtin ``sum`` of
@@ -540,10 +540,10 @@ def _ones_lines(n: int, pass_: list[str], units: list[int], values: list[str], e
     guard = [*_chain("seed_sum", ["0", *(f"w{j}" for j in range(n))]),
              "if -ONES_SEED_GUARD < seed_sum < ONES_SEED_GUARD:"]
     return guard, [*pass_, "passes += 1", f"q = 2.0 * (a{out} - s.y) * t{out} / seed_sum",
-                   *(f"{entry}{j} = q * x{j}" for j in range(n)), f"{entry}{n} = q"]
+                   *(f"e{j} = q * x{j}" for j in range(n)), f"e{n} = q"]
 
 
-def _seeded_lines(n: int, pass_: list[str], units: list[int], values: list[str], entry: str):
+def _seeded_lines(n: int, pass_: list[str], units: list[int], values: list[str]):
     """One pass per parameter seeded, zero input tangents, in one stage: ``dd = 2 * d``
     is taken first; pass j sets its unit's seed in ``sd``, unpacks ``sd`` into the
     seed locals and, as it ends, appends entry j, the power rule ``dd * (0.0 - t)``,
@@ -560,7 +560,7 @@ def _seeded_lines(n: int, pass_: list[str], units: list[int], values: list[str],
         f"    es.append(dd * (0.0 - t{out}))",
         "    sd[u] = 0.0",
         f"passes += {k}",
-        _unpack(entry, k, "es"),
+        _unpack("e", k, "es"),
     ]
 
 
@@ -571,25 +571,21 @@ _RULES = {
 }
 
 
-def _rule_source(shapes, acts, rule: str, singular: list[str], *entries: str):
+def _rule_source(shapes, acts, rule: str, singular: list[str]):
     """The lines that a rule's ``_grad`` and ``_sgd_loop`` share, for one layout.
 
     They are the head, which binds ``dx`` first and every unit's seed to
-    0.0, the guard running ``singular``, and per prefix in ``entries`` the
-    sample lines setting the entries ``{prefix}{j}``; the parameter count
-    comes last.
+    0.0, the guard running ``singular``, and the one list of sample lines
+    setting the entries ``e{j}``; the parameter count comes last.
     """
     r = _RULES[rule]
     sweep, factors, pass_, units, values = _pass_lines(shapes, acts, r.done)
     n, k, n_units = shapes[0][0], len(units), units[-1] + 1
     head = [f"dx = {r.dx}", _unpack("w", k, "p"), f"sd = [0.0] * {n_units}",
             _unpack("sd", n_units, "sd"), "passes = 0"]
-    samples = []
-    for entry in entries:
-        guard, gradient = r.lines(n, pass_, units, values, entry)
-        samples.append([_unpack("x", n, "s.x"), *sweep, *factors, *gradient])
+    guard, gradient = r.lines(n, pass_, units, values)
     guard = guard and [*guard, *(f"    {line}" for line in singular)]
-    return head, guard, samples, k
+    return head, guard, [_unpack("x", n, "s.x"), *sweep, *factors, *gradient], k
 
 
 @functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -599,7 +595,7 @@ def _grad(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], rule: str)
     A guard that holds raises ``_singular``'s SingularSeed before any pass;
     the passes run are counted. No other rule, loop or kernel compiles here.
     """
-    head, guard, (sample,), k = _rule_source(shapes, acts, rule, ["raise _singular(seed_sum)"], "e")
+    head, guard, sample, k = _rule_source(shapes, acts, rule, ["raise _singular(seed_sum)"])
     body = [*head, *guard, *sample, "count_forward_pass(passes)",
             f"return [{', '.join(f'e{j}' for j in range(k))}]"]
     return _compile(["def grad(p, s):", *(f"    {line}" for line in body)])["grad"]
@@ -620,29 +616,30 @@ def _sgd_loop(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], rule: 
     not at all, as sample-by-sample checking would skip it; an empty batch
     takes no step and counts no skip.
 
-    A batch of one writes its sample's entries straight into the step's
-    gradient ``c{j}``: the mean of one gradient is that gradient. A larger
+    Both branches run the rule's one list of sample lines, which sets the
+    entries ``e{j}``, and the step reads them. A batch of one steps on its
+    sample's entries: the mean of one gradient is that gradient. A larger
     batch takes the float operations of a sample-order mean in order: a
-    sum per entry from -0.0 in sample order, each sample's entries checked
-    before they are added, then the 1/len(batch) scale. The sums start at
-    -0.0, and ``-0.0 + v`` is v for every v, so the first sample's entries
-    are copied bit for bit, as the mean's first term is. Then ``n{j} =
-    w{j} - lr * c{j}`` is checked once. lr is positive and finite and the
-    weights finite, so a non-finite ``c{j}`` always makes its step
-    non-finite: neither a batch of one's entries nor a larger batch's
-    scaled sums need a check of their own, and on a failing step
-    ``_step_failure`` names the gradient or the parameters and moves the
-    norm as checking the gradient, then the norm, then the parameters
-    does. Each check is the ``v * 0.0`` sum, and its NonFinite is
-    ``_finite``'s, as ``_grad_like`` and ``_model_like`` raise it. After a
-    finite step the norm moves to ``c`` or ``-c`` only when that is
-    larger; the entries are finite and the norm is never -0.0, so it ends
-    as ``max(norm, *map(abs, g.params))`` bit for bit. So a run is
-    bit-identical to one through the rule's public gradient, that mean
-    and ``sgd_step``, and counts the same passes.
+    sum ``c{j}`` per entry from -0.0 in sample order, each sample's
+    entries checked before they are added, then the 1/len(batch) scale,
+    which writes the sums back into the entries. The sums start at -0.0,
+    and ``-0.0 + v`` is v for every v, so the first sample's entries are
+    copied bit for bit, as the mean's first term is. Then ``n{j} = w{j} -
+    lr * e{j}`` is checked once. lr is positive and finite and the weights
+    finite, so a non-finite ``e{j}`` always makes its step non-finite:
+    neither a batch of one's entries nor a larger batch's scaled sums need
+    a check of their own, and on a failing step ``_step_failure`` names
+    the gradient or the parameters and moves the norm as checking the
+    gradient, then the norm, then the parameters does. Each check is the
+    ``v * 0.0`` sum, and its NonFinite is ``_finite``'s, as ``_grad_like``
+    and ``_model_like`` raise it. After a finite step the norm moves to
+    ``e`` or ``-e`` only when that is larger; the entries are finite and
+    the norm is never -0.0, so it ends as ``max(norm, *map(abs,
+    g.params))`` bit for bit. So a run is bit-identical to one through the
+    rule's public gradient, that mean and ``sgd_step``, and counts the
+    same passes.
     """
-    head, guard, (single, each), k = _rule_source(
-        shapes, acts, rule, ["skips += len(batch)", "continue"], "c", "e")
+    head, guard, sample, k = _rule_source(shapes, acts, rule, ["skips += len(batch)", "continue"])
     params, entries, sums, steps = ([f"{v}{j}" for j in range(k)] for v in "wecn")
 
     lines = [
@@ -654,24 +651,24 @@ def _sgd_loop(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], rule: 
         *(f"            {line}" for line in guard),
         "            if len(batch) == 1:",
         "                s, = batch",
-        *(f"                {line}" for line in single),
+        *(f"                {line}" for line in sample),
         "            elif batch:",
         f"                {' = '.join(sums)} = -0.0",
         "                for s in batch:",
-        *(f"                    {line}" for line in each),
+        *(f"                    {line}" for line in sample),
         *(f"                    {line}" for line in _finite_check(
             "ge", entries, [f"_finite([{', '.join(entries)}], 'gradient entries')"])),
         *(f"                    {c} = {c} + {e}" for c, e in zip(sums, entries)),
         "                scale = 1.0 / len(batch)",
-        *(f"                {c} = scale * {c}" for c in sums),
+        *(f"                {e} = scale * {c}" for e, c in zip(entries, sums)),
         "            else:",
         "                continue",
-        *(f"            {m} = {w} - lr * {c}" for m, w, c in zip(steps, params, sums)),
+        *(f"            {m} = {w} - lr * {e}" for m, w, e in zip(steps, params, entries)),
         *(f"            {line}" for line in _finite_check("ps", steps, [
-            f"norm, failure = _step_failure(norm, [{', '.join(sums)}], [{', '.join(steps)}])",
+            f"norm, failure = _step_failure(norm, [{', '.join(entries)}], [{', '.join(steps)}])",
             "break"])),
-        *(f"            {line}" for c in sums
-          for line in (f"if {c} > norm:", f"    norm = {c}", f"elif -{c} > norm:", f"    norm = -{c}")),
+        *(f"            {line}" for e in entries
+          for line in (f"if {e} > norm:", f"    norm = {e}", f"elif -{e} > norm:", f"    norm = -{e}")),
         *(f"            {w} = {m}" for w, m in zip(params, steps)),
         "    except NonFinite as exc:",
         "        failure = exc",

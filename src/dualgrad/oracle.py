@@ -52,7 +52,14 @@ def grad_backprop_batch(m: Perceptron, samples) -> tuple[Gradient | None, int]:
     is checked for finiteness once: a non-finite entry keeps every later
     sum non-finite (inf - inf is nan, and nan absorbs every add), and so
     does the positive scale, so this raises NonFinite exactly when
-    checking each sample's gradient and then their mean would.
+    checking each sample's gradient and then their mean would. A finite
+    gradient counts one pass per sample. A failing larger batch is replayed
+    through ``grad_backprop`` one sample at a time, so it names and counts
+    as that per-sample loop does: the first sample whose gradient is not
+    finite raises its own error, with the passes up to and including its
+    own counted; if every sample's gradient is finite, their sum left the
+    finite numbers, and the mean's error is raised after every pass is
+    counted. A failing batch of one counts its pass.
     """
     if not isinstance(m, Perceptron):
         raise TypeError("the closed-form gradient is single-layer; use grad_seeded for Mlp")
@@ -76,12 +83,21 @@ def grad_backprop_batch(m: Perceptron, samples) -> tuple[Gradient | None, int]:
             db += g0
     if dW is None:
         return None, 0
-    _model.count_forward_pass(len(samples))
     dW.append(db)
     if len(samples) > 1:  # scaling a single gradient by 1.0 would change no bit
         scale = 1.0 / len(samples)
         dW = [scale * v for v in dW]
-    return _model._grad_like(m, dW), 0
+    try:
+        g = _model._grad_like(m, dW)
+    except NonFinite:
+        if len(samples) == 1:
+            _model.count_forward_pass(1)
+        else:
+            for s in samples:  # the first non-finite sample raises its own error
+                grad_backprop(m, s)
+        raise
+    _model.count_forward_pass(len(samples))
+    return g, 0
 
 
 def grad_backprop(m: Perceptron, s: Sample) -> Gradient:

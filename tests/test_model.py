@@ -792,7 +792,7 @@ FAILING_STEPS = {
 
 
 @pytest.mark.parametrize("batch", trainer.BATCH_MODES)
-@pytest.mark.parametrize("rule", ["ones", "seeded"])
+@pytest.mark.parametrize("rule", ["ones", "seeded", "backprop"])
 @pytest.mark.parametrize("case", FAILING_STEPS)
 def test_a_failing_step_stops_as_the_stepwise_spec_does(case, rule, batch):
     samples, lr, what = FAILING_STEPS[case]

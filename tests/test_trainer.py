@@ -2,12 +2,15 @@
 
 import csv
 import dataclasses
+import importlib.util
 import inspect
 import io
 import itertools
 import json
 import math
+import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,11 @@ from dualgrad.dual import NonFinite
 from dualgrad.model import Gradient, Layer, LayerGradient, Mlp, MlpGradient, Perceptron, Sample
 from dualgrad.trainer import Dataset, EpochRecord, TrainConfig, TrainLog
 from helpers import summed
+
+_spec = importlib.util.spec_from_file_location(
+    "digest", Path(__file__).resolve().parent.parent / "tools" / "digest.py")
+digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(digest)
 
 
 # --- builtin datasets ---------------------------------------------------------
@@ -772,6 +780,27 @@ def test_the_compiled_loop_keeps_the_guard_and_the_norm_at_their_boundaries(batc
         cfg = TrainConfig(engine="ones", batch_mode=batch, learning_rate=1e-300, epochs=3)
         skips = trainer.train(cfg, data, m).singular_skips
         assert skips == (9 if abs(t) < md.ONES_SEED_GUARD else 0), t
+
+
+@pytest.mark.parametrize("batch", trainer.BATCH_MODES)
+@pytest.mark.parametrize("name", trainer.ENGINES)
+def test_each_engines_sgd_equals_its_stepwise_spec_on_random_nets(name, batch):
+    # digest's overflow-prone nets and entries, batches of 1-4 samples and lr
+    # up to 1e300: about a quarter of the runs stop on a NonFinite
+    rng = random.Random(0)
+    engine = trainer.engine(name)
+    spec = trainer.stepwise(summed(engine.grad))
+    for _ in range(600):
+        m = digest.random_net(rng)
+        samples = [Sample(digest.entries(rng, m.width), digest.entries(rng, 1)[0])
+                   for _ in range(rng.randint(1, 4))]
+        lr = rng.choice((0.5, 1e-3, 1e6, 1e300))
+        if name != "seeded" and not isinstance(m, Perceptron):
+            continue
+        batches = [[s] for s in samples] if batch == "per_sample" else [samples]
+        # the parameter bits, norm, skips, failure or exception, and passes
+        got, want = (digest.outcome(sgd, m, batches, lr) for sgd in (engine.sgd, spec))
+        assert got == want, (m, samples, lr)
 
 
 def test_the_compiled_loops_call_no_python_function_per_unit_or_step():

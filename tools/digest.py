@@ -6,8 +6,10 @@ digest. The train half hashes each config's log and pass count. The model
 half draws ``NETS`` 1–3-layer nets with ``random`` from a fixed seed, with
 entries from a pool of ±0.0, ±1e300, 5e-324, ±710 and ±745 or ordinary
 reals, and hashes the ``.hex()`` values of ``forward``, ``grad_seeded``,
-``grad_ones`` (perceptrons) and ``run_sgd`` on per-sample and full
-batches, with each call's exception type and message and pass count.
+``grad_ones`` (perceptrons), ``run_sgd`` on per-sample and full batches
+and, on perceptrons, the oracle's ``grad_backprop_batch`` on each sample
+and on the full batch, with each call's exception type and message and
+pass count.
 
 The digests are not golden values, because ``math.exp`` and ``math.tanh``
 may differ between libm builds; compare two trees on one machine.
@@ -32,7 +34,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dualgrad import model  # noqa: E402
+from dualgrad import model, oracle  # noqa: E402
 from dualgrad.model import Layer, Mlp, Perceptron, Sample  # noqa: E402
 
 ENGINES = ("ones", "seeded", "backprop")
@@ -106,8 +108,13 @@ def outcome(f, *args) -> str:
     return f"{result} {model.pass_count()}"
 
 
-def model_digest() -> tuple[int, str]:
-    digest = hashlib.sha256()
+def backprop_batch(m, samples):
+    """``oracle.grad_backprop_batch``'s mean gradient; the oracle never skips a sample."""
+    return oracle.grad_backprop_batch(m, samples)[0]
+
+
+def model_outcomes():
+    """Per net, the list of its outcomes, in the order ``model_digest`` hashes them."""
     rng = random.Random(7)
     for _ in range(NETS):
         m = random_net(rng)
@@ -122,6 +129,14 @@ def model_digest() -> tuple[int, str]:
         rules = ("ones", "seeded") if perceptron else ("seeded",)
         for rule, batches in itertools.product(rules, ([[s] for s in samples], [samples])):
             outcomes.append(outcome(model.run_sgd, m, batches, lr, rule))
+        if perceptron:
+            outcomes += [outcome(backprop_batch, m, batch) for batch in [*([s] for s in samples), samples]]
+        yield outcomes
+
+
+def model_digest() -> tuple[int, str]:
+    digest = hashlib.sha256()
+    for outcomes in model_outcomes():
         digest.update(f"{outcomes}\n".encode())
     return NETS, digest.hexdigest()
 
