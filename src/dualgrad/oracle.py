@@ -53,48 +53,48 @@ def grad_backprop_batch(m: Perceptron, samples) -> tuple[Gradient | None, int]:
     sum non-finite (inf - inf is nan, and nan absorbs every add), and so
     does the positive scale, so this raises NonFinite exactly when
     checking each sample's gradient and then their mean would. A finite
-    gradient counts one pass per sample. A failing larger batch is replayed
-    through ``grad_backprop`` one sample at a time, so it names and counts
-    as that per-sample loop does: the first sample whose gradient is not
-    finite raises its own error, with the passes up to and including its
-    own counted; if every sample's gradient is finite, their sum left the
-    finite numbers, and the mean's error is raised after every pass is
-    counted. A failing batch of one counts its pass.
+    gradient counts one pass per sample. A failing larger batch (a wrong
+    width or a non-finite gradient) is replayed through ``grad_backprop``
+    one sample at a time, so it names and counts as that per-sample loop
+    does: the first failing sample raises its own error after the passes
+    before it, and its own if non-finite; if every sample's gradient is
+    finite, their sum left the finite numbers, and the mean's error is
+    raised after every pass. A batch of one counts its pass if non-finite.
     """
     if not isinstance(m, Perceptron):
         raise TypeError("the closed-form gradient is single-layer; use grad_seeded for Mlp")
     *W, b = m.params
     act = m.act
     dW = db = None
-    for s in samples:
-        x = s.x
-        if len(x) != len(W):
-            raise ValueError(f"expected {len(W)} features, got {len(x)}")
-        z = b
-        for w, xi in zip(W, x):
-            z += w * xi
-        yhat, dact = _act_value_deriv(act, z)
-        g0 = 2.0 * (yhat - s.y) * dact
-        if dW is None:
-            dW, db = [g0 * xi for xi in x], g0
-        else:
-            for j, xi in enumerate(x):
-                dW[j] += g0 * xi
-            db += g0
-    if dW is None:
-        return None, 0
-    dW.append(db)
-    if len(samples) > 1:  # scaling a single gradient by 1.0 would change no bit
-        scale = 1.0 / len(samples)
-        dW = [scale * v for v in dW]
     try:
+        for s in samples:
+            x = s.x
+            if len(x) != len(W):
+                raise ValueError(f"expected {len(W)} features, got {len(x)}")
+            z = b
+            for w, xi in zip(W, x):
+                z += w * xi
+            yhat, dact = _act_value_deriv(act, z)
+            g0 = 2.0 * (yhat - s.y) * dact
+            if dW is None:
+                dW, db = [g0 * xi for xi in x], g0
+            else:
+                for j, xi in enumerate(x):
+                    dW[j] += g0 * xi
+                db += g0
+        if dW is None:
+            return None, 0
+        dW.append(db)
+        if len(samples) > 1:  # scaling a single gradient by 1.0 would change no bit
+            scale = 1.0 / len(samples)
+            dW = [scale * v for v in dW]
         g = _model._grad_like(m, dW)
-    except NonFinite:
-        if len(samples) == 1:
-            _model.count_forward_pass(1)
-        else:
-            for s in samples:  # the first non-finite sample raises its own error
+    except ValueError as exc:  # NonFinite included
+        if len(samples) > 1:
+            for s in samples:  # the first failing sample raises its own error
                 grad_backprop(m, s)
+        elif isinstance(exc, NonFinite):
+            _model.count_forward_pass(1)
         raise
     _model.count_forward_pass(len(samples))
     return g, 0

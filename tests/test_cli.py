@@ -185,6 +185,16 @@ def test_train_missing_dataset_file(capsys):
     assert run(["train", "--dataset", "nosuch.csv"]) == 2
 
 
+@pytest.mark.parametrize("text, message", [("", "empty file"), ("x1,y\n", "no data rows")])
+def test_a_csv_without_samples_is_refused_and_named(text, message, tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        trainer.load_csv_dataset(path)
+    assert run(["train", "--dataset", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_train_unreadable_dataset_is_usage_error(tmp_path, capsys):
     assert run(["train", "--dataset", str(tmp_path), "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -1,6 +1,7 @@
 """Ring behavior of the Dual scalar type."""
 
 import math
+import operator
 import struct
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from dualgrad.dual import Dual, NonFinite
-from helpers import dnorm, dual_close, relerr
+from helpers import relerr
 
 parts = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 duals = st.builds(Dual, parts, parts)
@@ -58,6 +59,20 @@ def test_immutable():
     d = Dual(1, 2)
     with pytest.raises(AttributeError):
         d.re = 5.0
+
+
+def test_equality_hash_and_text():
+    assert (Dual(3, 1) == 3) is False  # a real is not coerced for ==
+    assert hash(Dual(1, 2)) == hash(Dual(1.0, 2.0))
+    assert str(Dual(1.5, -2.0)) == "1.5 + -2.0ε"
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_a_string_operand_is_refused_on_either_side(op):
+    with pytest.raises(TypeError):
+        op(Dual(1, 2), "a")
+    with pytest.raises(TypeError):
+        op("a", Dual(1, 2))
 
 
 # --- addition, negation, subtraction ------------------------------------------
@@ -129,21 +144,10 @@ def test_scalar_coercion():
     assert 2 * Dual(3, 4) == Dual(6, 8)
     assert Dual(3, 4) + 1 == Dual(4, 4)
     assert 1 - Dual(3, 4) == Dual(-2, -4)
+    assert 2 / Dual(4, 1) == Dual(0.5, -0.125)
 
 
 # --- approximate ring axioms (random draws, tolerance 1e-12) ---------------------
-
-
-def test_additive_associativity_exact_on_representable_sums():
-    # values on a 1/256 grid keep every double and triple sum exactly
-    # representable, so associativity can be asserted bitwise
-    rng = np.random.default_rng(11)
-    for _ in range(2000):
-        x, y, z = (
-            Dual(int(rng.integers(-2560, 2561)) / 256.0, int(rng.integers(-2560, 2561)) / 256.0)
-            for _ in range(3)
-        )
-        assert (x + y) + z == x + (y + z)
 
 
 def test_additive_associativity_continuous():
@@ -151,21 +155,6 @@ def test_additive_associativity_continuous():
     for _ in range(2000):
         x, y, z = (Dual(*rng.uniform(-10, 10, 2)) for _ in range(3))
         assert dual_relerr((x + y) + z, x + (y + z)) <= 1e-12
-
-
-def test_multiplicative_associativity():
-    rng = np.random.default_rng(13)
-    for _ in range(2000):
-        x, y, z = (Dual(*rng.uniform(-10, 10, 2)) for _ in range(3))
-        assert dual_close((x * y) * z, x * (y * z), 1e-12, dnorm(x) * dnorm(y) * dnorm(z))
-
-
-def test_distributivity_both_sides():
-    rng = np.random.default_rng(14)
-    for _ in range(2000):
-        x, y, z = (Dual(*rng.uniform(-10, 10, 2)) for _ in range(3))
-        assert dual_close(x * (y + z), x * y + x * z, 1e-12, dnorm(x) * (dnorm(y) + dnorm(z)))
-        assert dual_close((x + y) * z, x * z + y * z, 1e-12, (dnorm(x) + dnorm(y)) * dnorm(z))
 
 
 # --- division ---------------------------------------------------------------------
@@ -264,36 +253,6 @@ def test_pow_rejects_negative_and_fractional():
         Dual(2, 1) ** -1
     with pytest.raises(TypeError):
         Dual(2, 1) ** 0.5
+    with pytest.raises(TypeError, match="modular exponentiation"):
+        pow(Dual(2, 1), 2, 5)
 
-
-# --- the polynomial identity: Horner at x + eps carries the derivative ---------------
-
-
-def horner_dual(coeffs, x: Dual) -> Dual:
-    # coeffs[k] multiplies x**k
-    acc = Dual(0.0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def horner_real(coeffs, x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def derivative_coeffs(coeffs):
-    return [k * c for k, c in enumerate(coeffs)][1:]
-
-
-def test_polynomial_derivative_identity():
-    rng = np.random.default_rng(16)
-    for _ in range(500):
-        degree = int(rng.integers(0, 9))
-        coeffs = [float(c) for c in rng.uniform(-5, 5, degree + 1)]
-        x = float(rng.uniform(-2, 2))
-        value = horner_dual(coeffs, Dual(x, 1.0))
-        assert relerr(value.re, horner_real(coeffs, x)) <= 1e-10
-        assert relerr(value.du, horner_real(derivative_coeffs(coeffs), x)) <= 1e-10

@@ -70,13 +70,7 @@ def test_finite_diff_zero_input():
     assert g.db == pytest.approx(oracle.grad_backprop(m, s).db, rel=1e-6)
 
 
-def test_finite_diff_rejects_bad_step():
-    m = Perceptron([1.0], 0.0)
-    with pytest.raises(ValueError):
-        oracle.grad_finite_diff(m, Sample([1.0], 0.0), h=0.0)
-
-
-@pytest.mark.parametrize("h", [math.nan, math.inf, -1e-6])
+@pytest.mark.parametrize("h", [math.nan, math.inf, -1e-6, 0.0])
 def test_finite_diff_step_must_be_positive_and_finite(h):
     m = Perceptron([1.0], 0.0)
     with pytest.raises(ValueError, match="step must be positive and finite") as exc:

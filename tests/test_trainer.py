@@ -237,10 +237,17 @@ def test_every_engines_sgd_refuses_what_sgd_step_refuses(name):
         md.reset_pass_count()
         refused([[good], [good]], lr, f"learning rate must be positive and finite, got {lr}")
         assert md.pass_count() == 0  # refused before any pass
+    spec = trainer.stepwise(summed(trainer.ENGINES[name].grad))
     for width in (1, 3):
         wrong = Sample([0.5] * width, 1.0)
         for batches in ([[good], [wrong]], [[good, wrong]]):
+            md.reset_pass_count()
+            with pytest.raises(ValueError):
+                spec(m, batches, 0.5)
+            passes = md.pass_count()
+            md.reset_pass_count()
             refused(batches, 0.5, f"expected 2 features, got {width}")
+            assert md.pass_count() == passes, batches  # the passes before the wrong sample
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
@@ -270,6 +277,8 @@ def test_config_rejects_bad_values():
         TrainConfig(init_range=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(hidden=(2,), engine="ones")  # multilayer needs per-parameter seeding
+    with pytest.raises(ValueError, match=re.escape("hidden widths must be >= 1, got (0,)")):
+        TrainConfig(hidden=(0,), engine="seeded")
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -311,6 +320,11 @@ def test_config_accepts_numpy_integers_as_ints():
     assert json.loads(json.dumps(cfg.to_dict()))["epochs"] == 3
 
 
+def test_train_refuses_a_model_of_another_width():
+    with pytest.raises(ValueError, match="model width 1 does not match dataset width 2"):
+        trainer.train(TrainConfig(dataset="and"), model=Perceptron([1.0], 0.0))
+
+
 def test_single_epoch_yields_single_record():
     log = trainer.train(TrainConfig(dataset="and", epochs=1))
     assert len(log.records) == 1
@@ -318,17 +332,6 @@ def test_single_epoch_yields_single_record():
 
 
 # --- training behavior ------------------------------------------------------------------
-
-
-def test_engines_trace_identical_loss_curves():
-    logs = [
-        trainer.train(TrainConfig(dataset="and", engine=e, epochs=300, rng_seed=3))
-        for e in ("ones", "seeded", "backprop")
-    ]
-    assert all(log.singular_skips == 0 for log in logs)
-    for log in logs[1:]:
-        gaps = [abs(a - b) for a, b in zip(logs[0].loss_curve(), log.loss_curve())]
-        assert max(gaps) <= 1e-8
 
 
 def test_training_is_deterministic():
@@ -556,7 +559,7 @@ def test_backprop_batch_keeps_the_per_sample_errors():
     md.reset_pass_count()
     with pytest.raises(ValueError, match="expected 2 features, got 3"):
         oracle.grad_backprop_batch(m, [Sample([1.0, 2.0], 0.0), Sample([1.0, 2.0, 3.0], 0.0)])
-    assert md.pass_count() == 0
+    assert md.pass_count() == 1  # the first sample's, as summed(grad_backprop) counts
     mlp = Mlp([Layer([[1.0], [2.0]], [0.0, 0.0]), Layer([[1.0, 1.0]], [0.0])])
     with pytest.raises(TypeError, match="single-layer"):
         oracle.grad_backprop_batch(mlp, [Sample([1.0], 0.0)])
@@ -689,21 +692,12 @@ def test_stepwise_returns_the_last_finite_model_and_the_failure():
     assert (last, norm, skips) == (Perceptron([-1.0], -2.0, "identity"), 2.0, 0)
 
 
+@pytest.mark.parametrize("rule", ["ones", "seeded", "backprop"])
 @pytest.mark.parametrize("dataset", ["and", "or", "line2d"])
 @pytest.mark.parametrize("act", md.ACTIVATIONS)
-def test_the_oracle_batch_loop_traces_the_summed_per_sample_oracle_bit_for_bit(dataset, act,
-                                                                              generic):
-    for batch, shuffle, lr in itertools.product(trainer.BATCH_MODES, (False, True), (0.5, 1e6)):
-        kw = dict(dataset=dataset, activation=act, batch_mode=batch, shuffle=shuffle,
-                  learning_rate=lr, epochs=6, rng_seed=2)
-        assert counted("backprop", **kw) == counted("backprop-generic", **kw), kw
-
-
-@pytest.mark.parametrize("rule", ["ones", "seeded"])
-@pytest.mark.parametrize("dataset", ["and", "line2d"])
-@pytest.mark.parametrize("act", md.ACTIVATIONS)
 def test_the_compiled_loop_traces_the_generic_loop_bit_for_bit(rule, dataset, act, generic):
-    # lr 1e6 makes the identity runs diverge in the middle of an epoch
+    # backprop's loop is the oracle's batch loop, stepped; lr 1e6 makes the identity runs
+    # diverge in the middle of an epoch
     for batch, shuffle, lr in itertools.product(trainer.BATCH_MODES, (False, True), (0.5, 1e6)):
         kw = dict(dataset=dataset, activation=act, batch_mode=batch, shuffle=shuffle,
                   learning_rate=lr, epochs=6, rng_seed=2)

@@ -8,8 +8,9 @@ entries from a pool of ±0.0, ±1e300, 5e-324, ±710 and ±745 or ordinary
 reals, and hashes the ``.hex()`` values of ``forward``, ``grad_seeded``,
 ``grad_ones`` (perceptrons), ``run_sgd`` on per-sample and full batches
 and, on perceptrons, the oracle's ``grad_backprop_batch`` on each sample
-and on the full batch, with each call's exception type and message and
-pass count.
+and on the full batch, then ``grad_backprop_batch`` and both rules'
+``run_sgd`` on the full batch plus one sample a feature wider, with each
+call's exception type and message and pass count.
 
 The digests are not golden values, because ``math.exp`` and ``math.tanh``
 may differ between libm builds; compare two trees on one machine.
@@ -131,6 +132,10 @@ def model_outcomes():
             outcomes.append(outcome(model.run_sgd, m, batches, lr, rule))
         if perceptron:
             outcomes += [outcome(backprop_batch, m, batch) for batch in [*([s] for s in samples), samples]]
+            # the full batch and a sample one feature wider, which every engine refuses
+            wider = [*samples, Sample([*samples[0].x, 1.0], samples[0].y)]
+            outcomes.append(outcome(backprop_batch, m, wider))
+            outcomes += [outcome(model.run_sgd, m, [wider], lr, rule) for rule in rules]
         yield outcomes
 
 
