@@ -616,28 +616,28 @@ def _sgd_loop(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], rule: 
     not at all, as sample-by-sample checking would skip it; an empty batch
     takes no step and counts no skip.
 
-    Both branches run the rule's one list of sample lines, which sets the
-    entries ``e{j}``, and the step reads them. A batch of one steps on its
-    sample's entries: the mean of one gradient is that gradient. A larger
-    batch takes the float operations of a sample-order mean in order: a
-    sum ``c{j}`` per entry from -0.0 in sample order, each sample's
-    entries checked before they are added, then the 1/len(batch) scale,
-    which writes the sums back into the entries. The sums start at -0.0,
-    and ``-0.0 + v`` is v for every v, so the first sample's entries are
-    copied bit for bit, as the mean's first term is. Then ``n{j} = w{j} -
-    lr * e{j}`` is checked once. lr is positive and finite and the weights
-    finite, so a non-finite ``e{j}`` always makes its step non-finite:
-    neither a batch of one's entries nor a larger batch's scaled sums need
-    a check of their own, and on a failing step ``_step_failure`` names
-    the gradient or the parameters and moves the norm as checking the
-    gradient, then the norm, then the parameters does. Each check is the
-    ``v * 0.0`` sum, and its NonFinite is ``_finite``'s, as ``_grad_like``
-    and ``_model_like`` raise it. After a finite step the norm moves to
-    ``e`` or ``-e`` only when that is larger; the entries are finite and
-    the norm is never -0.0, so it ends as ``max(norm, *map(abs,
+    The rule's one list of sample lines runs per sample and sets the entries
+    ``e{j}``, which the step reads. A batch of one breaks out after its
+    sample: the mean of one gradient is that gradient. A larger batch takes
+    a sample-order mean's float operations in order: each sample's entries
+    are checked and added into a sum ``c{j}`` per entry; the ``for``'s
+    ``else`` skips an empty batch, else writes the 1/len(batch) scale of the
+    sums into the entries and sets the sums back to the head's -0.0 (a
+    failing batch ends the loop). ``-0.0 + v`` is v for every v, so the
+    first sample's entries are copied bit for bit, as the mean's first term
+    is. Then ``n{j} = w{j} - lr * e{j}`` is checked once. lr is positive and
+    finite and the weights finite, so a non-finite ``e{j}`` always makes its
+    step non-finite: neither a batch of one's entries nor a larger batch's
+    scaled sums need a check of their own, and on a failing step
+    ``_step_failure`` names the gradient or the parameters and moves the
+    norm as checking the gradient, then the norm, then the parameters does.
+    Each check is the ``v * 0.0`` sum, and its NonFinite is ``_finite``'s,
+    as ``_grad_like`` and ``_model_like`` raise it. After a finite step the
+    norm moves to ``e`` or ``-e`` only when that is larger; the entries are
+    finite and the norm is never -0.0, so it ends as ``max(norm, *map(abs,
     g.params))`` bit for bit. So a run is bit-identical to one through the
-    rule's public gradient, that mean and ``sgd_step``, and counts the
-    same passes.
+    rule's public gradient, that mean and ``sgd_step``, and counts the same
+    passes.
     """
     head, guard, sample, k = _rule_source(shapes, acts, rule, ["skips += len(batch)", "continue"])
     params, entries, sums, steps = ([f"{v}{j}" for j in range(k)] for v in "wecn")
@@ -646,23 +646,23 @@ def _sgd_loop(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], rule: 
         "def loop(p, batches, lr):",
         *(f"    {line}" for line in head),
         "    norm, skips, failure = 0.0, 0, None",
+        f"    {' = '.join(sums)} = -0.0",
         "    try:",
         "        for batch in batches:",
         *(f"            {line}" for line in guard),
-        "            if len(batch) == 1:",
-        "                s, = batch",
+        "            for s in batch:",
         *(f"                {line}" for line in sample),
-        "            elif batch:",
-        f"                {' = '.join(sums)} = -0.0",
-        "                for s in batch:",
-        *(f"                    {line}" for line in sample),
-        *(f"                    {line}" for line in _finite_check(
+        "                if len(batch) == 1:",
+        "                    break",
+        *(f"                {line}" for line in _finite_check(
             "ge", entries, [f"_finite([{', '.join(entries)}], 'gradient entries')"])),
-        *(f"                    {c} = {c} + {e}" for c, e in zip(sums, entries)),
+        *(f"                {c} = {c} + {e}" for c, e in zip(sums, entries)),
+        "            else:",
+        "                if not batch:",
+        "                    continue",
         "                scale = 1.0 / len(batch)",
         *(f"                {e} = scale * {c}" for e, c in zip(entries, sums)),
-        "            else:",
-        "                continue",
+        f"                {' = '.join(sums)} = -0.0",
         *(f"            {m} = {w} - lr * {e}" for m, w, e in zip(steps, params, entries)),
         *(f"            {line}" for line in _finite_check("ps", steps, [
             f"norm, failure = _step_failure(norm, [{', '.join(entries)}], [{', '.join(steps)}])",

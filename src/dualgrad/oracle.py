@@ -147,9 +147,9 @@ def compare(a: AnyGradient, b: AnyGradient, tol: float) -> GradReport:
     below ABS_FALLBACK. Both maxima start at 0.0 and move only to a strictly
     larger value, as the builtin max does: the first of equally bad entries
     wins, and a nan error is never the maximum. worst_index is the entries()
-    path of the worst entry (of the first entry when every error is 0), the
-    only path built unless the layouts differ; gradients whose paths differ
-    raise ValueError listing both.
+    path of the worst entry (of the first entry when every error is 0); the
+    paths up to it are built, in layout order, and every path only when the
+    layouts differ. Gradients whose paths differ raise ValueError listing both.
     """
     # one layout named by one entries() rule gives one path list; build it only to report a mismatch
     if (a.shapes, type(a).entries) != (b.shapes, type(b).entries):

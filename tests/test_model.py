@@ -792,6 +792,19 @@ def test_each_rules_gradient_compiles_from_its_pinned_source(monkeypatch):
         assert [hashlib.sha256(s.encode()).hexdigest() for s in sources] == [digest], (rule, shapes)
 
 
+def test_each_rules_sgd_loop_holds_its_sample_lines_once(monkeypatch):
+    # a batch of one and a larger batch run one text, which starts at the x unpack
+    compile_ = md._compile
+    sources = []
+    monkeypatch.setattr(md, "_compile", lambda lines: sources.append(lines) or compile_(lines))
+    for rule, shapes, acts in GRAD_SOURCES:
+        sources.clear()
+        md._sgd_loop.__wrapped__(shapes, acts, rule)  # compiled afresh, past the cache
+        [lines] = sources
+        unpack = md._unpack("x", shapes[0][0], "s.x")
+        assert [line.strip() for line in lines].count(unpack) == 1, (rule, shapes)
+
+
 def test_seeded_loss_overflow_is_typed():
     # d = -1e200: the square d**2 overflows, but no engine evaluates it and
     # every gradient entry is finite, so the three engines agree

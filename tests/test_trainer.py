@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from dualgrad import model as md
-from dualgrad import cli, oracle, trainer
+from dualgrad import bench, cli, oracle, trainer
 from dualgrad.dual import NonFinite
 from dualgrad.model import Gradient, Layer, LayerGradient, Mlp, MlpGradient, Perceptron, Sample
 from dualgrad.trainer import Dataset, EpochRecord, TrainConfig, TrainLog
@@ -470,11 +470,9 @@ BATCH = {"ones": summed(md.grad_ones), "seeded": summed(md.grad_seeded),
 
 
 def guarded_perceptron(rng, n):
-    while True:
-        W = [float(v) for v in rng.uniform(-2, 2, n)]
-        if abs(sum(W)) >= 1e-3:
-            act = str(rng.choice(md.ACTIVATIONS))
-            return Perceptron(W, float(rng.uniform(-2, 2)), act)
+    """``bench.guarded_perceptron`` under an activation drawn from the same generator."""
+    m = bench.guarded_perceptron(n, rng)
+    return Perceptron(m.W, m.b, str(rng.choice(md.ACTIVATIONS)))
 
 
 def random_batch(rng, n, size):
@@ -499,15 +497,14 @@ def test_every_engine_has_one_per_sample_rule():
         assert trainer.ENGINES[name].grad is rule, name
 
 
-@pytest.mark.parametrize("name", list(PER_SAMPLE))
-def test_a_batch_is_the_sample_order_mean_of_its_gradients_bit_for_bit(name):
+def test_the_oracle_batch_is_the_sample_order_mean_of_its_gradients_bit_for_bit():
     rng = np.random.default_rng(60)
     for _ in range(60):
         n = int(rng.integers(1, 7))
         m = guarded_perceptron(rng, n)
         batch = random_batch(rng, n, int(rng.integers(1, 9)))
-        g, skips = BATCH[name](m, batch)
-        want = sample_order_mean([PER_SAMPLE[name](m, s).params for s in batch])
+        g, skips = oracle.grad_backprop_batch(m, batch)
+        want = sample_order_mean([oracle.grad_backprop(m, s).params for s in batch])
         assert skips == 0 and type(g) is Gradient and g.shapes == m.shapes
         assert [v.hex() for v in g.params] == [v.hex() for v in want]
 
@@ -776,11 +773,12 @@ def test_the_compiled_loop_keeps_the_guard_and_the_norm_at_their_boundaries(batc
         assert skips == (9 if abs(t) < md.ONES_SEED_GUARD else 0), t
 
 
-@pytest.mark.parametrize("batch", trainer.BATCH_MODES)
+@pytest.mark.parametrize("batch", [*trainer.BATCH_MODES, "mixed"])
 @pytest.mark.parametrize("name", trainer.ENGINES)
 def test_each_engines_sgd_equals_its_stepwise_spec_on_random_nets(name, batch):
     # digest's overflow-prone nets and entries, batches of 1-4 samples and lr
-    # up to 1e300: about a quarter of the runs stop on a NonFinite
+    # up to 1e300: about a quarter of the runs stop on a NonFinite. "mixed"
+    # runs batches of several sizes, an empty one among them, in one call.
     rng = random.Random(0)
     engine = trainer.engine(name)
     spec = trainer.stepwise(summed(engine.grad))
@@ -791,7 +789,8 @@ def test_each_engines_sgd_equals_its_stepwise_spec_on_random_nets(name, batch):
         lr = rng.choice((0.5, 1e-3, 1e6, 1e300))
         if name != "seeded" and not isinstance(m, Perceptron):
             continue
-        batches = [[s] for s in samples] if batch == "per_sample" else [samples]
+        batches = {"per_sample": [[s] for s in samples], "full_batch": [samples],
+                   "mixed": [samples, samples[:1], [], samples[::-1]]}[batch]
         # the parameter bits, norm, skips, failure or exception, and passes
         got, want = (digest.outcome(sgd, m, batches, lr) for sgd in (engine.sgd, spec))
         assert got == want, (m, samples, lr)

@@ -9,7 +9,9 @@ reals, and hashes the ``.hex()`` values of ``forward``, ``grad_seeded``,
 ``grad_ones`` (perceptrons), ``run_sgd`` on per-sample and full batches
 and, on perceptrons, the oracle's ``grad_backprop_batch`` on each sample
 and on the full batch, then ``grad_backprop_batch`` and both rules'
-``run_sgd`` on the full batch plus one sample a feature wider, with each
+``run_sgd`` on the full batch plus one sample a feature wider, and last
+``run_sgd`` under each rule on mixed batches in one call (the full batch,
+its first sample, an empty batch and the full batch reversed), with each
 call's exception type and message and pass count.
 
 The digests are not golden values, because ``math.exp`` and ``math.tanh``
@@ -136,6 +138,9 @@ def model_outcomes():
             wider = [*samples, Sample([*samples[0].x, 1.0], samples[0].y)]
             outcomes.append(outcome(backprop_batch, m, wider))
             outcomes += [outcome(model.run_sgd, m, [wider], lr, rule) for rule in rules]
+        # batches of several sizes in one call, an empty one among them
+        mixed = [samples, samples[:1], [], samples[::-1]]
+        outcomes += [outcome(model.run_sgd, m, mixed, lr, rule) for rule in rules]
         yield outcomes
 
 
