@@ -12,7 +12,9 @@ Two forward-mode gradients are provided:
   whose dual part sum(W) * act'(z) it divides by sum(W); it raises
   :class:`SingularSeed` where sum(W) is (near) zero.
 * ``grad_seeded`` runs one dual pass per scalar parameter, seeding only
-  that parameter: no division, and any layout, at P passes.
+  that parameter: no division, and any layout, at P passes. Up to
+  ``STRAIGHT_PASSES`` parameters the passes are written out one by one,
+  each with its seed; past it one pass text loops over the seeds.
 
 Each rule is one record in ``_RULES``: its input tangent, guard, lines
 from the dual pass to the gradient entries, and precondition. The pass is
@@ -379,7 +381,7 @@ def _kernel(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
     yhat``) from 0.0 in sample order, as summing ``loss(forward(x), y)``
     does. Neither counts a pass; no tangent pass or gradient compiles here.
     """
-    sweep, _, _, units, _ = _pass_lines(shapes, acts, "0")
+    sweep, _, _, units, _ = _pass_lines(shapes, acts)
     unpack_params, n = _unpack("w", len(units), "p"), shapes[0][0]
     lines = [
         "def kernel(p, x):",
@@ -437,17 +439,18 @@ def _step_failure(norm: float, grad: list[float], params: list[float]):
         return norm, exc
 
 
-def _pass_lines(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], done: str):
+def _pass_lines(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
     """The lines of one layout's dual pass: every rule's, and ``_kernel``'s real sweep.
 
     ``sweep`` sets each unit's pre-activation real ``r{u}`` and activation
     ``a{u}`` from the inputs ``x{j}``; ``factors`` sets its derivative
-    factors and ``rb``, the real check term of every unit; ``passes`` is
-    one tangent pass from the input tangent ``dx``, which every input
-    shares, and each unit's seed ``sd{u}``, ending at the output tangent
-    ``t{u}``. ``units`` and ``values`` name, per parameter in layout order,
-    the unit ``seeded`` seeds and the seed. A failing pass counts ``done``,
-    the passes before it.
+    factors and ``rb``, the real check term of every unit; ``pass_(seeds,
+    done)`` writes one tangent pass from the input tangent ``dx``, which
+    every input shares, ending at the output tangent ``t{u}``: unit u adds
+    the seed term ``seeds[u]`` after its row sum, and a unit not in
+    ``seeds`` adds nothing. ``units`` and ``values`` name, per parameter in
+    layout order, the unit ``seeded`` seeds and the seed. A failing pass
+    counts ``done``, the passes before it.
 
     A tangent pass costs O(P) and takes, per unit, the ring's float
     operations in the ring's order: 0.0 for the bias, plus ``w * dx`` per
@@ -457,10 +460,11 @@ def _pass_lines(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], done
     of a sum that starts at +0.0 and so is never -0.0. The seed, 1.0 for a
     bias and the input real for a weight, is added after the row sum, which
     is +0.0 at the seeded unit because nothing before a seeded parameter
-    carries a tangent; every other unit adds 0.0, which changes no bit
-    either. No seed changes a real part, so one real sweep serves every
-    pass. So the results are bit-identical to the same pass over ``Dual``
-    values.
+    carries a tangent; adding 0.0 at every other unit changes no bit
+    either, so a pass may add a seed local ``sd{u}`` at every unit, or its
+    one seed at its one unit. No seed changes a real part, so one real
+    sweep serves every pass. So the results are bit-identical to the same
+    pass over ``Dual`` values.
 
     One check per pass, at the output unit, sees whether any unit's real
     or dual part is not finite: ``z{out} * 0.0 + rb != 0.0``, where ``v *
@@ -481,32 +485,41 @@ def _pass_lines(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], done
     n = shapes[0][0]
     hr = [f"x{j}" for j in range(n)]  # the layer's input reals
     hd = ["dx"] * n  # and their tangents, all equal
-    sweep, factors, passes, units, values, checked = [], [], [], [], [], []
+    sweep, factors, layers, units, values, checked = [], [], [], [], [], []
     k = u0 = 0  # the layer's first weight and first unit
     for (n_in, n_out), act in zip(shapes, acts):
         activation, factor, tangent = _ACT_SOURCE[act]
         b0 = k + n_in * n_out
         layer = range(u0, u0 + n_out)
+        rows = []  # per unit, the terms of its row sum
         for i, u in enumerate(layer):
             row = range(k + i * n_in, k + (i + 1) * n_in)
             sweep += _chain(f"r{u}", [f"w{b0 + i}", *(f"w{j} * {h}" for j, h in zip(row, hr))])
             sweep += [line.format(u=u) for line in activation]
             factors += [line.format(u=u) for line in factor]
-            passes += _chain(f"z{u}", ["0.0", *(f"w{j} * {d}" for j, d in zip(row, hd)), f"sd{u}"])
+            rows.append((u, ["0.0", *(f"w{j} * {d}" for j, d in zip(row, hd))]))
             units += [u] * n_in
             values += hr
         units += layer
         values += ["1.0"] * n_out
         checked.append(f"({''.join(f'(r{u}, z{u}), ' for u in layer)})")
-        passes += [f"t{u} = " + tangent.format(u=u) for u in layer]
+        layers.append((rows, [f"t{u} = " + tangent.format(u=u) for u in layer]))
         hr = [f"a{u}" for u in layer]
         hd = [f"t{u}" for u in layer]
         k = b0 + n_out
         u0 += n_out
     factors += _chain("rb", [f"r{u} * 0.0" for u in range(u0)])
-    passes += [f"if z{u0 - 1} * 0.0 + rb != 0.0:",
-               f"    raise _pass_failure({done}, ({''.join(f'{c}, ' for c in checked)}))"]
-    return sweep, factors, passes, units, values
+
+    def pass_(seeds: dict[int, str], done: str) -> list[str]:
+        lines = []
+        for rows, tangents in layers:
+            for u, terms in rows:
+                lines += _chain(f"z{u}", [*terms, seeds[u]] if u in seeds else terms)
+            lines += tangents
+        return [*lines, f"if z{u0 - 1} * 0.0 + rb != 0.0:",
+                f"    raise _pass_failure({done}, ({''.join(f'{c}, ' for c in checked)}))"]
+
+    return sweep, factors, pass_, units, values
 
 
 # --- the gradient rules: one record each -------------------------------------------
@@ -515,21 +528,31 @@ def _pass_lines(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], done
 class _Rule(NamedTuple):
     """One forward-mode gradient rule, as the lines of its compiled code.
 
-    ``dx`` is every input's tangent, ``done`` the passes a failing pass
-    counts before it; a ``single_layer`` rule takes perceptrons only.
-    ``lines(n, pass_, units, values)`` returns the guard (``seed_sum`` and
+    ``dx`` is every input's tangent; a ``single_layer`` rule takes
+    perceptrons only. ``lines(n, pass_, units, values)`` returns the seed
+    lines of the head (binding every unit's seed local ``sd{u}`` to 0.0, or
+    none where each pass writes its seed in), the guard (``seed_sum`` and
     an ``if`` true where the rule is undefined, or no lines) and the
-    gradient: the passes on sample ``s``, added to ``passes``, and the
-    entries ``e0``, ..., ``e{P-1}``, the names every compiled caller reads.
+    gradient: the passes on sample ``s``, written by ``pass_`` and added to
+    ``passes``, and the entries ``e0``, ..., ``e{P-1}``, the names every
+    compiled caller reads. Each pass it writes gives ``pass_`` its ``done``,
+    the passes a failing one counts before it: ``0`` for ``ones``' one
+    pass, and for ``seeded``'s pass j, ``j`` when written out and
+    ``len(es)`` in the loop.
     """
 
     dx: float
-    done: str
     single_layer: bool
-    lines: Callable[..., tuple[list[str], list[str]]]
+    lines: Callable[..., tuple[list[str], list[str], list[str]]]
 
 
-def _ones_lines(n: int, pass_: list[str], units: list[int], values: list[str]):
+def _seed_locals(n_units: int) -> tuple[list[str], dict[int, str]]:
+    """The head lines binding the list ``sd`` and each unit's seed local ``sd{u}`` to 0.0, and
+    the seeds of a pass that adds every ``sd{u}``."""
+    return [f"sd = [0.0] * {n_units}", _unpack("sd", n_units, "sd")], {u: f"sd{u}" for u in range(n_units)}
+
+
+def _ones_lines(n: int, pass_, units: list[int], values: list[str]):
     """One pass, every input tangent 1.0, entries ``q * x_j`` and ``q``.
 
     The guard sums W left to right from the int 0, the builtin ``sum`` of
@@ -539,24 +562,49 @@ def _ones_lines(n: int, pass_: list[str], units: list[int], values: list[str]):
     out = units[-1]
     guard = [*_chain("seed_sum", ["0", *(f"w{j}" for j in range(n))]),
              "if -ONES_SEED_GUARD < seed_sum < ONES_SEED_GUARD:"]
-    return guard, [*pass_, "passes += 1", f"q = 2.0 * (a{out} - s.y) * t{out} / seed_sum",
-                   *(f"e{j} = q * x{j}" for j in range(n)), f"e{n} = q"]
+    head, seeds = _seed_locals(out + 1)
+    return head, guard, [
+        *pass_(seeds, "0"), "passes += 1",
+        f"q = 2.0 * (a{out} - s.y) * t{out} / seed_sum",
+        *(f"e{j} = q * x{j}" for j in range(n)), f"e{n} = q"]
 
 
-def _seeded_lines(n: int, pass_: list[str], units: list[int], values: list[str]):
-    """One pass per parameter seeded, zero input tangents, in one stage: ``dd = 2 * d``
-    is taken first; pass j sets its unit's seed in ``sd``, unpacks ``sd`` into the
-    seed locals and, as it ends, appends entry j, the power rule ``dd * (0.0 - t)``,
-    to ``es``. ``2 * d * (0.0 - t)`` parses as ``(2 * d) * (0.0 - t)``, so the
-    operations are the same."""
+# Layouts with at most this many parameters write each ``seeded`` pass out;
+# written-out text grows as P squared, so larger layouts loop over one pass.
+STRAIGHT_PASSES = 32
+
+
+def _seeded_lines(n: int, pass_, units: list[int], values: list[str]):
+    """One pass per parameter seeded, zero input tangents: ``dd = 2 * d`` is taken
+    first, and pass j ends with entry j, the power rule ``dd * (0.0 - t)``.
+    ``2 * d * (0.0 - t)`` parses as ``(2 * d) * (0.0 - t)``, so the operations are
+    the same.
+
+    Up to ``STRAIGHT_PASSES`` parameters the P passes are written out in
+    layout order: pass j adds its seed, written in, at its unit alone, sets
+    ``e{j}`` and counts ``j`` passes if it fails. Past it, one pass text runs
+    in a loop over the seeds: pass j sets its unit's seed in ``sd``, unpacks
+    ``sd`` into the seed locals, appends entry j to ``es`` and sets the seed
+    back to 0.0; a failing pass counts ``len(es)``. Both forms count P
+    passes once they all ran, and their entries are the same bits.
+    """
     k, out = len(units), units[-1]
-    return [], [
-        f"dd = 2 * (s.y - a{out})",
+    dd = f"dd = 2 * (s.y - a{out})"
+    if k <= STRAIGHT_PASSES:
+        return [], [], [
+            dd,
+            *(line for j, (u, v) in enumerate(zip(units, values))
+              for line in (*pass_({u: v}, str(j)), f"e{j} = dd * (0.0 - t{out})")),
+            f"passes += {k}",
+        ]
+    head, seeds = _seed_locals(out + 1)
+    return head, [], [
+        dd,
         "es = []",
         f"for u, v in zip({tuple(units)}, ({''.join(f'{v}, ' for v in values)})):",
         "    sd[u] = v",
         f"    {_unpack('sd', out + 1, 'sd')}",
-        *(f"    {line}" for line in pass_),
+        *(f"    {line}" for line in pass_(seeds, "len(es)")),
         f"    es.append(dd * (0.0 - t{out}))",
         "    sd[u] = 0.0",
         f"passes += {k}",
@@ -566,24 +614,23 @@ def _seeded_lines(n: int, pass_: list[str], units: list[int], values: list[str])
 
 # The forward-mode rules by name: ``grad_ones``/``grad_seeded`` and ``run_sgd``'s rule.
 _RULES = {
-    "ones": _Rule(1.0, "0", True, _ones_lines),
-    "seeded": _Rule(0.0, "len(es)", False, _seeded_lines),
+    "ones": _Rule(1.0, True, _ones_lines),
+    "seeded": _Rule(0.0, False, _seeded_lines),
 }
 
 
 def _rule_source(shapes, acts, rule: str, singular: list[str]):
     """The lines that a rule's ``_grad`` and ``_sgd_loop`` share, for one layout.
 
-    They are the head, which binds ``dx`` first and every unit's seed to
-    0.0, the guard running ``singular``, and the one list of sample lines
+    They are the head, which binds ``dx`` first and then the rule's seed
+    lines, the guard running ``singular``, and the one list of sample lines
     setting the entries ``e{j}``; the parameter count comes last.
     """
     r = _RULES[rule]
-    sweep, factors, pass_, units, values = _pass_lines(shapes, acts, r.done)
-    n, k, n_units = shapes[0][0], len(units), units[-1] + 1
-    head = [f"dx = {r.dx}", _unpack("w", k, "p"), f"sd = [0.0] * {n_units}",
-            _unpack("sd", n_units, "sd"), "passes = 0"]
-    guard, gradient = r.lines(n, pass_, units, values)
+    sweep, factors, pass_, units, values = _pass_lines(shapes, acts)
+    n, k = shapes[0][0], len(units)
+    seeds, guard, gradient = r.lines(n, pass_, units, values)
+    head = [f"dx = {r.dx}", _unpack("w", k, "p"), *seeds, "passes = 0"]
     guard = guard and [*guard, *(f"    {line}" for line in singular)]
     return head, guard, [_unpack("x", n, "s.x"), *sweep, *factors, *gradient], k
 

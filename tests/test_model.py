@@ -2,8 +2,11 @@
 
 import functools
 import hashlib
+import importlib.util
 import math
 import operator
+import random
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -16,6 +19,11 @@ from dualgrad import bench, oracle, trainer
 from dualgrad.dual import Dual, NonFinite
 from dualgrad.model import Layer, Mlp, Perceptron, Sample
 from helpers import assert_grads_close, relerr, summed
+
+_spec = importlib.util.spec_from_file_location(
+    "digest", Path(__file__).resolve().parent.parent / "tools" / "digest.py")
+digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(digest)
 
 
 def random_perceptron(rng, n, act="sigmoid"):
@@ -773,12 +781,15 @@ def test_a_failing_step_stops_as_the_stepwise_spec_does(case, rule, batch):
 
 # sha256 of each rule's per-sample gradient source, per layout: the SGD loop
 # is compiled from the same rule lines, and changing it moves none of these.
+# The first two seeded layouts write their passes out; the width-128 one
+# (P = 129, past STRAIGHT_PASSES) loops over one pass text.
 GRAD_SOURCES = {
     ("ones", ((3, 1),), ("sigmoid",)): "a14894479878686e3c33187b2ed0850a4903fdc365e20db0523e93eaaff970b7",
     ("ones", ((2, 1),), ("tanh",)): "ab27cd69a45240838ac5b018635f94b48fa979dff199bd217d6a119202535508",
-    ("seeded", ((3, 1),), ("identity",)): "11a60df2c3ed5daacc9590f2e2ecfda2fde3076f66865a37a38e73651a715618",
+    ("seeded", ((3, 1),), ("identity",)): "2e7d12028c622f964a5459c12192d3720547e6c9faec6c3a90ddc98c636af2a3",
     ("seeded", ((2, 4), (4, 1)), ("tanh", "sigmoid")):
-        "a97a7aebe6b9144efd27691fc1cdf272bde7e8ecf019cae14fc80d01c32d5748",
+        "e266b9f634f0a52625ca459f5d12050d7bf4ebb19c0803e5ce8c2d66c758151c",
+    ("seeded", ((128, 1),), ("sigmoid",)): "7ca4d1831af61385971b53db3af2bddb2b02711ee6f4cf29a09e16fbb2ef3338",
 }
 
 
@@ -803,6 +814,49 @@ def test_each_rules_sgd_loop_holds_its_sample_lines_once(monkeypatch):
         [lines] = sources
         unpack = md._unpack("x", shapes[0][0], "s.x")
         assert [line.strip() for line in lines].count(unpack) == 1, (rule, shapes)
+
+
+def run_outcome(f, *args):
+    """A compiled gradient's or loop's result as .hex() values, or its exception, and the passes it counted."""
+    md.reset_pass_count()
+    try:
+        result = f(*args)
+    except NonFinite as exc:
+        result = f"{type(exc).__name__}: {exc}"
+    else:
+        if isinstance(result, tuple):  # a loop's (params, norm, skips, failure)
+            params, norm, skips, failure = result
+            result = [v.hex() for v in params], norm.hex(), skips, failure and f"{type(failure).__name__}: {failure}"
+        else:
+            result = [v.hex() for v in result]
+    return result, md.pass_count()
+
+
+def test_written_out_seeded_passes_are_the_loops_bit_for_bit(monkeypatch):
+    # each layout's seeded gradient and SGD loop, compiled written out and as
+    # the loop past the threshold, on digest-style nets whose entries reach
+    # +-1e300, +-710 and +-745, so many passes and steps fail
+    rng, threshold = random.Random(32), md.STRAIGHT_PASSES
+    written_out = failed = 0
+    for _ in range(150):
+        m = digest.random_net(rng)
+        samples = [Sample(digest.entries(rng, m.width), digest.entries(rng, 1)[0])
+                   for _ in range(rng.randint(1, 4))]
+        lr = rng.choice((0.5, 1e-3, 1e6))
+        runs = []
+        for straight in (threshold, 0):
+            monkeypatch.setattr(md, "STRAIGHT_PASSES", straight)
+            grad = md._grad.__wrapped__(m.shapes, m.acts, "seeded")  # compiled afresh, past the cache
+            loop = md._sgd_loop.__wrapped__(m.shapes, m.acts, "seeded")
+            looped = len(m.params) > straight
+            assert ("es" in grad.__code__.co_varnames, "es" in loop.__code__.co_varnames) == (looped, looped)
+            runs.append([*(run_outcome(grad, m.params, s) for s in samples),
+                         *(run_outcome(loop, m.params, batches, lr)
+                           for batches in ([[s] for s in samples], [samples, [], samples[::-1]]))])
+        assert runs[0] == runs[1], m.shapes
+        written_out += len(m.params) <= threshold
+        failed += any("layer" in str(result) for result, _ in runs[0])
+    assert written_out > 100 and failed > 20, (written_out, failed)
 
 
 def test_seeded_loss_overflow_is_typed():

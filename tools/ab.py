@@ -132,20 +132,23 @@ def grad_seeded_mlp(pkg, inputs):
     return run
 
 
-def draw_wide_pairs(pkg):
-    """16 width-128 (perceptron, sample) pairs from ``bench``, drawn from seed 0."""
-    rng = np.random.default_rng(0)
-    pairs = [(pkg.bench.guarded_perceptron(128, rng), pkg.bench.random_sample(128, rng)) for _ in range(16)]
-    return [(plain_perceptron(m), plain_sample(s)) for m, s in pairs]
+def draw_pairs(width: int) -> Callable:
+    """A ``draw`` of 16 width-``width`` (perceptron, sample) pairs from ``bench``, from seed 0."""
+    def draw(pkg):
+        rng = np.random.default_rng(0)
+        pairs = [(pkg.bench.guarded_perceptron(width, rng), pkg.bench.random_sample(width, rng))
+                 for _ in range(16)]
+        return [(plain_perceptron(m), plain_sample(s)) for m, s in pairs]
+    return draw
 
 
-def wide_pairs(pkg, pairs):
+def pairs_of(pkg, pairs):
     return [(pkg.model.Perceptron(*m), pkg.model.Sample(*s)) for m, s in pairs]
 
 
 def grad_backprop_128(pkg, inputs):
-    """125 calls of ``grad_backprop`` on each of the 16 wide pairs."""
-    pairs, grad = wide_pairs(pkg, inputs), pkg.oracle.grad_backprop
+    """125 calls of ``grad_backprop`` on each of the 16 width-128 pairs."""
+    pairs, grad = pairs_of(pkg, inputs), pkg.oracle.grad_backprop
 
     def run():
         for _ in range(125):
@@ -154,9 +157,9 @@ def grad_backprop_128(pkg, inputs):
     return run
 
 
-def grad_seeded_128(pkg, inputs):
-    """One ``grad_seeded`` call (129 passes) on each of the 16 wide pairs."""
-    pairs, grad = wide_pairs(pkg, inputs), pkg.model.grad_seeded
+def grad_seeded_pairs(pkg, inputs):
+    """One ``grad_seeded`` call (width + 1 passes) on each of the 16 pairs."""
+    pairs, grad = pairs_of(pkg, inputs), pkg.model.grad_seeded
 
     def run():
         for m, s in pairs:
@@ -166,8 +169,10 @@ def grad_seeded_128(pkg, inputs):
 
 WORKLOADS = {
     "backprop_batch": Workload(draw_line2d_init, backprop_batch),
-    "grad_backprop_128": Workload(draw_wide_pairs, grad_backprop_128),
-    "grad_seeded_128": Workload(draw_wide_pairs, grad_seeded_128),
+    "grad_backprop_128": Workload(draw_pairs(128), grad_backprop_128),
+    # P = 32, the largest layout whose seeded passes are written out
+    "grad_seeded_31": Workload(draw_pairs(31), grad_seeded_pairs),
+    "grad_seeded_128": Workload(draw_pairs(128), grad_seeded_pairs),
     "grad_seeded_mlp": Workload(draw_xor_mlp, grad_seeded_mlp),
     "train_backprop_full_batch": line2d_train("backprop", "full_batch"),
     "train_ones_full_batch": line2d_train("ones", "full_batch"),
