@@ -461,10 +461,11 @@ def _pass_lines(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
     bias and the input real for a weight, is added after the row sum, which
     is +0.0 at the seeded unit because nothing before a seeded parameter
     carries a tangent; adding 0.0 at every other unit changes no bit
-    either, so a pass may add a seed local ``sd{u}`` at every unit, or its
-    one seed at its one unit. No seed changes a real part, so one real
-    sweep serves every pass. So the results are bit-identical to the same
-    pass over ``Dual`` values.
+    either. So a pass adds only the seeds it is given: none for ``ones``,
+    its one seed at its one unit for a written-out ``seeded`` pass, and a
+    seed local ``sd{u}`` at every unit for the looped one. No seed changes
+    a real part, so one real sweep serves every pass. So the results are
+    bit-identical to the same pass over ``Dual`` values.
 
     One check per pass, at the output unit, sees whether any unit's real
     or dual part is not finite: ``z{out} * 0.0 + rb != 0.0``, where ``v *
@@ -529,31 +530,25 @@ class _Rule(NamedTuple):
     """One forward-mode gradient rule, as the lines of its compiled code.
 
     ``dx`` is every input's tangent; a ``single_layer`` rule takes
-    perceptrons only. ``lines(n, pass_, units, values)`` returns the seed
-    lines of the head (binding every unit's seed local ``sd{u}`` to 0.0, or
-    none where each pass writes its seed in), the guard (``seed_sum`` and
-    an ``if`` true where the rule is undefined, or no lines) and the
-    gradient: the passes on sample ``s``, written by ``pass_`` and added to
-    ``passes``, and the entries ``e0``, ..., ``e{P-1}``, the names every
-    compiled caller reads. Each pass it writes gives ``pass_`` its ``done``,
-    the passes a failing one counts before it: ``0`` for ``ones``' one
-    pass, and for ``seeded``'s pass j, ``j`` when written out and
-    ``len(es)`` in the loop.
+    single-layer layouts only. ``lines(n, pass_, units, values)`` returns
+    the guard (``seed_sum`` and an ``if`` true where the rule is undefined,
+    or no lines) and the gradient: the passes on sample ``s``, written by
+    ``pass_`` and added to ``passes``, and the entries ``e0``, ...,
+    ``e{P-1}``, the names every compiled caller reads. A pass adds only the
+    seeds it is given, and a rule that seeds from a list binds it in its
+    gradient lines. Each pass it writes gives ``pass_`` its ``done``, the
+    passes a failing one counts before it: ``0`` for ``ones``' one pass,
+    and for ``seeded``'s pass j, ``j`` when written out and ``len(es)`` in
+    the loop.
     """
 
     dx: float
     single_layer: bool
-    lines: Callable[..., tuple[list[str], list[str], list[str]]]
-
-
-def _seed_locals(n_units: int) -> tuple[list[str], dict[int, str]]:
-    """The head lines binding the list ``sd`` and each unit's seed local ``sd{u}`` to 0.0, and
-    the seeds of a pass that adds every ``sd{u}``."""
-    return [f"sd = [0.0] * {n_units}", _unpack("sd", n_units, "sd")], {u: f"sd{u}" for u in range(n_units)}
+    lines: Callable[..., tuple[list[str], list[str]]]
 
 
 def _ones_lines(n: int, pass_, units: list[int], values: list[str]):
-    """One pass, every input tangent 1.0, entries ``q * x_j`` and ``q``.
+    """One pass, every input tangent 1.0 and no seed, entries ``q * x_j`` and ``q``.
 
     The guard sums W left to right from the int 0, the builtin ``sum`` of
     Python 3.10-3.11 on every interpreter; its chained comparison is
@@ -562,9 +557,8 @@ def _ones_lines(n: int, pass_, units: list[int], values: list[str]):
     out = units[-1]
     guard = [*_chain("seed_sum", ["0", *(f"w{j}" for j in range(n))]),
              "if -ONES_SEED_GUARD < seed_sum < ONES_SEED_GUARD:"]
-    head, seeds = _seed_locals(out + 1)
-    return head, guard, [
-        *pass_(seeds, "0"), "passes += 1",
+    return guard, [
+        *pass_({}, "0"), "passes += 1",
         f"q = 2.0 * (a{out} - s.y) * t{out} / seed_sum",
         *(f"e{j} = q * x{j}" for j in range(n)), f"e{n} = q"]
 
@@ -583,28 +577,30 @@ def _seeded_lines(n: int, pass_, units: list[int], values: list[str]):
     Up to ``STRAIGHT_PASSES`` parameters the P passes are written out in
     layout order: pass j adds its seed, written in, at its unit alone, sets
     ``e{j}`` and counts ``j`` passes if it fails. Past it, one pass text runs
-    in a loop over the seeds: pass j sets its unit's seed in ``sd``, unpacks
-    ``sd`` into the seed locals, appends entry j to ``es`` and sets the seed
-    back to 0.0; a failing pass counts ``len(es)``. Both forms count P
-    passes once they all ran, and their entries are the same bits.
+    in a loop over the seeds, and the gradient lines first bind the seed
+    list ``sd``, 0.0 per unit: pass j sets its unit's seed in ``sd``,
+    unpacks ``sd`` into the seed locals ``sd{u}``, adds each at its unit,
+    appends entry j to ``es`` and sets the seed back to 0.0; a failing pass
+    counts ``len(es)``. Both forms count P passes once they all ran, and
+    their entries are the same bits.
     """
     k, out = len(units), units[-1]
     dd = f"dd = 2 * (s.y - a{out})"
     if k <= STRAIGHT_PASSES:
-        return [], [], [
+        return [], [
             dd,
             *(line for j, (u, v) in enumerate(zip(units, values))
               for line in (*pass_({u: v}, str(j)), f"e{j} = dd * (0.0 - t{out})")),
             f"passes += {k}",
         ]
-    head, seeds = _seed_locals(out + 1)
-    return head, [], [
+    return [], [
+        f"sd = [0.0] * {out + 1}",
         dd,
         "es = []",
         f"for u, v in zip({tuple(units)}, ({''.join(f'{v}, ' for v in values)})):",
         "    sd[u] = v",
         f"    {_unpack('sd', out + 1, 'sd')}",
-        *(f"    {line}" for line in pass_(seeds, "len(es)")),
+        *(f"    {line}" for line in pass_({u: f"sd{u}" for u in range(out + 1)}, "len(es)")),
         f"    es.append(dd * (0.0 - t{out}))",
         "    sd[u] = 0.0",
         f"passes += {k}",
@@ -622,15 +618,16 @@ _RULES = {
 def _rule_source(shapes, acts, rule: str, singular: list[str]):
     """The lines that a rule's ``_grad`` and ``_sgd_loop`` share, for one layout.
 
-    They are the head, which binds ``dx`` first and then the rule's seed
-    lines, the guard running ``singular``, and the one list of sample lines
-    setting the entries ``e{j}``; the parameter count comes last.
+    They are the head, the same three lines for every rule (``dx`` first,
+    the parameter unpack and ``passes = 0``), the guard running
+    ``singular``, and the one list of sample lines setting the entries
+    ``e{j}``; the parameter count comes last.
     """
     r = _RULES[rule]
     sweep, factors, pass_, units, values = _pass_lines(shapes, acts)
     n, k = shapes[0][0], len(units)
-    seeds, guard, gradient = r.lines(n, pass_, units, values)
-    head = [f"dx = {r.dx}", _unpack("w", k, "p"), *seeds, "passes = 0"]
+    guard, gradient = r.lines(n, pass_, units, values)
+    head = [f"dx = {r.dx}", _unpack("w", k, "p"), "passes = 0"]
     guard = guard and [*guard, *(f"    {line}" for line in singular)]
     return head, guard, [_unpack("x", n, "s.x"), *sweep, *factors, *gradient], k
 
@@ -730,14 +727,14 @@ def _sgd_loop(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], rule: 
 
 def _check(m: Mlp, rule: str | None, x: Sequence[float] | None = None) -> None:
     """Raise unless m meets ``rule``'s precondition and x, if given, has m's width."""
-    if rule and _RULES[rule].single_layer and not isinstance(m, Perceptron):
+    if rule and _RULES[rule].single_layer and len(m.shapes) > 1:
         raise TypeError("the shared-seed rule is single-layer; use grad_seeded for Mlp")
     if x is not None and len(x) != m.width:
         raise ValueError(f"expected {m.width} features, got {len(x)}")
 
 
-def forward_dual_ones(m: Perceptron, x: Sequence[float]) -> Dual:
-    """Evaluate the perceptron with every input seeded as x_i + eps.
+def forward_dual_ones(m: Mlp, x: Sequence[float]) -> Dual:
+    """Evaluate a single-layer model with every input seeded as x_i + eps.
 
     The result's dual part equals sum(W) * act'(W.x + b): all input
     perturbations share one eps, so their first-order effects add up.
@@ -745,13 +742,15 @@ def forward_dual_ones(m: Perceptron, x: Sequence[float]) -> Dual:
     then the lift in ``functions``; a non-finite part raises NonFinite.
     """
     _check(m, "ones", x)
-    z = sum((Dual(xi, 1.0) * w for w, xi in zip(m.W, x)), Dual(m.b))
-    z = z if m.act == "identity" else getattr(functions, m.act)(z)  # sigmoid or tanh
+    *W, b = m.params
+    act = m.acts[0]
+    z = sum((Dual(xi, 1.0) * w for w, xi in zip(W, x)), Dual(b))
+    z = z if act == "identity" else getattr(functions, act)(z)  # sigmoid or tanh
     count_forward_pass(1)
     return z
 
 
-def grad_ones(m: Perceptron, s: Sample) -> Gradient:
+def grad_ones(m: Mlp, s: Sample) -> AnyGradient:
     """Gradient of (y - yhat)**2 from a single input-seeded dual pass.
 
     dW_i = 2*(R(yhat_eps) - y) * E(yhat_eps) / sum(W) * x_i, and db is the

@@ -16,7 +16,7 @@ from itertools import islice
 
 from . import model as _model
 from .dual import NonFinite
-from .model import AnyGradient, Gradient, Model, Perceptron, Sample
+from .model import AnyGradient, Mlp, Model, Sample
 
 # Entries smaller than this are compared by absolute rather than relative error.
 ABS_FALLBACK = 1e-8
@@ -42,7 +42,7 @@ def _act_value_deriv(tag: str, z: float) -> tuple[float, float]:
     raise ValueError(f"unknown activation {tag!r}")
 
 
-def grad_backprop_batch(m: Perceptron, samples) -> tuple[Gradient | None, int]:
+def grad_backprop_batch(m: Mlp, samples) -> tuple[AnyGradient | None, int]:
     """Mean analytic gradient over a batch, and 0 singular skips.
 
     Per sample, dW = 2*(yhat - y)*act'(z)*x and db likewise. The first
@@ -61,10 +61,10 @@ def grad_backprop_batch(m: Perceptron, samples) -> tuple[Gradient | None, int]:
     finite, their sum left the finite numbers, and the mean's error is
     raised after every pass. A batch of one counts its pass if non-finite.
     """
-    if not isinstance(m, Perceptron):
+    if len(m.shapes) > 1:
         raise TypeError("the closed-form gradient is single-layer; use grad_seeded for Mlp")
     *W, b = m.params
-    act = m.act
+    act = m.acts[0]
     dW = db = None
     try:
         for s in samples:
@@ -100,7 +100,7 @@ def grad_backprop_batch(m: Perceptron, samples) -> tuple[Gradient | None, int]:
     return g, 0
 
 
-def grad_backprop(m: Perceptron, s: Sample) -> Gradient:
+def grad_backprop(m: Mlp, s: Sample) -> AnyGradient:
     """Analytic gradient of (y - yhat)**2: the batch of one sample."""
     return grad_backprop_batch(m, [s])[0]
 

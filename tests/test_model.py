@@ -215,8 +215,9 @@ def test_grad_ones_sums_the_seed_left_to_right():
 
 def test_grad_ones_checks_the_model_then_the_width_then_the_guard():
     singular = [0.5, -0.5]
+    two_layer = Mlp([Layer([singular, singular], [0.0, 0.0]), Layer([singular], [0.0])])
     with pytest.raises(TypeError, match="single-layer"):
-        md.grad_ones(Mlp([Layer([singular], [0.0])]), Sample([1.0, 2.0, 3.0], 0.0))
+        md.grad_ones(two_layer, Sample([1.0, 2.0, 3.0], 0.0))
     with pytest.raises(ValueError, match="expected 2 features, got 3"):
         md.grad_ones(Perceptron(singular, 0.0), Sample([1.0, 2.0, 3.0], 0.0))
     with pytest.raises(md.SingularSeed):
@@ -291,7 +292,7 @@ def test_grad_width_mismatch():
 
 
 def test_single_layer_rules_reject_mlp():
-    mlp = Mlp([Layer([[1.0, 1.0]], [0.0])])
+    mlp = Mlp([Layer([[1.0, 1.0], [1.0, -1.0]], [0.0, 0.0]), Layer([[1.0, 1.0]], [0.0])])
     s = Sample([1.0, 0.0], 1.0)
     with pytest.raises(TypeError):
         md.grad_ones(mlp, s)
@@ -313,12 +314,22 @@ def test_perceptron_and_one_layer_mlp_agree_bit_for_bit(data):
     s = Sample(data.draw(st.lists(finite, min_size=n, max_size=n)), data.draw(finite))
     perceptron = Perceptron(W, b, act)
     mlp = Mlp([Layer([W], [b], act)])
-    for rule in (md.grad_seeded, oracle.grad_finite_diff):
+
+    def forward_dual_ones(m, s):
+        return md.forward_dual_ones(m, s.x)
+
+    for rule in (md.grad_ones, md.grad_seeded, oracle.grad_backprop, oracle.grad_finite_diff,
+                 forward_dual_ones):
         runs = []
         for m in (perceptron, mlp):
             md.reset_pass_count()
-            g = rule(m, s)
-            runs.append(([v.hex() for _, v in g.entries()], md.pass_count()))
+            try:
+                out = rule(m, s)
+            except md.SingularSeed as exc:
+                out = f"SingularSeed: {exc}"
+            else:
+                out = [v.hex() for v in out.params] if hasattr(out, "params") else (out.re.hex(), out.du.hex())
+            runs.append((out, md.pass_count()))
         assert runs[0] == runs[1], rule.__name__
 
 
@@ -784,12 +795,12 @@ def test_a_failing_step_stops_as_the_stepwise_spec_does(case, rule, batch):
 # The first two seeded layouts write their passes out; the width-128 one
 # (P = 129, past STRAIGHT_PASSES) loops over one pass text.
 GRAD_SOURCES = {
-    ("ones", ((3, 1),), ("sigmoid",)): "a14894479878686e3c33187b2ed0850a4903fdc365e20db0523e93eaaff970b7",
-    ("ones", ((2, 1),), ("tanh",)): "ab27cd69a45240838ac5b018635f94b48fa979dff199bd217d6a119202535508",
+    ("ones", ((3, 1),), ("sigmoid",)): "e540245ab2657698b739717e2e4da3178803f7be66c4e32904e41dba0a0bc46b",
+    ("ones", ((2, 1),), ("tanh",)): "0bdcbf44bc34fc9d213cf3e11af9c12ef782ad1f86f2169aa1e7e1d4745824d9",
     ("seeded", ((3, 1),), ("identity",)): "2e7d12028c622f964a5459c12192d3720547e6c9faec6c3a90ddc98c636af2a3",
     ("seeded", ((2, 4), (4, 1)), ("tanh", "sigmoid")):
         "e266b9f634f0a52625ca459f5d12050d7bf4ebb19c0803e5ce8c2d66c758151c",
-    ("seeded", ((128, 1),), ("sigmoid",)): "7ca4d1831af61385971b53db3af2bddb2b02711ee6f4cf29a09e16fbb2ef3338",
+    ("seeded", ((128, 1),), ("sigmoid",)): "ed7bea0be0e4171cf5bfe30c46987fdbbd94067f5a8be6adbce4298204a7e77a",
 }
 
 

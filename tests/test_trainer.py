@@ -819,10 +819,8 @@ def test_the_compiled_loops_call_no_python_function_per_unit_or_step():
 def test_an_mlp_trained_with_ones_still_raises_the_shared_seed_error():
     and_ = trainer.builtin_dataset("and")
     mlp = Mlp([Layer([[0.5, 0.25], [0.1, -0.3]], [0.0, 0.1]), Layer([[1.0, 0.5]], [0.0])])
-    one_layer = Mlp([Layer([[0.5, 0.25]], [0.0])])  # not a Perceptron
-    for m in (mlp, one_layer):
-        with pytest.raises(TypeError, match="shared-seed rule is single-layer"):
-            trainer.train(TrainConfig(dataset="and", engine="ones", epochs=2), and_, m)
+    with pytest.raises(TypeError, match="shared-seed rule is single-layer"):
+        trainer.train(TrainConfig(dataset="and", engine="ones", epochs=2), and_, mlp)
 
 
 def test_the_loop_compiles_on_a_layouts_first_train_use_only():

@@ -157,22 +157,26 @@ def grad_backprop_128(pkg, inputs):
     return run
 
 
-def grad_seeded_pairs(pkg, inputs):
-    """One ``grad_seeded`` call (width + 1 passes) on each of the 16 pairs."""
-    pairs, grad = pairs_of(pkg, inputs), pkg.model.grad_seeded
+def grad_pairs(rule: str) -> Callable:
+    """A ``build`` of one ``model.grad_<rule>`` call on each of the 16 pairs: 1 pass for
+    ``ones``, width + 1 for ``seeded``."""
+    def build(pkg, inputs):
+        pairs, grad = pairs_of(pkg, inputs), getattr(pkg.model, f"grad_{rule}")
 
-    def run():
-        for m, s in pairs:
-            grad(m, s)
-    return run
+        def run():
+            for m, s in pairs:
+                grad(m, s)
+        return run
+    return build
 
 
 WORKLOADS = {
     "backprop_batch": Workload(draw_line2d_init, backprop_batch),
     "grad_backprop_128": Workload(draw_pairs(128), grad_backprop_128),
+    "grad_ones_128": Workload(draw_pairs(128), grad_pairs("ones")),
     # P = 32, the largest layout whose seeded passes are written out
-    "grad_seeded_31": Workload(draw_pairs(31), grad_seeded_pairs),
-    "grad_seeded_128": Workload(draw_pairs(128), grad_seeded_pairs),
+    "grad_seeded_31": Workload(draw_pairs(31), grad_pairs("seeded")),
+    "grad_seeded_128": Workload(draw_pairs(128), grad_pairs("seeded")),
     "grad_seeded_mlp": Workload(draw_xor_mlp, grad_seeded_mlp),
     "train_backprop_full_batch": line2d_train("backprop", "full_batch"),
     "train_ones_full_batch": line2d_train("ones", "full_batch"),
