@@ -16,10 +16,11 @@ Two forward-mode gradients are provided:
   ``STRAIGHT_PASSES`` parameters the passes are written out one by one,
   each with its seed; past it one pass text loops over the seeds.
 
-Each rule is one record in ``_RULES``: its input tangent, guard, lines
-from the dual pass to the gradient entries, and precondition. The pass is
-Python source that ``_pass_lines`` writes per layout over parameters
-unpacked into locals. A record's lines give two functions per layout,
+Each rule is one record in ``_RULES``: its input tangent, guard and lines
+from the dual pass to the gradient entries; ``SINGLE_LAYER`` names the
+single-layer engines, ``ones`` among them. The pass is Python source
+that ``_pass_lines`` writes per layout over parameters unpacked into
+locals. A record's lines give two functions per layout,
 each compiled on its first use and kept in an ``lru_cache`` of
 ``KERNEL_CACHE_SIZE`` layouts: the per-sample gradient (``_grad``) and
 ``train``'s SGD loop (``_sgd_loop``, run by ``run_sgd``). No ``Dual`` is
@@ -217,9 +218,6 @@ class Perceptron(Mlp):
         return self.acts[0]
 
 
-Model = Mlp  # a Perceptron is a one-layer Mlp
-
-
 @dataclass
 class LayerGradient:
     dW: list[list[float]]
@@ -277,9 +275,6 @@ class Gradient(MlpGradient):
         yield "b", self.db
 
 
-AnyGradient = MlpGradient  # a Gradient is a one-layer MlpGradient
-
-
 def _model_like(m: Mlp, params: list[float]) -> Mlp:
     """A model of m's type and layout over new parameters.
 
@@ -293,7 +288,7 @@ def _model_like(m: Mlp, params: list[float]) -> Mlp:
     return out
 
 
-def _grad_like(m: Mlp, values: list[float]) -> AnyGradient:
+def _grad_like(m: Mlp, values: list[float]) -> MlpGradient:
     """A gradient over m's layout, checked for finiteness only."""
     out = object.__new__(Gradient if isinstance(m, Perceptron) else MlpGradient)
     out.params = _finite(values, "gradient entries")
@@ -529,8 +524,7 @@ def _pass_lines(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
 class _Rule(NamedTuple):
     """One forward-mode gradient rule, as the lines of its compiled code.
 
-    ``dx`` is every input's tangent; a ``single_layer`` rule takes
-    single-layer layouts only. ``lines(n, pass_, units, values)`` returns
+    ``dx`` is every input's tangent. ``lines(n, pass_, units, values)`` returns
     the guard (``seed_sum`` and an ``if`` true where the rule is undefined,
     or no lines) and the gradient: the passes on sample ``s``, written by
     ``pass_`` and added to ``passes``, and the entries ``e0``, ...,
@@ -543,7 +537,6 @@ class _Rule(NamedTuple):
     """
 
     dx: float
-    single_layer: bool
     lines: Callable[..., tuple[list[str], list[str]]]
 
 
@@ -610,9 +603,14 @@ def _seeded_lines(n: int, pass_, units: list[int], values: list[str]):
 
 # The forward-mode rules by name: ``grad_ones``/``grad_seeded`` and ``run_sgd``'s rule.
 _RULES = {
-    "ones": _Rule(1.0, True, _ones_lines),
-    "seeded": _Rule(0.0, False, _seeded_lines),
+    "ones": _Rule(1.0, _ones_lines),
+    "seeded": _Rule(0.0, _seeded_lines),
 }
+
+# The engines whose gradient takes single-layer layouts only, each with the
+# subject its refusal names: ``ones`` divides by the sum of one unit's
+# weights, and the oracle's closed form has no hidden layers.
+SINGLE_LAYER = {"ones": "the shared-seed rule", "backprop": "the closed-form gradient"}
 
 
 def _rule_source(shapes, acts, rule: str, singular: list[str]):
@@ -726,9 +724,9 @@ def _sgd_loop(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], rule: 
 
 
 def _check(m: Mlp, rule: str | None, x: Sequence[float] | None = None) -> None:
-    """Raise unless m meets ``rule``'s precondition and x, if given, has m's width."""
-    if rule and _RULES[rule].single_layer and len(m.shapes) > 1:
-        raise TypeError("the shared-seed rule is single-layer; use grad_seeded for Mlp")
+    """Raise unless m's layout suits ``rule`` (see ``SINGLE_LAYER``) and x, if given, has m's width."""
+    if len(m.shapes) > 1 and rule in SINGLE_LAYER:
+        raise TypeError(f"{SINGLE_LAYER[rule]} is single-layer; use grad_seeded for a multilayer net")
     if x is not None and len(x) != m.width:
         raise ValueError(f"expected {m.width} features, got {len(x)}")
 
@@ -750,7 +748,7 @@ def forward_dual_ones(m: Mlp, x: Sequence[float]) -> Dual:
     return z
 
 
-def grad_ones(m: Mlp, s: Sample) -> AnyGradient:
+def grad_ones(m: Mlp, s: Sample) -> MlpGradient:
     """Gradient of (y - yhat)**2 from a single input-seeded dual pass.
 
     dW_i = 2*(R(yhat_eps) - y) * E(yhat_eps) / sum(W) * x_i, and db is the
@@ -762,7 +760,7 @@ def grad_ones(m: Mlp, s: Sample) -> AnyGradient:
     return _grad_like(m, _grad(m.shapes, m.acts, "ones")(m.params, s))
 
 
-def grad_seeded(m: Model, s: Sample) -> AnyGradient:
+def grad_seeded(m: Mlp, s: Sample) -> MlpGradient:
     """Gradient via one dual pass per scalar parameter, in layout order.
 
     Works for any weight configuration and for multilayer models, at one
@@ -774,7 +772,7 @@ def grad_seeded(m: Model, s: Sample) -> AnyGradient:
     return _grad_like(m, _grad(m.shapes, m.acts, "seeded")(m.params, s))
 
 
-def run_sgd(m: Model, batches, lr: float, rule: str):
+def run_sgd(m: Mlp, batches, lr: float, rule: str):
     """SGD over batches with ``rule``'s gradient, ``"ones"`` or ``"seeded"``.
 
     Each nonempty batch's step is ``p - lr * g`` on the sample-order mean

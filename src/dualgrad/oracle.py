@@ -16,7 +16,7 @@ from itertools import islice
 
 from . import model as _model
 from .dual import NonFinite
-from .model import AnyGradient, Mlp, Model, Sample
+from .model import Mlp, MlpGradient, Sample
 
 # Entries smaller than this are compared by absolute rather than relative error.
 ABS_FALLBACK = 1e-8
@@ -42,7 +42,7 @@ def _act_value_deriv(tag: str, z: float) -> tuple[float, float]:
     raise ValueError(f"unknown activation {tag!r}")
 
 
-def grad_backprop_batch(m: Mlp, samples) -> tuple[AnyGradient | None, int]:
+def grad_backprop_batch(m: Mlp, samples) -> tuple[MlpGradient | None, int]:
     """Mean analytic gradient over a batch, and 0 singular skips.
 
     Per sample, dW = 2*(yhat - y)*act'(z)*x and db likewise. The first
@@ -61,8 +61,7 @@ def grad_backprop_batch(m: Mlp, samples) -> tuple[AnyGradient | None, int]:
     finite, their sum left the finite numbers, and the mean's error is
     raised after every pass. A batch of one counts its pass if non-finite.
     """
-    if len(m.shapes) > 1:
-        raise TypeError("the closed-form gradient is single-layer; use grad_seeded for Mlp")
+    _model._check(m, "backprop")
     *W, b = m.params
     act = m.acts[0]
     dW = db = None
@@ -100,12 +99,12 @@ def grad_backprop_batch(m: Mlp, samples) -> tuple[AnyGradient | None, int]:
     return g, 0
 
 
-def grad_backprop(m: Mlp, s: Sample) -> AnyGradient:
+def grad_backprop(m: Mlp, s: Sample) -> MlpGradient:
     """Analytic gradient of (y - yhat)**2: the batch of one sample."""
     return grad_backprop_batch(m, [s])[0]
 
 
-def grad_finite_diff(m: Model, s: Sample, h: float = DEFAULT_FD_STEP) -> AnyGradient:
+def grad_finite_diff(m: Mlp, s: Sample, h: float = DEFAULT_FD_STEP) -> MlpGradient:
     """Central differences (L(p+h) - L(p-h)) / 2h over every parameter."""
     _model._check_positive(h, "step")
     _model._check(m, None, s.x)
@@ -140,7 +139,7 @@ class GradReport:
     tol: float
 
 
-def compare(a: AnyGradient, b: AnyGradient, tol: float) -> GradReport:
+def compare(a: MlpGradient, b: MlpGradient, tol: float) -> GradReport:
     """Worst-entry comparison; passes iff the worst error is within tol.
 
     An entry's error is |a-b| / max(|a|, |b|), or |a-b| when that scale is

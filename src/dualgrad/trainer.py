@@ -40,7 +40,7 @@ import numpy as np
 from . import model as _model
 from . import oracle as _oracle
 from .dual import NonFinite
-from .model import Layer, Mlp, Model, Perceptron, Sample
+from .model import Layer, Mlp, Perceptron, Sample
 
 BATCH_MODES = ("per_sample", "full_batch")
 BUILTIN_DATASETS = ("and", "or", "nand", "line2d")
@@ -81,7 +81,7 @@ def stepwise(batch):
     The learning rate is checked as ``sgd_step`` checks it, before any batch.
     """
 
-    def sgd(m: Model, batches, lr: float):
+    def sgd(m: Mlp, batches, lr: float):
         _model._check_positive(lr, "learning rate")
         norm, skips = 0.0, 0
         try:
@@ -118,8 +118,9 @@ class TrainConfig:
     """Hyperparameters and provenance for one training run.
 
     ``dataset`` is a builtin name or a CSV path. ``hidden`` lists hidden
-    layer widths; empty means a single-layer perceptron. ``epochs``,
-    ``rng_seed`` and the widths must be integers and become ints;
+    layer widths; empty means a single-layer perceptron, and an engine
+    in ``model.SINGLE_LAYER`` takes no other. ``epochs``, ``rng_seed`` and
+    the widths must be integers and become ints;
     ``learning_rate`` and ``init_range`` must be real numbers and become
     floats; ``shuffle`` must be a bool; the other fields must be strings.
     All randomness (weight init, optional shuffling) flows from
@@ -162,8 +163,8 @@ class TrainConfig:
         self.hidden = tuple(_integer(w, "hidden width") for w in widths)
         if any(w < 1 for w in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
-        if self.hidden and self.engine != "seeded":
-            raise ValueError("multilayer models train with engine='seeded' only")
+        if self.hidden and self.engine in _model.SINGLE_LAYER:
+            raise ValueError(f"{_model.SINGLE_LAYER[self.engine]} is single-layer; hidden must be empty")
         if not isinstance(self.shuffle, bool):
             raise ValueError(f"shuffle must be a bool, got {self.shuffle!r}")
 
@@ -313,7 +314,7 @@ def resolve_dataset(ref: str) -> Dataset:
 # --- model init and updates ------------------------------------------------------
 
 
-def init_model(cfg: TrainConfig, feature_width: int, rng: np.random.Generator) -> Model:
+def init_model(cfg: TrainConfig, feature_width: int, rng: np.random.Generator) -> Mlp:
     """Uniform weights in [-init_range, init_range], drawn in a fixed order."""
 
     def draw(k: int) -> list[float]:
@@ -329,7 +330,7 @@ def init_model(cfg: TrainConfig, feature_width: int, rng: np.random.Generator) -
     return Mlp(layers)
 
 
-def sgd_step(m: Model, g, lr: float) -> Model:
+def sgd_step(m: Mlp, g, lr: float) -> Mlp:
     """p <- p - lr * dp for every parameter; returns a new model."""
     _model._check_positive(lr, "learning rate")
     if g.shapes != m.shapes:
@@ -337,7 +338,7 @@ def sgd_step(m: Model, g, lr: float) -> Model:
     return _model._model_like(m, [p - lr * d for p, d in zip(m.params, g.params)])
 
 
-def model_to_dict(m: Model) -> dict:
+def model_to_dict(m: Mlp) -> dict:
     if isinstance(m, Perceptron):
         return {"kind": "perceptron", "W": m.W, "b": m.b, "act": m.act}
     return {
@@ -349,7 +350,7 @@ def model_to_dict(m: Model) -> dict:
 # --- the training loop ------------------------------------------------------------
 
 
-def mean_loss(m: Model, dataset: Dataset) -> float:
+def mean_loss(m: Mlp, dataset: Dataset) -> float:
     """The mean of ``loss(m.forward(s.x), s.y)`` over the dataset, bit for bit.
 
     One call of the loop the layout's kernel compiled (``loss_sum``), which
@@ -361,7 +362,7 @@ def mean_loss(m: Model, dataset: Dataset) -> float:
     return loss_sum(m.params, dataset.samples) / len(dataset.samples)
 
 
-def train(cfg: TrainConfig, dataset: Dataset | None = None, model: Model | None = None) -> TrainLog:
+def train(cfg: TrainConfig, dataset: Dataset | None = None, model: Mlp | None = None) -> TrainLog:
     """Run the configured gradient descent and log one record per epoch.
 
     Each epoch is one call of the engine's ``sgd``. SingularSeed steps

@@ -292,12 +292,19 @@ def test_grad_width_mismatch():
 
 
 def test_single_layer_rules_reject_mlp():
+    # each engine in the table refuses a hidden layer in its gradient, its epoch and its
+    # config, naming the table's subject, before any pass
     mlp = Mlp([Layer([[1.0, 1.0], [1.0, -1.0]], [0.0, 0.0]), Layer([[1.0, 1.0]], [0.0])])
     s = Sample([1.0, 0.0], 1.0)
-    with pytest.raises(TypeError):
-        md.grad_ones(mlp, s)
-    with pytest.raises(TypeError):
-        oracle.grad_backprop(mlp, s)
+    md.reset_pass_count()
+    for name, subject in md.SINGLE_LAYER.items():
+        engine = trainer.engine(name)
+        for call in (lambda: engine.grad(mlp, s), lambda: engine.sgd(mlp, [[s]], 0.5)):
+            with pytest.raises(TypeError, match=f"^{subject} is single-layer"):
+                call()
+        with pytest.raises(ValueError, match=f"^{subject} is single-layer"):
+            trainer.TrainConfig(hidden=(2,), engine=name)
+    assert md.pass_count() == 0
 
 
 # --- one parameter layout ----------------------------------------------------------------
