@@ -12,9 +12,8 @@ Two forward-mode gradients are provided:
   whose dual part sum(W) * act'(z) it divides by sum(W); it raises
   :class:`SingularSeed` where sum(W) is (near) zero.
 * ``grad_seeded`` runs one dual pass per scalar parameter, seeding only
-  that parameter: no division, and any layout, at P passes. Up to
-  ``STRAIGHT_PASSES`` parameters the passes are written out one by one,
-  each with its seed; past it one pass text loops over the seeds.
+  that parameter: no division, and any layout, at P passes, which
+  ``_pass_lines`` writes out or loops by one budget, ``STRAIGHT_PASSES``.
 
 Each rule is one record in ``_RULES``: its input tangent, guard and lines
 from the dual pass to the gradient entries; ``SINGLE_LAYER`` names the
@@ -309,6 +308,10 @@ def loss(yhat: float, y: float) -> float:
 KERNEL_CACHE_SIZE = 64
 # The most terms ``_chain`` sums in one statement: CPython refuses ~3,000 ``+`` in one chain.
 CHAIN_TERMS = 256
+# A rule's passes are written out while passes x parameters is at most this
+# squared (for ``seeded``, P <= 32); written-out text grows as that product,
+# so past it one pass text loops over the seeds.
+STRAIGHT_PASSES = 32
 
 # Per activation tag: the lines of a unit's activation a{u} from its
 # pre-activation r{u} (the sigmoid inline, with fn.sigmoid_real's operations
@@ -376,21 +379,21 @@ def _kernel(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
     yhat``) from 0.0 in sample order, as summing ``loss(forward(x), y)``
     does. Neither counts a pass; no tangent pass or gradient compiles here.
     """
-    sweep, _, _, units, _ = _pass_lines(shapes, acts)
-    unpack_params, n = _unpack("w", len(units), "p"), shapes[0][0]
+    sweep, _, _, _, seeds = _pass_lines(shapes, acts)
+    unpack_params, n, out = _unpack("w", len(seeds), "p"), shapes[0][0], seeds[-1][0]
     lines = [
         "def kernel(p, x):",
         f"    {unpack_params}",
         f"    {_unpack('x', n, 'x')}",
         *(f"    {line}" for line in sweep),
-        f"    return a{units[-1]}",
+        f"    return a{out}",
         "def loss_sum(p, samples):",
         f"    {unpack_params}",
         "    total = 0.0",
         "    for s in samples:",
         f"        {_unpack('x', n, 's.x')}",
         *(f"        {line}" for line in sweep),
-        f"        d = s.y - a{units[-1]}",
+        f"        d = s.y - a{out}",
         "        total += d * d",
         "    return total",
     ]
@@ -442,10 +445,24 @@ def _pass_lines(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
     factors and ``rb``, the real check term of every unit; ``pass_(seeds,
     done)`` writes one tangent pass from the input tangent ``dx``, which
     every input shares, ending at the output tangent ``t{u}``: unit u adds
-    the seed term ``seeds[u]`` after its row sum, and a unit not in
-    ``seeds`` adds nothing. ``units`` and ``values`` name, per parameter in
-    layout order, the unit ``seeded`` seeds and the seed. A failing pass
-    counts ``done``, the passes before it.
+    the seed term ``seeds[u]`` after its row sum, a unit not in ``seeds``
+    adds nothing, and a failing pass counts ``done``, the passes before it.
+    The last value holds each parameter's seed, in layout order: the
+    ``(unit, term)`` that seeding it adds, the term being the input real
+    for a weight and 1.0 for a bias.
+
+    ``passes_(seeds, head, result)`` writes one pass per ``(unit, term)``
+    in ``seeds`` after the rule's ``head`` lines: pass j adds its term at
+    its unit and ends by setting entry ``e{j}`` to ``result``, and
+    ``len(seeds)`` is added to ``passes`` once they all ran. While passes
+    x parameters is at most ``STRAIGHT_PASSES`` squared, the passes are
+    written out, each term written in and pass j counting ``j`` if it
+    fails. Past it one pass text runs in a loop over the seeds: the seed
+    list ``sd``, 0.0 per unit, is bound before ``head``, and pass j sets
+    its unit's seed in ``sd``, unpacks ``sd`` into the seed locals
+    ``sd{u}``, which every unit adds, appends its result to ``es`` and
+    sets the seed back to 0.0; a failing pass counts ``len(es)``. Both
+    forms give the same bits and count the same passes.
 
     A tangent pass costs O(P) and takes, per unit, the ring's float
     operations in the ring's order: 0.0 for the bias, plus ``w * dx`` per
@@ -457,10 +474,10 @@ def _pass_lines(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
     is +0.0 at the seeded unit because nothing before a seeded parameter
     carries a tangent; adding 0.0 at every other unit changes no bit
     either. So a pass adds only the seeds it is given: none for ``ones``,
-    its one seed at its one unit for a written-out ``seeded`` pass, and a
-    seed local ``sd{u}`` at every unit for the looped one. No seed changes
-    a real part, so one real sweep serves every pass. So the results are
-    bit-identical to the same pass over ``Dual`` values.
+    its one term at its one unit for a written-out pass, and a seed local
+    ``sd{u}`` at every unit for a looped one. No seed changes a real part,
+    so one real sweep serves every pass. So the results are bit-identical
+    to the same pass over ``Dual`` values.
 
     One check per pass, at the output unit, sees whether any unit's real
     or dual part is not finite: ``z{out} * 0.0 + rb != 0.0``, where ``v *
@@ -481,7 +498,7 @@ def _pass_lines(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
     n = shapes[0][0]
     hr = [f"x{j}" for j in range(n)]  # the layer's input reals
     hd = ["dx"] * n  # and their tangents, all equal
-    sweep, factors, layers, units, values, checked = [], [], [], [], [], []
+    sweep, factors, layers, params, checked = [], [], [], [], []
     k = u0 = 0  # the layer's first weight and first unit
     for (n_in, n_out), act in zip(shapes, acts):
         activation, factor, tangent = _ACT_SOURCE[act]
@@ -494,10 +511,8 @@ def _pass_lines(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
             sweep += [line.format(u=u) for line in activation]
             factors += [line.format(u=u) for line in factor]
             rows.append((u, ["0.0", *(f"w{j} * {d}" for j, d in zip(row, hd))]))
-            units += [u] * n_in
-            values += hr
-        units += layer
-        values += ["1.0"] * n_out
+            params += [(u, h) for h in hr]
+        params += [(u, "1.0") for u in layer]
         checked.append(f"({''.join(f'(r{u}, z{u}), ' for u in layer)})")
         layers.append((rows, [f"t{u} = " + tangent.format(u=u) for u in layer]))
         hr = [f"a{u}" for u in layer]
@@ -515,7 +530,26 @@ def _pass_lines(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
         return [*lines, f"if z{u0 - 1} * 0.0 + rb != 0.0:",
                 f"    raise _pass_failure({done}, ({''.join(f'{c}, ' for c in checked)}))"]
 
-    return sweep, factors, pass_, units, values
+    def passes_(seeds: list[tuple[int, str]], head: list[str], result: str) -> list[str]:
+        if len(seeds) * len(params) <= STRAIGHT_PASSES ** 2:
+            return [*head, *(line for j, (u, v) in enumerate(seeds)
+                             for line in (*pass_({u: v}, str(j)), f"e{j} = {result}")),
+                    f"passes += {len(seeds)}"]
+        return [
+            f"sd = [0.0] * {u0}",
+            *head,
+            "es = []",
+            f"for u, v in zip({tuple(u for u, _ in seeds)}, ({''.join(f'{v}, ' for _, v in seeds)})):",
+            "    sd[u] = v",
+            f"    {_unpack('sd', u0, 'sd')}",
+            *(f"    {line}" for line in pass_({u: f"sd{u}" for u in range(u0)}, "len(es)")),
+            f"    es.append({result})",
+            "    sd[u] = 0.0",
+            f"passes += {len(seeds)}",
+            _unpack("e", len(seeds), "es"),
+        ]
+
+    return sweep, factors, pass_, passes_, params
 
 
 # --- the gradient rules: one record each -------------------------------------------
@@ -524,30 +558,25 @@ def _pass_lines(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...]):
 class _Rule(NamedTuple):
     """One forward-mode gradient rule, as the lines of its compiled code.
 
-    ``dx`` is every input's tangent. ``lines(n, pass_, units, values)`` returns
-    the guard (``seed_sum`` and an ``if`` true where the rule is undefined,
-    or no lines) and the gradient: the passes on sample ``s``, written by
-    ``pass_`` and added to ``passes``, and the entries ``e0``, ...,
-    ``e{P-1}``, the names every compiled caller reads. A pass adds only the
-    seeds it is given, and a rule that seeds from a list binds it in its
-    gradient lines. Each pass it writes gives ``pass_`` its ``done``, the
-    passes a failing one counts before it: ``0`` for ``ones``' one pass,
-    and for ``seeded``'s pass j, ``j`` when written out and ``len(es)`` in
-    the loop.
+    ``dx`` is every input's tangent. ``lines(n, pass_, passes_, seeds)``
+    returns the guard (``seed_sum`` and an ``if`` true where the rule is
+    undefined, or no lines) and the gradient: the passes on sample ``s``,
+    written by ``_pass_lines``' writers and added to ``passes``, and the
+    entries ``e0``, ..., ``e{P-1}``, the names every compiled caller reads.
     """
 
     dx: float
     lines: Callable[..., tuple[list[str], list[str]]]
 
 
-def _ones_lines(n: int, pass_, units: list[int], values: list[str]):
+def _ones_lines(n: int, pass_, passes_, seeds: list[tuple[int, str]]):
     """One pass, every input tangent 1.0 and no seed, entries ``q * x_j`` and ``q``.
 
     The guard sums W left to right from the int 0, the builtin ``sum`` of
     Python 3.10-3.11 on every interpreter; its chained comparison is
     ``abs(seed_sum) < ONES_SEED_GUARD`` on every float, nan included.
     """
-    out = units[-1]
+    out = seeds[-1][0]
     guard = [*_chain("seed_sum", ["0", *(f"w{j}" for j in range(n))]),
              "if -ONES_SEED_GUARD < seed_sum < ONES_SEED_GUARD:"]
     return guard, [
@@ -556,49 +585,14 @@ def _ones_lines(n: int, pass_, units: list[int], values: list[str]):
         *(f"e{j} = q * x{j}" for j in range(n)), f"e{n} = q"]
 
 
-# Layouts with at most this many parameters write each ``seeded`` pass out;
-# written-out text grows as P squared, so larger layouts loop over one pass.
-STRAIGHT_PASSES = 32
-
-
-def _seeded_lines(n: int, pass_, units: list[int], values: list[str]):
-    """One pass per parameter seeded, zero input tangents: ``dd = 2 * d`` is taken
-    first, and pass j ends with entry j, the power rule ``dd * (0.0 - t)``.
-    ``2 * d * (0.0 - t)`` parses as ``(2 * d) * (0.0 - t)``, so the operations are
-    the same.
-
-    Up to ``STRAIGHT_PASSES`` parameters the P passes are written out in
-    layout order: pass j adds its seed, written in, at its unit alone, sets
-    ``e{j}`` and counts ``j`` passes if it fails. Past it, one pass text runs
-    in a loop over the seeds, and the gradient lines first bind the seed
-    list ``sd``, 0.0 per unit: pass j sets its unit's seed in ``sd``,
-    unpacks ``sd`` into the seed locals ``sd{u}``, adds each at its unit,
-    appends entry j to ``es`` and sets the seed back to 0.0; a failing pass
-    counts ``len(es)``. Both forms count P passes once they all ran, and
-    their entries are the same bits.
+def _seeded_lines(n: int, pass_, passes_, seeds: list[tuple[int, str]]):
+    """One pass per parameter seeded, in layout order, zero input tangents:
+    ``dd = 2 * d`` is taken first, and pass j ends with entry j, the power
+    rule ``dd * (0.0 - t)``. ``2 * d * (0.0 - t)`` parses as ``(2 * d) *
+    (0.0 - t)``, so the operations are the same.
     """
-    k, out = len(units), units[-1]
-    dd = f"dd = 2 * (s.y - a{out})"
-    if k <= STRAIGHT_PASSES:
-        return [], [
-            dd,
-            *(line for j, (u, v) in enumerate(zip(units, values))
-              for line in (*pass_({u: v}, str(j)), f"e{j} = dd * (0.0 - t{out})")),
-            f"passes += {k}",
-        ]
-    return [], [
-        f"sd = [0.0] * {out + 1}",
-        dd,
-        "es = []",
-        f"for u, v in zip({tuple(units)}, ({''.join(f'{v}, ' for v in values)})):",
-        "    sd[u] = v",
-        f"    {_unpack('sd', out + 1, 'sd')}",
-        *(f"    {line}" for line in pass_({u: f"sd{u}" for u in range(out + 1)}, "len(es)")),
-        f"    es.append(dd * (0.0 - t{out}))",
-        "    sd[u] = 0.0",
-        f"passes += {k}",
-        _unpack("e", k, "es"),
-    ]
+    out = seeds[-1][0]
+    return [], passes_(seeds, [f"dd = 2 * (s.y - a{out})"], f"dd * (0.0 - t{out})")
 
 
 # The forward-mode rules by name: ``grad_ones``/``grad_seeded`` and ``run_sgd``'s rule.
@@ -622,9 +616,9 @@ def _rule_source(shapes, acts, rule: str, singular: list[str]):
     ``e{j}``; the parameter count comes last.
     """
     r = _RULES[rule]
-    sweep, factors, pass_, units, values = _pass_lines(shapes, acts)
-    n, k = shapes[0][0], len(units)
-    guard, gradient = r.lines(n, pass_, units, values)
+    sweep, factors, pass_, passes_, seeds = _pass_lines(shapes, acts)
+    n, k = shapes[0][0], len(seeds)
+    guard, gradient = r.lines(n, pass_, passes_, seeds)
     head = [f"dx = {r.dx}", _unpack("w", k, "p"), "passes = 0"]
     guard = guard and [*guard, *(f"    {line}" for line in singular)]
     return head, guard, [_unpack("x", n, "s.x"), *sweep, *factors, *gradient], k
@@ -655,8 +649,8 @@ def _sgd_loop(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], rule: 
     ``train`` use. Its per-sample lines are ``_grad``'s, so each sample's
     entries and passes are ``_grad``'s too. The guard reads only the
     weights, which a batch does not change, so a batch is skipped whole or
-    not at all, as sample-by-sample checking would skip it; an empty batch
-    takes no step and counts no skip.
+    not at all, as sample-by-sample checking skips it once each sample's
+    width is checked; an empty batch takes no step and counts no skip.
 
     The rule's one list of sample lines runs per sample and sets the entries
     ``e{j}``, which the step reads. A batch of one breaks out after its
@@ -681,7 +675,10 @@ def _sgd_loop(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], rule: 
     rule's public gradient, that mean and ``sgd_step``, and counts the same
     passes.
     """
-    head, guard, sample, k = _rule_source(shapes, acts, rule, ["skips += len(batch)", "continue"])
+    n = shapes[0][0]
+    head, guard, sample, k = _rule_source(shapes, acts, rule, [  # the except names a bad width
+        "for s in batch:", f"    if len(s.x) != {n}:", "        raise ValueError",
+        "skips += len(batch)", "continue"])
     params, entries, sums, steps = ([f"{v}{j}" for j in range(k)] for v in "wecn")
 
     lines = [
@@ -715,7 +712,7 @@ def _sgd_loop(shapes: tuple[tuple[int, int], ...], acts: tuple[str, ...], rule: 
         "    except NonFinite as exc:",
         "        failure = exc",
         "    except ValueError:  # from unpacking an s.x of another width",
-        f"        raise ValueError(f'expected {shapes[0][0]} features, got {{len(s.x)}}') from None",
+        f"        raise ValueError(f'expected {n} features, got {{len(s.x)}}') from None",
         "    finally:",
         "        count_forward_pass(passes)",
         f"    return [{', '.join(params)}], norm, skips, failure",
@@ -777,12 +774,12 @@ def run_sgd(m: Mlp, batches, lr: float, rule: str):
 
     Each nonempty batch's step is ``p - lr * g`` on the sample-order mean
     of its gradients, in one call of the compiled ``_sgd_loop``; a singular
-    batch is skipped before its samples are read, and an empty one takes
-    no step. Returns the model after the last finite step, the largest
-    |gradient entry|, the singular skips and the NonFinite that stopped
-    it, or None. A learning rate that is not positive and finite raises
-    before any pass; a sample of another width raises ``_check``'s
-    ValueError when it is reached.
+    batch is skipped with no pass once its samples' widths are checked,
+    and an empty one takes no step. Returns the model after the last
+    finite step, the largest |gradient entry|, the singular skips and the
+    NonFinite that stopped it, or None. A learning rate that is not
+    positive and finite raises before any pass; a sample of another width
+    raises ``_check``'s ValueError when it is reached.
     """
     _check_positive(lr, "learning rate")
     _check(m, rule)

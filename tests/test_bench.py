@@ -43,13 +43,13 @@ def test_numpy_integer_reps_are_kept_as_an_int(tmp_path):
 
 def test_pass_accounting_and_fields():
     results = bench.run_bench(widths=(4, 8), reps=10, seed=1)
-    assert len(results) == 6
+    assert len(results) == 2 * len(trainer.ENGINES)
     by_key = {(r.engine, r.width): r for r in results}
     for n in (4, 8):
         assert by_key[("ones", n)].passes == 1
         assert by_key[("backprop", n)].passes == 1
         assert by_key[("seeded", n)].passes == n + 1  # weights + bias
-        for engine in ("ones", "seeded", "backprop"):
+        for engine in trainer.ENGINES:
             r = by_key[(engine, n)]
             assert r.params == n and r.reps == 10 and r.median_ns > 0
 

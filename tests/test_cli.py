@@ -153,7 +153,7 @@ def test_train_writes_logs(tmp_path, capsys):
     assert "final_loss=" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("engine", ["ones", "seeded", "backprop"])
+@pytest.mark.parametrize("engine", trainer.ENGINES)
 @pytest.mark.parametrize("batch", trainer.BATCH_MODES)
 def test_train_on_line2d_writes_its_logs_under_every_engine_and_batch_mode(engine, batch, tmp_path,
                                                                            capsys):

@@ -780,7 +780,7 @@ FAILING_STEPS = {
 
 
 @pytest.mark.parametrize("batch", trainer.BATCH_MODES)
-@pytest.mark.parametrize("rule", ["ones", "seeded", "backprop"])
+@pytest.mark.parametrize("rule", trainer.ENGINES)
 @pytest.mark.parametrize("case", FAILING_STEPS)
 def test_a_failing_step_stops_as_the_stepwise_spec_does(case, rule, batch):
     samples, lr, what = FAILING_STEPS[case]
@@ -832,6 +832,13 @@ def test_each_rules_sgd_loop_holds_its_sample_lines_once(monkeypatch):
         [lines] = sources
         unpack = md._unpack("x", shapes[0][0], "s.x")
         assert [line.strip() for line in lines].count(unpack) == 1, (rule, shapes)
+
+
+def test_the_code_digest_hashes_the_generated_source(monkeypatch):
+    compile_, first = md._compile, digest.code_digest()
+    assert md._compile is compile_ and len(first) == 64 and digest.code_digest() == first
+    monkeypatch.setattr(md, "STRAIGHT_PASSES", 0)  # every seeded layout loops: same bits, new text
+    assert digest.code_digest() != first
 
 
 def run_outcome(f, *args):

@@ -225,29 +225,29 @@ def test_sgd_step_rejects_bad_learning_rate_as_a_bad_argument(lr):
 @pytest.mark.parametrize("name", trainer.ENGINES)
 def test_every_engines_sgd_refuses_what_sgd_step_refuses(name):
     sgd = trainer.ENGINES[name].sgd
-    m = Perceptron([0.3, -0.2], 0.1)  # sum(W) = 0.1: the ones rule is defined
     good = Sample([1.0, 0.5], 1.0)
-
-    def refused(batches, lr, text):
-        with pytest.raises(ValueError) as exc:
-            sgd(m, batches, lr)
-        assert type(exc.value) is ValueError and str(exc.value) == text  # no NonFinite: no divergence
-
-    for lr in (0.0, -1.0, math.nan, math.inf):
-        md.reset_pass_count()
-        refused([[good], [good]], lr, f"learning rate must be positive and finite, got {lr}")
-        assert md.pass_count() == 0  # refused before any pass
     spec = trainer.stepwise(summed(trainer.ENGINES[name].grad))
-    for width in (1, 3):
-        wrong = Sample([0.5] * width, 1.0)
-        for batches in ([[good], [wrong]], [[good, wrong]]):
+    # sum(W) = 0.1: the ones rule is defined; sum(W) = 0: ones skips every batch
+    for m in (Perceptron([0.3, -0.2], 0.1), Perceptron([0.5, -0.5], 0.0)):
+        def refused(batches, lr, text):
+            with pytest.raises(ValueError) as exc:
+                sgd(m, batches, lr)
+            assert type(exc.value) is ValueError and str(exc.value) == text  # no NonFinite: no divergence
+
+        for lr in (0.0, -1.0, math.nan, math.inf):
             md.reset_pass_count()
-            with pytest.raises(ValueError):
-                spec(m, batches, 0.5)
-            passes = md.pass_count()
-            md.reset_pass_count()
-            refused(batches, 0.5, f"expected 2 features, got {width}")
-            assert md.pass_count() == passes, batches  # the passes before the wrong sample
+            refused([[good], [good]], lr, f"learning rate must be positive and finite, got {lr}")
+            assert md.pass_count() == 0  # refused before any pass
+        for width in (1, 3):
+            wrong = Sample([0.5] * width, 1.0)
+            for batches in ([[good], [wrong]], [[good, wrong]]):
+                md.reset_pass_count()
+                with pytest.raises(ValueError):
+                    spec(m, batches, 0.5)
+                passes = md.pass_count()
+                md.reset_pass_count()
+                refused(batches, 0.5, f"expected 2 features, got {width}")
+                assert md.pass_count() == passes, (m, batches)  # the passes before the wrong sample
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
@@ -592,8 +592,8 @@ def generic(monkeypatch):
     batch, so these runs make exactly the per-sample calls that the
     compiled loop and the oracle's batch loop replace.
     """
-    for name, rule in PER_SAMPLE.items():
-        stepped = trainer.Engine(rule, trainer.stepwise(summed(rule)))
+    for name, engine in list(trainer.ENGINES.items()):
+        stepped = trainer.Engine(engine.grad, trainer.stepwise(summed(engine.grad)))
         monkeypatch.setitem(trainer.ENGINES, f"{name}-generic", stepped)
 
 
@@ -616,7 +616,7 @@ def stepped_batch(sgd):
 
 def test_the_forward_mode_engines_train_through_their_compiled_loop():
     assert all(isinstance(e, trainer.Engine) for e in trainer.ENGINES.values())
-    for name in ("ones", "seeded"):
+    for name in md._RULES:
         sgd = trainer.ENGINES[name].sgd
         assert (sgd.func, sgd.args, sgd.keywords) == (md.run_sgd, (), {"rule": name})
     backprop = trainer.ENGINES["backprop"]
@@ -626,7 +626,7 @@ def test_the_forward_mode_engines_train_through_their_compiled_loop():
         backprop.sgd = None
 
 
-@pytest.mark.parametrize("name", ["ones", "seeded", "backprop"])
+@pytest.mark.parametrize("name", trainer.ENGINES)
 @pytest.mark.parametrize("batch", trainer.BATCH_MODES)
 def test_train_makes_one_sgd_call_per_epoch(name, batch, monkeypatch):
     real = trainer.ENGINES[name]
@@ -684,7 +684,7 @@ def test_stepwise_returns_the_last_finite_model_and_the_failure():
     assert (last, norm, skips) == (Perceptron([-1.0], -2.0, "identity"), 2.0, 0)
 
 
-@pytest.mark.parametrize("rule", ["ones", "seeded", "backprop"])
+@pytest.mark.parametrize("rule", trainer.ENGINES)
 @pytest.mark.parametrize("dataset", ["and", "or", "line2d"])
 @pytest.mark.parametrize("act", md.ACTIVATIONS)
 def test_the_compiled_loop_traces_the_generic_loop_bit_for_bit(rule, dataset, act, generic):
@@ -718,13 +718,13 @@ def test_an_engine_outside_the_single_layer_table_takes_hidden_layers(monkeypatc
 def test_the_compiled_loop_keeps_singular_skips_and_signed_zeros(batch, generic):
     and_ = trainer.builtin_dataset("and")
     singular = Perceptron([0.5, -0.5], 0.0)
-    for rule in ("ones", "seeded"):
+    for rule in md._RULES:
         kw = dict(dataset="and", batch_mode=batch, epochs=3)
         assert counted(rule, and_, singular, **kw) == counted(f"{rule}-generic", and_, singular, **kw)
     # ones' weight entry is -0.0 here, and -0.0 - 0.5 * -0.0 is +0.0
     zero = Dataset("zero", 2, [Sample([0.0, 1.0], 1.0), Sample([0.0, 0.5], 1.0)])
     m = Perceptron([-0.0, 1.0], 0.0)
-    for rule in ("ones", "seeded"):
+    for rule in md._RULES:
         kw = dict(dataset="zero", batch_mode=batch, epochs=2)
         assert counted(rule, zero, m, **kw) == counted(f"{rule}-generic", zero, m, **kw)
     log = trainer.train(TrainConfig(engine="ones", batch_mode=batch, epochs=1), zero, m)
@@ -768,7 +768,7 @@ def test_the_compiled_loop_keeps_the_guard_and_the_norm_at_their_boundaries(batc
         assert sum(m.W) == t
         g = md.grad_seeded(m, data.samples[0]).params
         assert -min(g) > max(g)
-        for rule, lr in itertools.product(("ones", "seeded"), (1e-300, 0.5)):
+        for rule, lr in itertools.product(md._RULES, (1e-300, 0.5)):
             kw = dict(dataset="guard", batch_mode=batch, learning_rate=lr, epochs=3)
             assert counted(rule, data, m, **kw) == counted(f"{rule}-generic", data, m, **kw), (t, kw)
         cfg = TrainConfig(engine="ones", batch_mode=batch, learning_rate=1e-300, epochs=3)
@@ -790,7 +790,7 @@ def test_each_engines_sgd_equals_its_stepwise_spec_on_random_nets(name, batch):
         samples = [Sample(digest.entries(rng, m.width), digest.entries(rng, 1)[0])
                    for _ in range(rng.randint(1, 4))]
         lr = rng.choice((0.5, 1e-3, 1e6, 1e300))
-        if name != "seeded" and not isinstance(m, Perceptron):
+        if name in md.SINGLE_LAYER and not isinstance(m, Perceptron):
             continue
         batches = {"per_sample": [[s] for s in samples], "full_batch": [samples],
                    "mixed": [samples, samples[:1], [], samples[::-1]]}[batch]
@@ -805,13 +805,13 @@ def test_the_compiled_loops_call_no_python_function_per_unit_or_step():
     for shapes, acts in layouts:
         kernel = md._kernel(shapes, acts)
         codes = [kernel.__code__, kernel.loss_sum.__code__]
-        for rule in ("ones", "seeded") if len(shapes) == 1 else ("seeded",):
+        for rule in (r for r in md._RULES if len(shapes) == 1 or r not in md.SINGLE_LAYER):
             codes += [md._grad(shapes, acts, rule).__code__, md._sgd_loop(shapes, acts, rule).__code__]
         for code in codes:
             assert not {"abs", "max", "sum", "fn", "sigmoid_real"} & set(code.co_names), code.co_names
     # the input tangent of a width-128 perceptron sits in a one-byte local slot
     wide = ((128, 1),), ("sigmoid",)
-    codes = [f(*wide, rule).__code__ for f in (md._grad, md._sgd_loop) for rule in ("ones", "seeded")]
+    codes = [f(*wide, rule).__code__ for f in (md._grad, md._sgd_loop) for rule in md._RULES]
     for code in codes:
         assert code.co_varnames.index("dx") < 256
     # the seeded rule's passes append their entries in one stage, keeping no output tangent

@@ -1,29 +1,37 @@
-"""Two digests: ``train``'s logs over a fixed grid of configs, and the model API on random nets.
+"""Three digests: ``train``'s logs over a fixed grid of configs, the model API on random nets,
+and the source the model compiles.
 
 Run it on two checkouts and compare the lines: a change that moves any bit
-of a log (``wall_ms`` aside), of a model result or any pass count moves a
-digest. The train half hashes each config's log and pass count. The model
-half draws ``NETS`` 1–3-layer nets with ``random`` from a fixed seed, with
-entries from a pool of ±0.0, ±1e300, 5e-324, ±710 and ±745 or ordinary
-reals, and hashes the ``.hex()`` values of ``forward``, ``grad_seeded``,
-``grad_ones`` (perceptrons), ``run_sgd`` on per-sample and full batches
-and, on perceptrons, the oracle's ``grad_backprop_batch`` on each sample
-and on the full batch, then ``grad_backprop_batch`` and both rules'
-``run_sgd`` on the full batch plus one sample a feature wider, and last
-``run_sgd`` under each rule on mixed batches in one call (the full batch,
-its first sample, an empty batch and the full batch reversed), with each
-call's exception type and message and pass count.
+of a log (``wall_ms`` aside), of a model result, any pass count or any line
+of generated code moves a digest. The train half hashes each config's log
+and pass count. The model half draws ``NETS`` 1–3-layer nets with
+``random`` from a fixed seed, with entries from a pool of ±0.0, ±1e300,
+5e-324, ±710 and ±745 or ordinary reals, and hashes the ``.hex()``
+values of ``forward``, ``grad_seeded``, ``grad_ones`` (perceptrons),
+``run_sgd`` on per-sample and full batches and, on perceptrons, the
+oracle's ``grad_backprop_batch`` on each sample and on the full batch,
+then ``grad_backprop_batch`` and both rules' ``run_sgd`` on the full
+batch plus one sample a feature wider, and last ``run_sgd`` under each
+rule on mixed batches in one call (the full batch, its first sample, an
+empty batch and the full batch reversed), with each call's exception
+type and message and pass count.
 
-The digests are not golden values, because ``math.exp`` and ``math.tanh``
-may differ between libm builds; compare two trees on one machine.
+The code half hashes every ``_kernel``, ``_grad`` and ``_sgd_loop`` source,
+compiled afresh past the caches, on ``CODE_LAYOUTS``: perceptrons on both
+sides of ``STRAIGHT_PASSES`` under both rules, and three MLPs under
+``seeded``. It reads no float result, so it needs neither numpy nor libm
+and is the one line to compare for a change that keeps the generated code.
+
+The first two digests are not golden values, because ``math.exp`` and
+``math.tanh`` may differ between libm builds; compare two trees on one machine.
 
     python tools/digest.py
 
 prints one JSON line, ``{"configs": N, "sha256": "...", "nets": M,
-"model_sha256": "..."}``. The package is imported from the ``src/`` next
-to this file, so the digests are the tree's own. Only the train half
-imports ``trainer``, and with it numpy, so ``model_digest()`` runs where
-numpy is missing.
+"model_sha256": "...", "code_sha256": "..."}``. The package is imported
+from the ``src/`` next to this file, so the digests are the tree's own.
+Only the train half imports ``trainer``, and with it numpy, so
+``model_digest()`` and ``code_digest()`` run where numpy is missing.
 """
 
 from __future__ import annotations
@@ -44,6 +52,14 @@ ENGINES = ("ones", "seeded", "backprop")
 LRS = (0.5, 1e6)  # 1e6 makes the identity runs diverge mid-epoch
 NETS = 2000
 POOL = (0.0, -0.0, 1e300, -1e300, 5e-324, 710.0, -710.0, 745.0, -745.0)
+# (shapes, acts, rule): perceptrons around the 32-parameter edge under both rules, and MLPs
+CODE_LAYOUTS = [
+    *((((n, 1),), (act,), rule) for n in (1, 2, 3, 31, 32, 33, 128)
+      for act in model.ACTIVATIONS for rule in ("ones", "seeded")),
+    (((2, 4), (4, 1)), ("tanh", "sigmoid"), "seeded"),
+    (((3, 5), (5, 4), (4, 1)), ("sigmoid", "tanh", "identity"), "seeded"),
+    (((16, 8), (8, 1)), ("tanh", "sigmoid"), "seeded"),
+]
 
 
 def grid():
@@ -151,11 +167,26 @@ def model_digest() -> tuple[int, str]:
     return NETS, digest.hexdigest()
 
 
+def code_digest() -> str:
+    """sha256 of each ``CODE_LAYOUTS`` entry's ``_kernel``, ``_grad`` and ``_sgd_loop`` source."""
+    digest = hashlib.sha256()
+    compile_ = model._compile
+    model._compile = lambda lines: digest.update(("\n".join(lines) + "\n").encode()) or compile_(lines)
+    try:
+        for shapes, acts, rule in CODE_LAYOUTS:  # compiled afresh, past the caches
+            model._kernel.__wrapped__(shapes, acts)
+            model._grad.__wrapped__(shapes, acts, rule)
+            model._sgd_loop.__wrapped__(shapes, acts, rule)
+    finally:
+        model._compile = compile_
+    return digest.hexdigest()
+
+
 def main() -> None:
     configs, train_sha = train_digest()
     nets, model_sha = model_digest()
     print(json.dumps({"configs": configs, "sha256": train_sha, "nets": nets,
-                      "model_sha256": model_sha}))
+                      "model_sha256": model_sha, "code_sha256": code_digest()}))
 
 
 if __name__ == "__main__":
