@@ -60,6 +60,10 @@ def grad_backprop_batch(m: Mlp, samples) -> tuple[MlpGradient | None, int]:
     before it, and its own if non-finite; if every sample's gradient is
     finite, their sum left the finite numbers, and the mean's error is
     raised after every pass. A batch of one counts its pass if non-finite.
+
+    Each sample's pre-activation is checked for finiteness too, as every
+    dual pass checks its own, since a saturated activation hides an
+    infinite one; a sample that fails there fails as a non-finite gradient.
     """
     _model._check(m, "backprop")
     *W, b = m.params
@@ -73,6 +77,8 @@ def grad_backprop_batch(m: Mlp, samples) -> tuple[MlpGradient | None, int]:
             z = b
             for w, xi in zip(W, x):
                 z += w * xi
+            if z - z != 0.0:  # inf or nan
+                raise NonFinite(f"layer 0 unit 0: pre-activation {z!r} is not finite")
             yhat, dact = _act_value_deriv(act, z)
             g0 = 2.0 * (yhat - s.y) * dact
             if dW is None:

@@ -1,6 +1,10 @@
-"""What the tests share: comparisons of floats, gradients and dual numbers, and ``summed``."""
+"""What the tests share: comparisons of floats, gradients and dual numbers, ``summed``
+and ``ENGINE_SPECS``."""
+
+from typing import Callable, NamedTuple
 
 from dualgrad import model as md
+from dualgrad import oracle
 from dualgrad.dual import Dual
 from dualgrad.model import SingularSeed
 
@@ -63,3 +67,20 @@ def summed(grad):
         return g, skips
 
     return batch
+
+
+class EngineSpec(NamedTuple):
+    """What the tests hold a registered engine to: its public per-sample rule, its batch
+    function and its passes per gradient, ``passes(m)``."""
+
+    rule: Callable
+    batch: Callable
+    passes: Callable
+
+
+# One row per name in trainer.ENGINES; a test that runs over the registry reads its facts here.
+ENGINE_SPECS = {
+    "ones": EngineSpec(md.grad_ones, summed(md.grad_ones), lambda m: 1),
+    "seeded": EngineSpec(md.grad_seeded, summed(md.grad_seeded), lambda m: len(m.params)),
+    "backprop": EngineSpec(oracle.grad_backprop, oracle.grad_backprop_batch, lambda m: 1),
+}

@@ -1,6 +1,5 @@
 """tools/ab.py's plumbing: an A/A run prints its summary and writes every round."""
 
-import importlib.util
 import json
 import math
 import subprocess
@@ -9,12 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import ab
 from dualgrad import bench
 
 ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
-ab = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(ab)
 
 
 def test_an_a_a_run_prints_its_keys_and_writes_its_rounds(tmp_path):

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from dualgrad import bench, trainer
+from dualgrad.model import Perceptron
+from helpers import ENGINE_SPECS
 
 
 def test_rejects_low_reps_and_bad_widths():
@@ -46,11 +48,9 @@ def test_pass_accounting_and_fields():
     assert len(results) == 2 * len(trainer.ENGINES)
     by_key = {(r.engine, r.width): r for r in results}
     for n in (4, 8):
-        assert by_key[("ones", n)].passes == 1
-        assert by_key[("backprop", n)].passes == 1
-        assert by_key[("seeded", n)].passes == n + 1  # weights + bias
         for engine in trainer.ENGINES:
             r = by_key[(engine, n)]
+            assert r.passes == ENGINE_SPECS[engine].passes(Perceptron([0.0] * n, 0.0))
             assert r.params == n and r.reps == 10 and r.median_ns > 0
 
 

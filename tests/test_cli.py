@@ -11,11 +11,16 @@ import pytest
 
 from dualgrad import bench, cli, oracle, trainer
 from dualgrad import model as md
-from helpers import summed
+from helpers import ENGINE_SPECS, summed
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def table_passes(point):
+    """A bench point's passes per gradient: ENGINE_SPECS's count on a perceptron of its width."""
+    return ENGINE_SPECS[point["engine"]].passes(md.Perceptron([0.0] * point["width"], 0.0))
 
 
 # --- gradcheck -------------------------------------------------------------------
@@ -270,7 +275,7 @@ def test_bench_small_sweep(tmp_path, capsys):
     points = json.loads(out.read_text())["points"]
     assert [(p["engine"], p["width"]) for p in points] == [  # 2 widths x 2 engines
         ("backprop", 4), ("backprop", 8), ("seeded", 4), ("seeded", 8)]
-    assert [p["passes"] for p in points] == [1, 1, 5, 9]  # seeded: P + 1
+    assert [p["passes"] for p in points] == [table_passes(p) for p in points]
     assert "ns/param" in capsys.readouterr().out
 
 
@@ -417,7 +422,8 @@ def test_every_flag_is_a_config_key(command, values, tmp_path, capsys):
                                              rng_seed=3).to_dict()
     else:
         points = json.loads((tmp_path / "bench.json").read_text())["points"]
-        assert [(p["engine"], p["width"], p["passes"]) for p in points] == [("ones", 3, 1)]
+        assert [(p["engine"], p["width"]) for p in points] == [("ones", 3)]
+        assert points[0]["passes"] == table_passes(points[0])
 
 
 @pytest.mark.parametrize("command, line", [
@@ -475,7 +481,6 @@ def test_bench_json_has_env_and_one_record_per_point(tmp_path, capsys):
     assert len(doc["env"]["src_sha256"]) == 64
     for point in doc["points"]:
         assert set(point) == {"engine", "width", "P", "passes", "reps", "median_ns", "iqr_ns"}
-    assert [(p["engine"], p["width"], p["P"], p["passes"], p["reps"]) for p in doc["points"]] == [
-        ("ones", 2, 2, 1, 10), ("ones", 5, 5, 1, 10),
-        ("seeded", 2, 2, 3, 10), ("seeded", 5, 5, 6, 10),
-    ]
+    assert [(p["engine"], p["width"], p["P"], p["reps"]) for p in doc["points"]] == [
+        ("ones", 2, 2, 10), ("ones", 5, 5, 10), ("seeded", 2, 2, 10), ("seeded", 5, 5, 10)]
+    assert all(p["passes"] == table_passes(p) for p in doc["points"])

@@ -2,11 +2,9 @@
 
 import functools
 import hashlib
-import importlib.util
 import math
 import operator
 import random
-from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -18,12 +16,8 @@ from dualgrad import model as md
 from dualgrad import bench, oracle, trainer
 from dualgrad.dual import Dual, NonFinite
 from dualgrad.model import Layer, Mlp, Perceptron, Sample
-from helpers import assert_grads_close, relerr, summed
-
-_spec = importlib.util.spec_from_file_location(
-    "digest", Path(__file__).resolve().parent.parent / "tools" / "digest.py")
-digest = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(digest)
+import digest
+from helpers import ENGINE_SPECS, assert_grads_close, relerr, summed
 
 
 def random_perceptron(rng, n, act="sigmoid"):
@@ -321,23 +315,10 @@ def test_perceptron_and_one_layer_mlp_agree_bit_for_bit(data):
     s = Sample(data.draw(st.lists(finite, min_size=n, max_size=n)), data.draw(finite))
     perceptron = Perceptron(W, b, act)
     mlp = Mlp([Layer([W], [b], act)])
-
-    def forward_dual_ones(m, s):
-        return md.forward_dual_ones(m, s.x)
-
-    for rule in (md.grad_ones, md.grad_seeded, oracle.grad_backprop, oracle.grad_finite_diff,
-                 forward_dual_ones):
-        runs = []
-        for m in (perceptron, mlp):
-            md.reset_pass_count()
-            try:
-                out = rule(m, s)
-            except md.SingularSeed as exc:
-                out = f"SingularSeed: {exc}"
-            else:
-                out = [v.hex() for v in out.params] if hasattr(out, "params") else (out.re.hex(), out.du.hex())
-            runs.append((out, md.pass_count()))
-        assert runs[0] == runs[1], rule.__name__
+    calls = [(spec.rule, s) for spec in ENGINE_SPECS.values()]
+    calls += [(oracle.grad_finite_diff, s), (md.forward_dual_ones, s.x)]
+    for f, arg in calls:
+        assert digest.outcome(f, perceptron, arg) == digest.outcome(f, mlp, arg), f.__name__
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -410,7 +391,7 @@ def assert_seeded_matches_the_dual_spec(m, s):
     md.reset_pass_count()
     got = md.grad_seeded(m, s)
     assert [v.hex() for v in got.params] == want
-    assert md.pass_count() == len(m.params)
+    assert md.pass_count() == ENGINE_SPECS["seeded"].passes(m)
 
 
 def assert_ones_matches_the_dual_spec(m, x, y):
@@ -429,7 +410,7 @@ def assert_ones_matches_the_dual_spec(m, x, y):
         md.reset_pass_count()
         grad = md.grad_ones(m, s)
         assert [v.hex() for v in grad.params] == [v.hex() for v in [g0 * xi for xi in x] + [g0]]
-        assert md.pass_count() == 1
+        assert md.pass_count() == ENGINE_SPECS["ones"].passes(m)
 
 
 @settings(max_examples=150, deadline=None)
@@ -509,7 +490,7 @@ def test_a_3000_wide_layer_compiles_and_matches_the_dual_spec():
     s = Sample([0.7, -1.3], 0.5)
     md.reset_pass_count()
     got = md.grad_seeded(m, s).params
-    assert md.pass_count() == len(m.params) == 1201
+    assert md.pass_count() == ENGINE_SPECS["seeded"].passes(m) == 1201
     for k in (0, 1, 2, 299, 599, 600, 750, 899, 900, 1050, 1199, 1200):
         assert got[k].hex() == spec_loss_dual(m, s, k).du.hex(), k
 
@@ -589,7 +570,7 @@ def test_dual_allocations_per_pass(monkeypatch):
         made = 0
         md.reset_pass_count()
         md.grad_seeded(m, s)
-        assert md.pass_count() == len(m.params)
+        assert md.pass_count() == ENGINE_SPECS["seeded"].passes(m)
         assert made <= 4 * len(m.params)
 
     # the ones pass runs on the ring: b, then per input the seeded x_i, w_i,
@@ -606,29 +587,14 @@ def test_dual_allocations_per_pass(monkeypatch):
 # --- the compiled loss loop -------------------------------------------------------------
 
 
-def extreme_values(rng, k):
-    """k entries mixing ±0.0, small reals and magnitudes up to ±1e300."""
-    pool = [0.0, -0.0, 1e300, -1e300, 1e150, -1e200]
-    return [float(rng.choice(pool)) if rng.random() < 0.3 else float(rng.uniform(-3, 3))
-            for _ in range(k)]
-
-
-def extreme_net(rng):
-    widths = [int(w) for w in rng.integers(1, 5, int(rng.integers(1, 4)))] + [1]
-    return Mlp([
-        Layer([extreme_values(rng, n_in) for _ in range(n_out)], extreme_values(rng, n_out),
-              str(rng.choice(md.ACTIVATIONS)))
-        for n_in, n_out in zip(widths, widths[1:])
-    ])
-
-
 def test_mean_loss_is_the_sample_order_mean_of_forward_losses_bit_for_bit():
-    rng = np.random.default_rng(50)
+    # digest's nets and entries, up to ±1e300, ±710 and ±745
+    rng = random.Random(50)
     kinds = set()
     for _ in range(400):
-        m = extreme_net(rng)
-        samples = [Sample(extreme_values(rng, m.width), extreme_values(rng, 1)[0])
-                   for _ in range(int(rng.integers(1, 7)))]
+        m = digest.random_net(rng)
+        samples = [Sample(digest.entries(rng, m.width), digest.entries(rng, 1)[0])
+                   for _ in range(rng.randint(1, 6))]
         total = 0.0
         for s in samples:
             total += md.loss(m.forward(s.x), s.y)
@@ -841,22 +807,6 @@ def test_the_code_digest_hashes_the_generated_source(monkeypatch):
     assert digest.code_digest() != first
 
 
-def run_outcome(f, *args):
-    """A compiled gradient's or loop's result as .hex() values, or its exception, and the passes it counted."""
-    md.reset_pass_count()
-    try:
-        result = f(*args)
-    except NonFinite as exc:
-        result = f"{type(exc).__name__}: {exc}"
-    else:
-        if isinstance(result, tuple):  # a loop's (params, norm, skips, failure)
-            params, norm, skips, failure = result
-            result = [v.hex() for v in params], norm.hex(), skips, failure and f"{type(failure).__name__}: {failure}"
-        else:
-            result = [v.hex() for v in result]
-    return result, md.pass_count()
-
-
 def test_written_out_seeded_passes_are_the_loops_bit_for_bit(monkeypatch):
     # each layout's seeded gradient and SGD loop, compiled written out and as
     # the loop past the threshold, on digest-style nets whose entries reach
@@ -875,12 +825,12 @@ def test_written_out_seeded_passes_are_the_loops_bit_for_bit(monkeypatch):
             loop = md._sgd_loop.__wrapped__(m.shapes, m.acts, "seeded")
             looped = len(m.params) > straight
             assert ("es" in grad.__code__.co_varnames, "es" in loop.__code__.co_varnames) == (looped, looped)
-            runs.append([*(run_outcome(grad, m.params, s) for s in samples),
-                         *(run_outcome(loop, m.params, batches, lr)
+            runs.append([*(digest.outcome(grad, m.params, s) for s in samples),
+                         *(digest.outcome(loop, m.params, batches, lr)
                            for batches in ([[s] for s in samples], [samples, [], samples[::-1]]))])
         assert runs[0] == runs[1], m.shapes
         written_out += len(m.params) <= threshold
-        failed += any("layer" in str(result) for result, _ in runs[0])
+        failed += any("layer" in outcome for outcome in runs[0])
     assert written_out > 100 and failed > 20, (written_out, failed)
 
 
@@ -906,10 +856,9 @@ def test_saturated_pre_activation_raises_nonfinite():
     # pre-activation sum sees that the pass left the finite numbers
     m = Perceptron([1e308, 1e308], 0.0, "sigmoid")
     s = Sample([10.0, 10.0], 1.0)
-    with pytest.raises(NonFinite, match="layer 0 unit 0"):
-        md.grad_seeded(m, s)
-    with pytest.raises(NonFinite, match="layer 0 unit 0"):
-        md.grad_ones(m, s)
+    for spec in ENGINE_SPECS.values():
+        with pytest.raises(NonFinite, match="layer 0 unit 0: pre-activation inf"):
+            spec.rule(m, s)
 
 
 def test_nonfinite_is_raised_at_every_finiteness_check():

@@ -2,7 +2,6 @@
 
 import csv
 import dataclasses
-import importlib.util
 import inspect
 import io
 import itertools
@@ -10,7 +9,6 @@ import json
 import math
 import random
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,12 +18,8 @@ from dualgrad import bench, cli, oracle, trainer
 from dualgrad.dual import NonFinite
 from dualgrad.model import Gradient, Layer, LayerGradient, Mlp, MlpGradient, Perceptron, Sample
 from dualgrad.trainer import Dataset, EpochRecord, TrainConfig, TrainLog
-from helpers import summed
-
-_spec = importlib.util.spec_from_file_location(
-    "digest", Path(__file__).resolve().parent.parent / "tools" / "digest.py")
-digest = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(digest)
+import digest
+from helpers import ENGINE_SPECS, summed
 
 
 # --- builtin datasets ---------------------------------------------------------
@@ -375,9 +369,10 @@ def test_divergence_flags_and_stops():
     assert len(log.records) < 50
 
 
-@pytest.mark.parametrize("engine", ["seeded", "ones"])
+@pytest.mark.parametrize("engine", trainer.ENGINES)
 def test_nonfinite_pass_marks_the_run_diverged(engine):
-    # a saturated sigmoid hides the overflow from the loss; the pass reports it
+    # a saturated sigmoid hides the overflow from the loss; the pass reports it,
+    # and the oracle's check on the pre-activation does
     m = Perceptron([1e308, 1e308], 0.0, "sigmoid")
     ds = Dataset("saturated", 2, [Sample([10.0, 10.0], 1.0)])
     log = trainer.train(TrainConfig(engine=engine, epochs=5), dataset=ds, model=m)
@@ -404,20 +399,42 @@ def test_a_nonfinite_epoch_loss_is_divergence_and_not_recorded(tmp_path):
     # every engine ends the run there, with the same strict-JSON log
     csv_path = tmp_path / "big.csv"
     csv_path.write_text("x1,x2,y\n0.5,0.5,1e200\n1.0,0.0,0.0\n")
-    docs = {}
+    docs = []
     for engine in trainer.ENGINES:
         log = trainer.train(TrainConfig(dataset=str(csv_path), engine=engine, epochs=3))
         assert log.diverged and log.records == []
         trainer.write_log_json(log, tmp_path / "log.json")
         doc = json.loads((tmp_path / "log.json").read_text(), parse_constant=_reject_constant)
-        docs[engine] = {k: v for k, v in doc.items() if k != "config"}
+        docs.append({k: v for k, v in doc.items() if k != "config"})
         # dualgrad train exits 1 on that run and writes the same strict log
         out = tmp_path / engine
         argv = ["train", "--dataset", str(csv_path), "--engine", engine, "--epochs", "3", "--out", str(out)]
         assert cli.main(argv) == cli.CHECK_FAILED == 1
         written = json.loads((out / "log.json").read_text(), parse_constant=_reject_constant)
-        assert {k: v for k, v in written.items() if k != "config"} == docs[engine]
-    assert docs["ones"] == docs["seeded"] == docs["backprop"]
+        assert {k: v for k, v in written.items() if k != "config"} == docs[-1]
+    assert all(doc == docs[0] for doc in docs)
+
+
+def test_every_engine_ends_each_digest_config_alike():
+    # digest's grid grouped by all but the engine, and the saturated perceptron as one more
+    # group: every engine diverges at the same epoch or trains every epoch
+    saturated = Dataset("saturated", 2, [Sample([10.0, 10.0], 1.0)])
+    runs = [(cfg, None, m) for cfg, m in digest.grid()]
+    runs += [(TrainConfig(engine=name, epochs=5), saturated, Perceptron([1e308, 1e308], 0.0, "sigmoid"))
+             for name in trainer.ENGINES]
+    groups = {}
+    for cfg, data, m in runs:
+        log = trainer.train(cfg, data, m)
+        key = repr(([v for k, v in vars(cfg).items() if k != "engine"], data, m))
+        groups.setdefault(key, set()).add((log.diverged, len(log.records)))
+    assert len(groups) == 79
+    assert {key: ends for key, ends in groups.items() if len(ends) > 1} == {}
+    # the exception: ones' shared seed sum(W) overflows where each parameter's seed does not
+    tiny = Dataset("tiny", 2, [Sample([1e-300, 1e-300], 1.0)])
+    m = Perceptron([1e308, 1e308], 0.0, "tanh")
+    ends = {name: trainer.train(TrainConfig(engine=name, epochs=3), tiny, m) for name in trainer.ENGINES}
+    ends = {name: (log.diverged, len(log.records)) for name, log in ends.items()}
+    assert ends.pop("ones") == (True, 0) and set(ends.values()) == {(False, 3)}
 
 
 def test_plain_value_error_is_not_divergence(monkeypatch):
@@ -461,12 +478,6 @@ def test_mlp_training_runs():
 
 # --- the engine registry and the batch functions -----------------------------------------
 
-PER_SAMPLE = {"ones": md.grad_ones, "seeded": md.grad_seeded, "backprop": oracle.grad_backprop}
-# The functions that batch: summed per-sample rules and the oracle's own batch loop.
-BATCH = {"ones": summed(md.grad_ones), "seeded": summed(md.grad_seeded),
-         "backprop": oracle.grad_backprop_batch}
-
-
 def guarded_perceptron(rng, n):
     """``bench.guarded_perceptron`` under an activation drawn from the same generator."""
     m = bench.guarded_perceptron(n, rng)
@@ -478,21 +489,10 @@ def random_batch(rng, n, size):
             for _ in range(size)]
 
 
-def sample_order_mean(grads):
-    """The mean of per-sample gradient entries as train summed them before batch engines."""
-    acc = grads[0]
-    for g in grads[1:]:
-        acc = [a + b for a, b in zip(acc, g)]
-    if len(grads) > 1:
-        scale = 1.0 / len(grads)
-        acc = [scale * v for v in acc]
-    return acc
-
-
 def test_every_engine_has_one_per_sample_rule():
-    assert set(trainer.ENGINES) == set(PER_SAMPLE)
-    for name, rule in PER_SAMPLE.items():
-        assert trainer.ENGINES[name].grad is rule, name
+    assert set(trainer.ENGINES) == set(ENGINE_SPECS)
+    for name, spec in ENGINE_SPECS.items():
+        assert trainer.ENGINES[name].grad is spec.rule, name
 
 
 def test_the_oracle_batch_is_the_sample_order_mean_of_its_gradients_bit_for_bit():
@@ -502,9 +502,9 @@ def test_the_oracle_batch_is_the_sample_order_mean_of_its_gradients_bit_for_bit(
         m = guarded_perceptron(rng, n)
         batch = random_batch(rng, n, int(rng.integers(1, 9)))
         g, skips = oracle.grad_backprop_batch(m, batch)
-        want = sample_order_mean([oracle.grad_backprop(m, s).params for s in batch])
+        want, _ = summed(oracle.grad_backprop)(m, batch)
         assert skips == 0 and type(g) is Gradient and g.shapes == m.shapes
-        assert [v.hex() for v in g.params] == [v.hex() for v in want]
+        assert [v.hex() for v in g.params] == [v.hex() for v in want.params]
 
 
 def test_a_singular_sample_is_skipped_and_not_counted():
@@ -517,9 +517,9 @@ def test_a_singular_sample_is_skipped_and_not_counted():
         return md.grad_ones(singular if s is batch[1] else m_, s)
 
     g, skips = summed(rule)(m, batch)
-    want = sample_order_mean([md.grad_ones(m, s).params for s in (batch[0], batch[2])])
+    want, _ = summed(md.grad_ones)(m, [batch[0], batch[2]])
     assert skips == 1
-    assert [v.hex() for v in g.params] == [v.hex() for v in want]
+    assert [v.hex() for v in g.params] == [v.hex() for v in want.params]
     # one contributing sample gives its own gradient, unscaled
     g, skips = summed(rule)(m, batch[:2])
     assert skips == 1 and g == md.grad_ones(m, batch[0])
@@ -543,10 +543,10 @@ def test_batch_pass_counts(n, size):
     rng = np.random.default_rng(62)
     m = guarded_perceptron(rng, n)
     batch = random_batch(rng, n, size)
-    for name, passes in (("ones", size), ("backprop", size), ("seeded", size * (n + 1))):
+    for name, spec in ENGINE_SPECS.items():
         md.reset_pass_count()
-        BATCH[name](m, batch)
-        assert md.pass_count() == passes, name
+        spec.batch(m, batch)
+        assert md.pass_count() == size * spec.passes(m), name
 
 
 def test_backprop_batch_keeps_the_per_sample_errors():
@@ -731,7 +731,7 @@ def test_the_compiled_loop_keeps_singular_skips_and_signed_zeros(batch, generic)
     assert math.copysign(1.0, log.final_model["W"][0]) == 1.0
 
 
-@pytest.mark.parametrize("name", ["ones", "seeded", "backprop"])
+@pytest.mark.parametrize("name", trainer.ENGINES)
 def test_an_empty_batch_takes_no_step_and_counts_no_skip(name):
     sgd = trainer.engine(name).sgd
     last, norm, skips, failure = sgd(Perceptron([-0.0, 0.5], -0.0), [[]], 0.5)
@@ -739,8 +739,8 @@ def test_an_empty_batch_takes_no_step_and_counts_no_skip(name):
     # between nonempty batches it changes nothing, and a singular model skips none of it
     m, s = Perceptron([0.3, -0.7], 0.1, "tanh"), Sample([1.0, 2.0], 1.0)
     assert repr(sgd(m, [[s], [], [s, s]], 0.5)) == repr(sgd(m, [[s], [s, s]], 0.5))
-    if name != "backprop":
-        assert sgd(Perceptron([0.5, -0.5], 0.0), [[], [s]], 0.5)[2] == (1 if name == "ones" else 0)
+    singular = Perceptron([0.5, -0.5], 0.0)
+    assert sgd(singular, [[], [s]], 0.5)[2] == ENGINE_SPECS[name].batch(singular, [s])[1]
 
 
 def near_guard_sums():
@@ -846,10 +846,18 @@ def test_the_loop_compiles_on_a_layouts_first_train_use_only():
 # --- pass counts of a training run --------------------------------------------------------
 
 
+def and_layouts():
+    """(engine, hidden, passes per gradient) for every engine on and, with a hidden layer
+    of 3 where the engine takes one."""
+    for name, spec in ENGINE_SPECS.items():
+        for hidden in ((), (3,)):
+            if not hidden or name not in md.SINGLE_LAYER:
+                cfg = TrainConfig(dataset="and", engine=name, hidden=hidden)
+                yield name, hidden, spec.passes(trainer.init_model(cfg, 2, np.random.default_rng(0)))
+
+
 @pytest.mark.parametrize("batch", trainer.BATCH_MODES)
-@pytest.mark.parametrize("engine, hidden, per_gradient", [
-    ("ones", (), 1), ("seeded", (), 3), ("seeded", (3,), 3 * 2 + 3 + 3 + 1), ("backprop", (), 1),
-])
+@pytest.mark.parametrize("engine, hidden, per_gradient", list(and_layouts()))
 def test_train_counts_one_gradients_passes_per_sample_and_epoch(engine, hidden, per_gradient,
                                                                  batch):
     _, passes = counted(engine, dataset="and", hidden=hidden, batch_mode=batch, epochs=5)
@@ -861,16 +869,18 @@ def test_singular_skips_count_no_pass(batch):
     and_ = trainer.builtin_dataset("and")
     singular = Perceptron([0.5, -0.5], 0.0)
     assert counted("ones", and_, singular, dataset="and", batch_mode=batch, epochs=3)[1] == 0
-    assert counted("seeded", and_, singular, dataset="and", batch_mode=batch, epochs=3)[1] == 36
+    passes = 3 * 4 * ENGINE_SPECS["seeded"].passes(singular)
+    assert counted("seeded", and_, singular, dataset="and", batch_mode=batch, epochs=3)[1] == passes
 
 
-@pytest.mark.parametrize("engine", ["ones", "seeded", "backprop"])
+@pytest.mark.parametrize("engine", trainer.ENGINES)
 def test_a_run_diverging_mid_epoch_counts_the_passes_of_its_per_sample_calls(engine, generic):
     kw = dict(dataset="line2d", activation="identity", learning_rate=1e6, epochs=3, rng_seed=2)
     doc, passes = counted(engine, **kw)
     assert (doc, passes) == counted(f"{engine}-generic", **kw)
     assert "'records': []" in doc and "'diverged': True" in doc
-    assert 0 < passes < 64 * (3 if engine == "seeded" else 1)  # stopped inside epoch 1
+    line2d = Perceptron([0.0, 0.0], 0.0)
+    assert 0 < passes < 64 * ENGINE_SPECS[engine].passes(line2d)  # stopped inside epoch 1
 
 
 # --- log export ------------------------------------------------------------------------

@@ -46,9 +46,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dualgrad import model, oracle  # noqa: E402
+from dualgrad.dual import Dual  # noqa: E402
 from dualgrad.model import Layer, Mlp, Perceptron, Sample  # noqa: E402
 
-ENGINES = ("ones", "seeded", "backprop")
 LRS = (0.5, 1e6)  # 1e6 makes the identity runs diverge mid-epoch
 NETS = 2000
 POOL = (0.0, -0.0, 1e300, -1e300, 5e-324, 710.0, -710.0, 745.0, -745.0)
@@ -63,21 +63,23 @@ CODE_LAYOUTS = [
 
 
 def grid():
-    """(config, model or None) pairs; None trains the config's own initial model."""
+    """(config, model or None) pairs, under every engine in ``trainer.ENGINES``; None trains the
+    config's own initial model."""
     from dualgrad import trainer
     from dualgrad.trainer import TrainConfig
 
     for dataset, engine, act, batch, shuffle, lr in itertools.product(
-        ("and", "or", "line2d"), ENGINES, model.ACTIVATIONS, trainer.BATCH_MODES, (False, True), LRS
+        ("and", "or", "line2d"), trainer.ENGINES, model.ACTIVATIONS, trainer.BATCH_MODES,
+        (False, True), LRS
     ):
         yield TrainConfig(dataset=dataset, engine=engine, activation=act, batch_mode=batch,
                           shuffle=shuffle, learning_rate=lr, epochs=8, rng_seed=3), None
     for batch, lr in itertools.product(trainer.BATCH_MODES, LRS):
         yield TrainConfig(dataset="and", engine="seeded", hidden=(3,), batch_mode=batch,
                           learning_rate=lr, epochs=8, rng_seed=3), None
-    for engine, batch in itertools.product(ENGINES, trainer.BATCH_MODES):  # |sum(W)| = 0: ones skips
+    for engine, batch in itertools.product(trainer.ENGINES, trainer.BATCH_MODES):
         yield TrainConfig(dataset="and", engine=engine, batch_mode=batch, epochs=8,
-                          rng_seed=3), Perceptron([0.5, -0.5], 0.0)
+                          rng_seed=3), Perceptron([0.5, -0.5], 0.0)  # |sum(W)| = 0: ones skips
 
 
 def train_digest() -> tuple[int, str]:
@@ -110,7 +112,12 @@ def random_net(rng: random.Random):
 
 
 def outcome(f, *args) -> str:
-    """f(*args) as .hex() values, or its exception, and the passes it counted."""
+    """f(*args) as .hex() values, or its exception, and the passes it counted.
+
+    A result is a float, a ``Dual``, a gradient, a compiled gradient's entry
+    list, or an SGD loop's 4-tuple; the digest itself hashes no ``Dual``,
+    list or compiled loop's tuple.
+    """
     model.reset_pass_count()
     try:
         result = f(*args)
@@ -118,12 +125,16 @@ def outcome(f, *args) -> str:
         result = f"{type(exc).__name__}: {exc}"
     if isinstance(result, float):
         result = result.hex()
+    elif isinstance(result, Dual):
+        result = result.re.hex(), result.du.hex()
     elif isinstance(result, model.MlpGradient):
         result = [v.hex() for v in result.params]
-    elif isinstance(result, tuple):  # run_sgd's (model, norm, skips, failure)
-        last, norm, skips, failure = result
+    elif isinstance(result, list):  # a compiled gradient's entries
+        result = [v.hex() for v in result]
+    elif isinstance(result, tuple):  # run_sgd's (model, norm, skips, failure), or a compiled loop's
+        last, norm, skips, failure = result  # with the parameter list in place of the model
         failure = failure and f"{type(failure).__name__}: {failure}"
-        result = [v.hex() for v in last.params], norm.hex(), skips, failure
+        result = [v.hex() for v in getattr(last, "params", last)], norm.hex(), skips, failure
     return f"{result} {model.pass_count()}"
 
 
